@@ -2,8 +2,8 @@
 
 Each probes one decision: write accounting (Section 2.1), the
 reasonable-cuts reduction and 20/80 refinement (Section 4), the
-Appendix-A latency term, the from-scratch MIP backend, and the value of
-the QP/SA formulation over classic baselines.
+Appendix-A latency term, and the value of the QP/SA formulation over
+classic baselines.
 """
 
 from repro.bench import ablations
@@ -52,15 +52,6 @@ def test_ablation_latency(benchmark, profile):
     # remote-writing queries the optimum tolerates.
     writers = [row["remote-writing queries"] for row in table.rows[1:]]
     assert writers == sorted(writers, reverse=True)
-
-
-def test_ablation_backend(benchmark, profile):
-    table = run_and_print(benchmark, ablations.ablation_backend, profile)
-    for row in table.rows:
-        # Both backends find the same optimum (within the 0.1% gap).
-        assert abs(row["scratch cost"] - row["scipy cost"]) <= (
-            0.005 * max(row["scipy cost"], 1)
-        )
 
 
 def test_ablation_baselines(benchmark, profile):

@@ -39,9 +39,7 @@ def _build_table(profile) -> BenchTable:
         instance = named_instance(name)
         coefficients = build_coefficients(instance, parameters)
         baseline = single_site_partitioning(coefficients).objective
-        qp = QpPartitioner(coefficients, 2).solve(
-            time_limit=profile.qp_time_limit, backend="scipy"
-        )
+        qp = QpPartitioner(coefficients, 2).solve(time_limit=profile.qp_time_limit)
         sa = SaPartitioner(
             coefficients, 2, options=profile.sa_for(instance.num_attributes)
         ).solve()

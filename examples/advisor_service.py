@@ -25,7 +25,6 @@ def build_queue() -> list[SolveRequest]:
                 parameters=CostParameters(network_penalty=penalty),
                 allow_replication=allow_replication,
                 strategy="qp",
-                options={"backend": "scipy"},
                 time_limit=30,
             ))
     # "auto" picks QP or SA from the model-size estimate.

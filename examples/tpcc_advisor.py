@@ -30,12 +30,10 @@ def main() -> None:
           f"{'reduction':>9}  {'ratio':>6}")
     results = {}
     for num_sites in (2, 3, 4):
-        replicated = QpPartitioner(coefficients, num_sites).solve(
-            time_limit=60, backend="scipy"
-        )
+        replicated = QpPartitioner(coefficients, num_sites).solve(time_limit=60)
         disjoint = QpPartitioner(
             coefficients, num_sites, allow_replication=False
-        ).solve(time_limit=60, backend="scipy")
+        ).solve(time_limit=60)
         results[num_sites] = replicated
         reduction = 100 * (1 - replicated.objective / baseline.objective)
         ratio = 100 * replicated.objective / disjoint.objective

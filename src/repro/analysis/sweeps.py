@@ -109,7 +109,6 @@ def _solve(
             num_sites=num_sites,
             parameters=parameters,
             strategy="qp",
-            options={"backend": "scipy"},
             time_limit=time_limit,
         )
     elif solver in ("sa", "sa-portfolio"):
@@ -254,7 +253,6 @@ def replication_price_sweep(
                 parameters=parameters,
                 allow_replication=allow_replication,
                 strategy="qp",
-                options={"backend": "scipy"},
                 time_limit=time_limit,
             )
 

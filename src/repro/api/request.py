@@ -71,9 +71,9 @@ class SolveRequest:
         / ``"sa-portfolio"`` these mirror
         :class:`~repro.sa.options.SaOptions` fields (including the
         portfolio's execution ``backend`` and incumbent ``prune``
-        knobs); for ``"qp"`` they are ``gap``, ``backend``,
-        ``latency``, ``symmetry_breaking``; ``"auto"`` additionally
-        honours ``auto_cutoff``.
+        knobs); for ``"qp"`` they are ``gap``, ``latency``,
+        ``symmetry_breaking`` and ``time_limit``; ``"auto"``
+        additionally honours ``auto_cutoff``.
     seed:
         Master seed; fills the strategy's own seed option when that is
         not pinned in ``options``.

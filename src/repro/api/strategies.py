@@ -40,13 +40,8 @@ AUTO_QP_VARIABLE_CUTOFF = 20_000
 #: Default portfolio size for the "sa-portfolio" strategy.
 DEFAULT_PORTFOLIO_RESTARTS = 4
 
-#: The MIP backend spellings of ``QpPartitioner.solve`` (see
-#: ``repro/solver/model.py``) — used by "auto" to disambiguate the
-#: shared "backend" option key from the portfolio execution backends.
-_QP_MIP_BACKENDS = frozenset({"auto", "scratch", "scipy"})
-
 _QP_OPTION_KEYS = frozenset(
-    {"gap", "backend", "latency", "symmetry_breaking", "time_limit"}
+    {"gap", "latency", "symmetry_breaking", "time_limit"}
 )
 _SA_OPTION_KEYS = frozenset(
     field.name for field in dataclasses.fields(SaOptions)
@@ -72,7 +67,7 @@ def _require_replication(request: SolveRequest, name: str) -> None:
 
 
 def qp_strategy(request: SolveRequest, context: StrategyContext) -> PartitioningResult:
-    """The exact solver: linearised model (7) via a MIP backend."""
+    """The exact solver: linearised model (7) via HiGHS."""
     _check_options(request, _QP_OPTION_KEYS, "qp")
     options = request.options
     partitioner = QpPartitioner(
@@ -83,19 +78,13 @@ def qp_strategy(request: SolveRequest, context: StrategyContext) -> Partitioning
         symmetry_breaking=bool(options.get("symmetry_breaking", True)),
         linearization_cache=context.linearization_cache,
     )
-    result = partitioner.solve(
+    return partitioner.solve(
         # A stage-scoped options["time_limit"] overrides the request's
         # (chain-wide) budget — e.g. the CLI's implicit 60s MIP cap.
         time_limit=options.get("time_limit", request.time_limit),
         gap=float(options.get("gap", PAPER_GAP)),
-        backend=options.get("backend", "auto"),
         warm_start=context.warm_start,
     )
-    if context.warm_start is not None:
-        result.metadata.setdefault(
-            "warm_start_objective", context.warm_start.objective
-        )
-    return result
 
 
 def _sa_options_from(request: SolveRequest, restarts_default: int) -> SaOptions:
@@ -205,7 +194,7 @@ def round_robin_strategy(
 
 
 _QP_HEAVY_OPTION_KEYS = frozenset(
-    {"heavy_fraction", "final_qp", "gap", "backend", "time_limit"}
+    {"heavy_fraction", "final_qp", "gap", "time_limit"}
 )
 
 
@@ -229,7 +218,6 @@ def qp_heavy_strategy(
     return refinement.solve(
         time_limit=options.get("time_limit", request.time_limit),
         gap=float(options.get("gap", 1e-3)),
-        backend=options.get("backend", "auto"),
         final_qp=bool(options.get("final_qp", False)),
     )
 
@@ -275,6 +263,17 @@ def auto_strategy(request: SolveRequest, context: StrategyContext) -> Partitioni
         "auto",
     )
     options = dict(request.options)
+    if "backend" in options:
+        # "backend" only names a portfolio execution backend; check it
+        # before picking, so a bad value fails on the QP road too
+        # instead of being dropped with the SA-only options.
+        from repro.sa.backends import backend_names
+
+        if options["backend"] not in backend_names():
+            raise OptionsError(
+                f"unknown backend {options['backend']!r}: not a portfolio "
+                f"execution backend ({', '.join(backend_names())})"
+            )
     cutoff = int(options.pop("auto_cutoff", AUTO_QP_VARIABLE_CUTOFF))
     parameters = context.coefficients.parameters
     calibrated = None
@@ -316,30 +315,6 @@ def auto_strategy(request: SolveRequest, context: StrategyContext) -> Partitioni
         "calibration" if calibrated is not None else "cutoff"
     )
     narrowed_options = {k: v for k, v in options.items() if k in allowed}
-    if "backend" in narrowed_options:
-        # "backend" names two different things: the MIP backend for
-        # "qp" ("auto"/"scratch"/"scipy") and the portfolio execution
-        # backend for "sa" ("serial"/"process"/...).  Route the key by
-        # its value and drop it when it belongs to the road not taken —
-        # e.g. --backend queue with an auto->qp pick must not reach the
-        # MIP solver, and a qp-meant "scipy" must not reach SaOptions.
-        # A value belonging to *neither* registry is a misconfiguration:
-        # raise here (like every non-auto path would) instead of
-        # silently dropping it.
-        from repro.sa.backends import backend_names
-
-        value = narrowed_options["backend"]
-        if picked == "sa":
-            if value in _QP_MIP_BACKENDS:
-                del narrowed_options["backend"]
-            elif value not in backend_names():
-                raise OptionsError(
-                    f"unknown backend {value!r}: neither a portfolio "
-                    f"execution backend ({', '.join(backend_names())}) "
-                    f"nor a MIP backend ({', '.join(sorted(_QP_MIP_BACKENDS))})"
-                )
-        elif value in backend_names():
-            del narrowed_options["backend"]
     if calibrated is not None:
         # The measured budget fills gaps only — explicit options and
         # request-level time limits always win over calibration.

@@ -7,7 +7,6 @@ quantify in a table:
 * the reasonable-cuts reduction (Section 4),
 * the 20/80 heavy-first refinement (Section 4),
 * the Appendix-A latency extension,
-* the from-scratch MIP solver vs HiGHS,
 * the QP/SA solvers vs classic baselines.
 """
 
@@ -51,9 +50,7 @@ def ablation_write_accounting(profile: BenchProfile | None = None) -> BenchTable
     for name in ("tpcc", "rndAt8x15"):
         instance = named_instance(name, seed=profile.seed)
         coefficients = build_coefficients(instance, PAPER_PARAMETERS)
-        result = QpPartitioner(coefficients, 2).solve(
-            time_limit=profile.qp_time_limit, backend="scipy"
-        )
+        result = QpPartitioner(coefficients, 2).solve(time_limit=profile.qp_time_limit)
         reference = None
         for accounting in (
             WriteAccounting.ALL_ATTRIBUTES,
@@ -92,16 +89,12 @@ def ablation_reduction(profile: BenchProfile | None = None) -> BenchTable:
         instance = named_instance(name, seed=profile.seed)
         coefficients = build_coefficients(instance, PAPER_PARAMETERS)
         full_partitioner = QpPartitioner(coefficients, 2)
-        full = full_partitioner.solve(
-            time_limit=profile.qp_time_limit, backend="scipy"
-        )
+        full = full_partitioner.solve(time_limit=profile.qp_time_limit)
         grouped_problem = group_instance(instance)
         grouped_partitioner = QpPartitioner(
             grouped_problem.grouped, 2, parameters=PAPER_PARAMETERS
         )
-        grouped_raw = grouped_partitioner.solve(
-            time_limit=profile.qp_time_limit, backend="scipy"
-        )
+        grouped_raw = grouped_partitioner.solve(time_limit=profile.qp_time_limit)
         expanded = grouped_problem.expand(grouped_raw, coefficients)
         table.add_row(
             instance=instance.name,
@@ -129,14 +122,12 @@ def ablation_heavy(profile: BenchProfile | None = None) -> BenchTable:
         instance = named_instance(name, seed=profile.seed)
         coefficients = build_coefficients(instance, PAPER_PARAMETERS)
         refinement = IterativeRefinement(instance, 2, PAPER_PARAMETERS)
-        heavy_result = refinement.solve(
-            time_limit=profile.qp_time_limit, backend="scipy"
-        )
+        heavy_result = refinement.solve(time_limit=profile.qp_time_limit)
         sa_result = SaPartitioner(
             coefficients, 2, options=profile.sa_for(instance.num_attributes)
         ).solve()
         qp_result = QpPartitioner(coefficients, 2).solve(
-            time_limit=profile.qp_time_limit, backend="scipy"
+            time_limit=profile.qp_time_limit
         )
         table.add_row(
             instance=instance.name,
@@ -167,9 +158,7 @@ def ablation_latency(profile: BenchProfile | None = None) -> BenchTable:
         partitioner = QpPartitioner(
             coefficients, 2, latency=latency_penalty > 0
         )
-        result = partitioner.solve(
-            time_limit=profile.qp_time_limit, backend="scipy"
-        )
+        result = partitioner.solve(time_limit=profile.qp_time_limit)
         evaluator = SolutionEvaluator(coefficients)
         latency = evaluator.latency(result.x, result.y)
         remote_writers = (
@@ -181,51 +170,6 @@ def ablation_latency(profile: BenchProfile | None = None) -> BenchTable:
             **{"objective (4)": round(result.objective),
                "latency estimate": round(latency),
                "remote-writing queries": remote_writers},
-        )
-    return table
-
-
-def ablation_backend(profile: BenchProfile | None = None) -> BenchTable:
-    """From-scratch branch & bound vs HiGHS on small instances."""
-    profile = profile or get_profile()
-    table = BenchTable(
-        title="Ablation — from-scratch MIP solver vs HiGHS",
-        columns=["instance", "|S|", "vars", "scratch cost", "scipy cost",
-                 "scratch s", "scipy s", "scratch nodes"],
-        notes=["both must find the same optimum (gap 0.1%)"],
-    )
-    from repro.instances.random_gen import InstanceParameters, generate_instance
-
-    small_classes = (
-        InstanceParameters(name="backend-small", num_transactions=4,
-                           num_tables=3, max_attributes_per_table=5,
-                           max_table_refs_per_query=2,
-                           max_attribute_refs_per_query=4),
-        InstanceParameters(name="backend-wide", num_transactions=3,
-                           num_tables=2, max_attributes_per_table=10,
-                           max_table_refs_per_query=2,
-                           max_attribute_refs_per_query=5),
-    )
-    for parameters, num_sites in ((small_classes[0], 2), (small_classes[1], 2)):
-        instance = generate_instance(parameters, seed=profile.seed)
-        grouped = group_instance(instance)  # shrink for the scratch solver
-        coefficients = build_coefficients(grouped.grouped, PAPER_PARAMETERS)
-        partitioner = QpPartitioner(coefficients, num_sites)
-        scratch = partitioner.solve(
-            time_limit=profile.qp_time_limit, backend="scratch"
-        )
-        scipy_result = QpPartitioner(coefficients, num_sites).solve(
-            time_limit=profile.qp_time_limit, backend="scipy"
-        )
-        table.add_row(
-            instance=grouped.grouped.name,
-            **{"|S|": num_sites,
-               "vars": partitioner.model_size["variables"],
-               "scratch cost": round(scratch.objective),
-               "scipy cost": round(scipy_result.objective),
-               "scratch s": round(scratch.wall_time, 2),
-               "scipy s": round(scipy_result.wall_time, 2),
-               "scratch nodes": scratch.metadata.get("nodes")},
         )
     return table
 
@@ -247,7 +191,7 @@ def ablation_baselines(profile: BenchProfile | None = None) -> BenchTable:
             options=profile.sa_for(instance.num_attributes),
         ).solve()
         qp = QpPartitioner(coefficients, num_sites).solve(
-            time_limit=profile.qp_time_limit, backend="scipy"
+            time_limit=profile.qp_time_limit
         )
         table.add_row(
             instance=instance.name,

@@ -41,7 +41,7 @@ def build_batch(profile: BenchProfile | None = None) -> list[SolveRequest]:
                     parameters=parameters,
                     allow_replication=allow_replication,
                     strategy="qp",
-                    options={"backend": "scipy", "gap": profile.qp_gap},
+                    options={"gap": profile.qp_gap},
                     time_limit=profile.qp_time_limit,
                 )
             )

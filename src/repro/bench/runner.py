@@ -31,7 +31,6 @@ TABLE_FUNCTIONS: dict[str, Callable[[BenchProfile | None], BenchTable]] = {
     "ablation_reduction": ablations.ablation_reduction,
     "ablation_heavy": ablations.ablation_heavy,
     "ablation_latency": ablations.ablation_latency,
-    "ablation_backend": ablations.ablation_backend,
     "ablation_baselines": ablations.ablation_baselines,
     "advisor_batch": advisor_batch.advisor_batch,
     "calibrate": calibrate.calibrate,

@@ -39,14 +39,14 @@ def _qp_request(
     parameters: CostParameters = PAPER_PARAMETERS,
     allow_replication: bool = True,
 ) -> SolveRequest:
-    """The tables' QP solve as a request (scipy backend, profile budget)."""
+    """The tables' QP solve as a request (profile gap and budget)."""
     return SolveRequest(
         instance=instance,
         num_sites=num_sites,
         parameters=parameters,
         allow_replication=allow_replication,
         strategy="qp",
-        options={"backend": "scipy", "gap": profile.qp_gap},
+        options={"gap": profile.qp_gap},
         time_limit=profile.qp_time_limit,
     )
 

@@ -3,7 +3,7 @@
 :func:`build_linearized_model` constructs model (7) — with optional
 disjointness (Table 5), local placement (Table 6, via ``p = 0`` in the
 cost parameters) and the Appendix-A latency extension — and
-:class:`QpPartitioner` solves it with a MIP backend.
+:class:`QpPartitioner` solves it with HiGHS.
 """
 
 from repro.qp.linearize import LinearizationCache, LinearizedModel, build_linearized_model

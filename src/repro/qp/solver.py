@@ -1,4 +1,4 @@
-"""The QP partitioner: solve the linearised model with a MIP backend."""
+"""The QP partitioner: solve the linearised model (7) with HiGHS."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.costmodel.coefficients import CostCoefficients, build_coefficients
 from repro.costmodel.config import CostParameters
-from repro.costmodel.evaluator import SolutionEvaluator
+from repro.costmodel.evaluator import SolutionEvaluator, feasibility_violations
 from repro.exceptions import SolverError, SolverLimitError
 from repro.model.instance import ProblemInstance
 from repro.partition.assignment import PartitioningResult
@@ -129,116 +129,105 @@ class QpPartitioner:
             "u_variables": num_u,
         }
 
-    def _greedy_warm_start(self) -> PartitioningResult:
-        """A feasible starting solution from the SA greedy sub-solvers."""
-        import numpy as np
-
-        from repro.costmodel.evaluator import SolutionEvaluator
-        from repro.sa.subsolve import SubproblemSolver
-
-        subsolver = SubproblemSolver(self.coefficients, self.num_sites)
-        num_transactions = self.coefficients.num_transactions
-        x = np.zeros((num_transactions, self.num_sites), dtype=bool)
-        if self.allow_replication:
-            x[np.arange(num_transactions),
-              np.arange(num_transactions) % self.num_sites] = True
-        else:
-            x[:, 0] = True  # trivially co-locatable without replication
-        y = subsolver.optimize_y_greedy(x, disjoint=not self.allow_replication)
-        evaluator = SolutionEvaluator(self.coefficients)
-        return PartitioningResult(
-            coefficients=self.coefficients,
-            x=x,
-            y=y,
-            objective=evaluator.objective4(x, y),
-            solver="greedy-warmstart",
-        )
-
     def solve(
         self,
         time_limit: float | None = None,
         gap: float = PAPER_GAP,
-        backend: str = "auto",
         warm_start: PartitioningResult | None = None,
     ) -> PartitioningResult:
         """Solve and return the best partitioning found.
 
+        A ``warm_start`` (e.g. an earlier chain stage's answer) is never
+        lost: its objective (4) is evaluated on this model's
+        coefficients, and it is returned instead of the MIP answer when
+        strictly lower, or when the time limit passes before HiGHS finds
+        any integer solution (``metadata["warm_start_objective"]`` and
+        ``["warm_start_kept"]``).
+
         Raises :class:`SolverLimitError` when the time limit passes with
-        no feasible solution (the paper's "t/o" cells).
+        no feasible solution and no warm start (the paper's "t/o"
+        cells).
         """
         started = time.perf_counter()
-        incumbent = None
-        if warm_start is None and backend == "scratch":
-            # The from-scratch branch & bound rarely stumbles on an
-            # integer-feasible node of the linearised model by itself
-            # (rounding x/y breaks co-location), so seed it with a
-            # greedy feasible solution.
-            warm_start = self._greedy_warm_start()
-        if warm_start is not None:
-            if warm_start.num_sites != self.num_sites:
-                raise SolverError(
-                    f"warm start has {warm_start.num_sites} sites, "
-                    f"model has {self.num_sites}"
-                )
-            if self.symmetry_breaking:
-                # The symmetry-breaking cuts may exclude the warm start's
-                # site labelling; relabel sites into canonical order.
-                warm_x, warm_y = _canonical_site_order(warm_start.x, warm_start.y)
-            else:
-                warm_x, warm_y = warm_start.x, warm_start.y
-            incumbent = self.linearized.incumbent_vector(warm_x, warm_y)
-        solution = self.linearized.model.solve(
-            backend=backend,
-            time_limit=time_limit,
-            gap=gap,
-            incumbent=incumbent,
+        evaluator = SolutionEvaluator(self.coefficients)
+        warm_objective = (
+            None if warm_start is None
+            else self._warm_start_objective(warm_start, evaluator)
         )
+        linearized = self.linearized
+        solution = linearized.model.solve(time_limit=time_limit, gap=gap)
         wall_time = time.perf_counter() - started
-        if not solution.status.has_solution:
-            if solution.status is SolutionStatus.NO_SOLUTION:
-                raise SolverLimitError(
-                    f"QP solver found no integer solution within limits "
-                    f"(model {self.linearized.model.name})"
-                )
+        if solution.status.has_solution:
+            x, y = linearized.extract(solution.values)
+            objective = evaluator.objective4(x, y)
+            keep_warm = warm_objective is not None and warm_objective < objective
+        elif solution.status is not SolutionStatus.NO_SOLUTION:
             raise SolverError(
                 f"QP solve failed with status {solution.status.value} "
-                f"(model {self.linearized.model.name})"
+                f"(model {linearized.model.name})"
             )
-        x, y = self.linearized.extract(solution.values)
-        evaluator = SolutionEvaluator(self.coefficients)
+        elif warm_objective is None:
+            raise SolverLimitError(
+                f"QP solver found no integer solution within limits "
+                f"(model {linearized.model.name})"
+            )
+        else:
+            keep_warm = True
+        mip_gap = solution.gap
+        proven_optimal = solution.status is SolutionStatus.OPTIMAL
+        if keep_warm:
+            x, y, objective = warm_start.x.copy(), warm_start.y.copy(), warm_objective
+            if solution.bound is not None:
+                # The returned answer's gap: its objective (7) value
+                # against the bound HiGHS proved.  Under lambda < 1 a
+                # warm start can buy its lower cost (4) with worse
+                # balance, so this gap can exceed the requested one.
+                value = linearized.model.objective.value(
+                    linearized.incumbent_vector(x, y)
+                )
+                mip_gap = abs(value - solution.bound) / max(1.0, abs(value))
+                proven_optimal = proven_optimal and mip_gap <= gap
+        metadata = {
+            "backend": solution.backend,
+            "mip_objective6": solution.objective,
+            "mip_bound": solution.bound,
+            "mip_gap": mip_gap,
+            "nodes": solution.nodes,
+            **self.model_size,
+        }
+        if warm_start is not None:
+            metadata["warm_start_objective"] = warm_objective
+            metadata["warm_start_kept"] = keep_warm
         return PartitioningResult(
             coefficients=self.coefficients,
             x=x,
             y=y,
-            objective=evaluator.objective4(x, y),
+            objective=objective,
             solver="qp",
             wall_time=wall_time,
-            proven_optimal=solution.status is SolutionStatus.OPTIMAL,
-            metadata={
-                "backend": solution.backend,
-                "mip_objective6": solution.objective,
-                "mip_bound": solution.bound,
-                "mip_gap": solution.gap,
-                "nodes": solution.nodes,
-                **self.model_size,
-            },
+            proven_optimal=proven_optimal,
+            metadata=metadata,
         )
 
-
-def _canonical_site_order(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Permute site columns so transaction 0 is at site 0, etc.
-
-    Matches the symmetry-breaking cuts ``x[t,s] = 0 for s > t``: sites
-    are ordered by the smallest transaction index they host (unused
-    sites last).
-    """
-    num_sites = x.shape[1]
-    first_transaction = []
-    for s in range(num_sites):
-        hosted = np.flatnonzero(x[:, s])
-        first_transaction.append(int(hosted[0]) if hosted.size else x.shape[0] + s)
-    order = np.argsort(first_transaction, kind="stable")
-    return x[:, order], y[:, order]
+    def _warm_start_objective(
+        self, warm_start: PartitioningResult, evaluator: SolutionEvaluator
+    ) -> float:
+        """The warm start's objective (4) on this model's coefficients;
+        raises :class:`SolverError` when the model cannot accept it."""
+        x, y = warm_start.x, warm_start.y
+        expected_x = (self.coefficients.num_transactions, self.num_sites)
+        expected_y = (self.coefficients.num_attributes, self.num_sites)
+        if x.shape != expected_x or y.shape != expected_y:
+            raise SolverError(
+                f"warm start has x {x.shape}, y {y.shape}; this model on "
+                f"{self.num_sites} sites needs x {expected_x}, y {expected_y}"
+            )
+        problems = feasibility_violations(self.coefficients, x, y)
+        if not self.allow_replication and (y.sum(axis=1) > 1).any():
+            problems.append("replicated attributes in a disjoint model")
+        if problems:
+            raise SolverError(f"warm start is infeasible: {problems[0]}")
+        return evaluator.objective4(x, y)
 
 
 def solve_qp(
@@ -249,7 +238,6 @@ def solve_qp(
     latency: bool = False,
     time_limit: float | None = None,
     gap: float = PAPER_GAP,
-    backend: str = "auto",
     warm_start: PartitioningResult | None = None,
 ) -> PartitioningResult:
     """One-call convenience wrapper: a thin shim over the unified
@@ -271,8 +259,7 @@ def solve_qp(
             allow_replication=allow_replication,
             latency=latency,
         ).solve(
-            time_limit=time_limit, gap=gap, backend=backend,
-            warm_start=warm_start,
+            time_limit=time_limit, gap=gap, warm_start=warm_start
         )
     request = SolveRequest(
         instance=instance,
@@ -280,7 +267,7 @@ def solve_qp(
         parameters=parameters or CostParameters(),
         allow_replication=allow_replication,
         strategy="qp",
-        options={"latency": latency, "gap": gap, "backend": backend},
+        options={"latency": latency, "gap": gap},
         time_limit=time_limit,
     )
     return advise(request, warm_start=warm_start).result

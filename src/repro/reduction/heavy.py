@@ -79,7 +79,6 @@ class IterativeRefinement:
         self,
         time_limit: float | None = None,
         gap: float = 1e-3,
-        backend: str = "auto",
         final_qp: bool = False,
     ) -> PartitioningResult:
         started = time.perf_counter()
@@ -92,7 +91,7 @@ class IterativeRefinement:
                 num_sites=self.num_sites,
                 parameters=self.parameters,
                 strategy="qp",
-                options={"gap": gap, "backend": backend},
+                options={"gap": gap},
                 time_limit=time_limit,
             )
 
@@ -135,7 +134,6 @@ class IterativeRefinement:
             refined = self.advisor.advise(
                 qp_request(self.instance), warm_start=result
             ).result
-            refined.metadata["warm_start_objective"] = result.objective
             refined.wall_time += result.wall_time
             return refined
         return result

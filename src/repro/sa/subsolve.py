@@ -310,7 +310,7 @@ class SubproblemSolver:
                 terms.append((m_var, -1.0))
                 model.add_constraint(LinExpr.from_terms(terms) <= 0)
         model.minimize(LinExpr.from_terms(objective_terms))
-        solution = model.solve(backend="scipy", time_limit=time_limit)
+        solution = model.solve(time_limit=time_limit)
         if not solution.status.has_solution:
             # Fall back to the greedy rather than losing the iteration.
             return self.optimize_y_greedy(x, disjoint=disjoint)
@@ -514,7 +514,7 @@ class SubproblemSolver:
                 model.add_constraint(LinExpr.from_terms(terms) <= -static[s] + 0.0)
                 # i.e. sum read_load x - m <= -static  <=>  static + reads <= m
         model.minimize(LinExpr.from_terms(objective_terms))
-        solution = model.solve(backend="scipy", time_limit=time_limit)
+        solution = model.solve(time_limit=time_limit)
         if not solution.status.has_solution:
             return self.optimize_x_greedy(y)
         x = np.zeros((num_transactions, self.num_sites), dtype=bool)

@@ -1,27 +1,18 @@
-"""Linear / mixed-integer programming substrate.
+"""Mixed-integer programming substrate.
 
-The paper solved its linearised model (7) with GLPK. We build the whole
-stack ourselves:
+The paper solved its linearised model (7) with GLPK; we use HiGHS
+through ``scipy.optimize.milp``:
 
 * a PuLP-like modelling layer (:mod:`repro.solver.expr`,
   :mod:`repro.solver.model`),
-* a dense two-phase primal simplex LP solver written from scratch
-  (:mod:`repro.solver.simplex`),
-* a branch-and-bound MIP solver on top of it
-  (:mod:`repro.solver.branch_and_bound`),
-* a scipy/HiGHS backend for large models
+* the HiGHS backend behind :meth:`MipModel.solve`
   (:mod:`repro.solver.scipy_backend`).
-
-``MipModel.solve(backend="auto")`` picks the from-scratch solver for
-tiny models and HiGHS otherwise; both are cross-checked in the tests.
 """
 
 from repro.solver.expr import LinExpr, Variable, Constraint, Sense
 from repro.solver.model import MipModel, ObjectiveSense, StandardArrays
 from repro.solver.solution import MipSolution, SolutionStatus
-from repro.solver.simplex import SimplexResult, solve_lp_simplex
-from repro.solver.branch_and_bound import BranchAndBoundOptions, solve_mip_bnb
-from repro.solver.scipy_backend import solve_lp_scipy, solve_mip_scipy
+from repro.solver.scipy_backend import solve_mip_scipy
 
 __all__ = [
     "LinExpr",
@@ -33,10 +24,5 @@ __all__ = [
     "StandardArrays",
     "MipSolution",
     "SolutionStatus",
-    "SimplexResult",
-    "solve_lp_simplex",
-    "BranchAndBoundOptions",
-    "solve_mip_bnb",
-    "solve_lp_scipy",
     "solve_mip_scipy",
 ]

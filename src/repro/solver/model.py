@@ -13,10 +13,6 @@ from repro.exceptions import SolverError
 from repro.solver.expr import Constraint, LinExpr, Sense, Variable
 from repro.solver.solution import MipSolution
 
-#: Models at most this many variables default to the from-scratch solver
-#: under ``backend="auto"``.
-AUTO_SCRATCH_LIMIT = 60
-
 
 class ObjectiveSense(enum.Enum):
     MINIMIZE = "min"
@@ -58,9 +54,9 @@ class MipModel:
     >>> y = model.binary_variable("y")
     >>> _ = model.add_constraint(x + 3 * y <= 7, name="cap")
     >>> model.minimize(-x - 2 * y)
-    >>> solution = model.solve(backend="scratch")
+    >>> solution = model.solve()
     >>> round(solution.objective, 6)
-    -9.0
+    -7.0
     """
 
     def __init__(self, name: str = "model"):
@@ -199,51 +195,22 @@ class MipModel:
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
-    def solve(
-        self,
-        backend: str = "auto",
-        time_limit: float | None = None,
-        gap: float = 1e-3,
-        node_limit: int | None = None,
-        incumbent: np.ndarray | None = None,
-    ) -> MipSolution:
-        """Solve the model.
+    def solve(self, time_limit: float | None = None, gap: float = 1e-3) -> MipSolution:
+        """Solve the model with HiGHS.
 
         Parameters
         ----------
-        backend:
-            ``"scratch"`` (from-scratch simplex + branch & bound),
-            ``"scipy"`` (HiGHS via scipy), or ``"auto"``.
         time_limit:
             Wall-clock budget in seconds (None = unlimited).
         gap:
             Relative MIP gap at which the search stops (the paper used
             0.1%; default here 0.1% as well).
-        node_limit:
-            Branch-and-bound node budget (scratch backend only).
-        incumbent:
-            Optional warm-start solution (scratch backend only); must be
-            feasible, used as the initial upper bound.
         """
+        from repro.solver.scipy_backend import solve_mip_scipy
+
         arrays = self.to_standard_arrays()
-        if backend == "auto":
-            backend = "scratch" if arrays.num_variables <= AUTO_SCRATCH_LIMIT else "scipy"
         started = time.perf_counter()
-        if backend == "scratch":
-            from repro.solver.branch_and_bound import BranchAndBoundOptions, solve_mip_bnb
-
-            options = BranchAndBoundOptions(
-                time_limit=time_limit,
-                relative_gap=gap,
-                node_limit=node_limit or 200_000,
-            )
-            solution = solve_mip_bnb(arrays, options=options, incumbent=incumbent)
-        elif backend == "scipy":
-            from repro.solver.scipy_backend import solve_mip_scipy
-
-            solution = solve_mip_scipy(arrays, time_limit=time_limit, gap=gap)
-        else:
-            raise SolverError(f"unknown backend {backend!r}")
+        solution = solve_mip_scipy(arrays, time_limit=time_limit, gap=gap)
         solution.wall_time = time.perf_counter() - started
         if solution.objective is not None and self._sense is ObjectiveSense.MAXIMIZE:
             solution.objective = -solution.objective

@@ -1,18 +1,16 @@
-"""LP/MIP backend using scipy's HiGHS bindings.
+"""The MIP backend: HiGHS branch and cut through ``scipy.optimize.milp``.
 
-Used for the full-size linearised models (thousands of variables) where
-the from-scratch tableau simplex would be too slow. The from-scratch
-and HiGHS backends are cross-checked against each other in the tests.
+The only solver behind :meth:`~repro.solver.model.MipModel.solve`; its
+answers are checked against brute-force enumeration in the tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import optimize
 
 from repro.solver.expr import Sense
 from repro.solver.model import StandardArrays
-from repro.solver.simplex import SimplexResult
 from repro.solver.solution import MipSolution, SolutionStatus
 
 
@@ -27,51 +25,6 @@ def _constraint_bounds(arrays: StandardArrays) -> tuple[np.ndarray, np.ndarray]:
         else:
             lb[row] = ub[row] = arrays.rhs[row]
     return lb, ub
-
-
-def solve_lp_scipy(
-    arrays: StandardArrays,
-    lower: np.ndarray | None = None,
-    upper: np.ndarray | None = None,
-) -> SimplexResult:
-    """Solve the LP relaxation with ``scipy.optimize.linprog`` (HiGHS)."""
-    lower = arrays.lower if lower is None else lower
-    upper = arrays.upper if upper is None else upper
-    lb, ub = _constraint_bounds(arrays)
-    a_ub_rows = []
-    b_ub = []
-    a_eq_rows = []
-    b_eq = []
-    matrix = arrays.matrix
-    for row, sense in enumerate(arrays.senses):
-        if sense is Sense.LE:
-            a_ub_rows.append(matrix.getrow(row))
-            b_ub.append(arrays.rhs[row])
-        elif sense is Sense.GE:
-            a_ub_rows.append(-matrix.getrow(row))
-            b_ub.append(-arrays.rhs[row])
-        else:
-            a_eq_rows.append(matrix.getrow(row))
-            b_eq.append(arrays.rhs[row])
-    a_ub = sparse.vstack(a_ub_rows) if a_ub_rows else None
-    a_eq = sparse.vstack(a_eq_rows) if a_eq_rows else None
-    result = optimize.linprog(
-        arrays.objective,
-        A_ub=a_ub,
-        b_ub=np.asarray(b_ub) if b_ub else None,
-        A_eq=a_eq,
-        b_eq=np.asarray(b_eq) if b_eq else None,
-        bounds=list(zip(lower, upper)),
-        method="highs",
-    )
-    if result.status == 0:
-        objective = float(result.fun + arrays.objective_constant)
-        return SimplexResult(SolutionStatus.OPTIMAL, objective, np.asarray(result.x))
-    if result.status == 2:
-        return SimplexResult(SolutionStatus.INFEASIBLE, None, None)
-    if result.status == 3:
-        return SimplexResult(SolutionStatus.UNBOUNDED, None, None)
-    return SimplexResult(SolutionStatus.NO_SOLUTION, None, None)
 
 
 def solve_mip_scipy(
@@ -102,35 +55,20 @@ def solve_mip_scipy(
         bound = float(bound) + arrays.objective_constant
 
     if result.status == 0:
-        return MipSolution(
-            status=SolutionStatus.OPTIMAL,
-            objective=float(result.fun + arrays.objective_constant),
-            values=np.asarray(result.x),
-            bound=bound,
-            nodes=nodes,
-            backend="scipy-highs",
-            message=str(result.message),
-        )
-    if result.status == 1 and result.x is not None:
-        return MipSolution(
-            status=SolutionStatus.FEASIBLE,
-            objective=float(result.fun + arrays.objective_constant),
-            values=np.asarray(result.x),
-            bound=bound,
-            nodes=nodes,
-            backend="scipy-highs",
-            message=str(result.message),
-        )
-    if result.status == 2:
+        status = SolutionStatus.OPTIMAL
+    elif result.status == 1 and result.x is not None:
+        status = SolutionStatus.FEASIBLE
+    elif result.status == 2:
         status = SolutionStatus.INFEASIBLE
     elif result.status == 3:
         status = SolutionStatus.UNBOUNDED
     else:
         status = SolutionStatus.NO_SOLUTION
+    found = status.has_solution
     return MipSolution(
         status=status,
-        objective=None,
-        values=None,
+        objective=float(result.fun + arrays.objective_constant) if found else None,
+        values=np.asarray(result.x) if found else None,
         bound=bound,
         nodes=nodes,
         backend="scipy-highs",

@@ -102,9 +102,7 @@ class TestSweepCaching:
             coefficients = build_coefficients(
                 instance, CostParameters(network_penalty=penalty)
             )
-            direct = QpPartitioner(coefficients, 2).solve(
-                time_limit=15, backend="scipy"
-            )
+            direct = QpPartitioner(coefficients, 2).solve(time_limit=15)
             assert point.objective == pytest.approx(direct.objective, rel=1e-9)
 
     def test_sa_sweep_unchanged_by_coefficient_cache(self, instance):

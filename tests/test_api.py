@@ -198,21 +198,19 @@ class TestParity:
     def test_qp(self, tiny_instance, coefficients):
         report = advise(SolveRequest(
             tiny_instance, 2, strategy="qp",
-            options={"backend": "scipy"}, time_limit=20,
+            time_limit=20,
         ))
-        direct = QpPartitioner(coefficients, 2).solve(
-            time_limit=20, backend="scipy"
-        )
+        direct = QpPartitioner(coefficients, 2).solve(time_limit=20)
         _assert_same_solution(report.result, direct)
 
     def test_qp_disjoint(self, tiny_instance, coefficients):
         report = advise(SolveRequest(
             tiny_instance, 2, strategy="qp", allow_replication=False,
-            options={"backend": "scipy"}, time_limit=20,
+            time_limit=20,
         ))
         direct = QpPartitioner(
             coefficients, 2, allow_replication=False
-        ).solve(time_limit=20, backend="scipy")
+        ).solve(time_limit=20)
         _assert_same_solution(report.result, direct)
 
     def test_sa(self, tiny_instance, coefficients):
@@ -273,18 +271,14 @@ class TestParity:
         instance = small_random_instance(6)
         report = advise(SolveRequest(
             instance, 2, strategy="qp-heavy",
-            options={"backend": "scipy"}, time_limit=20,
+            time_limit=20,
         ))
-        direct = IterativeRefinement(instance, 2).solve(
-            time_limit=20, backend="scipy"
-        )
+        direct = IterativeRefinement(instance, 2).solve(time_limit=20)
         _assert_same_solution(report.result, direct)
 
     def test_solve_qp_shim(self, tiny_instance, coefficients):
-        shim = solve_qp(tiny_instance, 2, time_limit=20, backend="scipy")
-        direct = QpPartitioner(coefficients, 2).solve(
-            time_limit=20, backend="scipy"
-        )
+        shim = solve_qp(tiny_instance, 2, time_limit=20)
+        direct = QpPartitioner(coefficients, 2).solve(time_limit=20)
         _assert_same_solution(shim, direct)
 
     def test_solve_sa_shim(self, tiny_instance, coefficients):
@@ -318,7 +312,7 @@ class TestAutoStrategy:
     def test_small_model_routes_to_qp(self, tiny_instance):
         report = advise(SolveRequest(
             tiny_instance, 2, strategy="auto",
-            options={"backend": "scipy"}, time_limit=20,
+            time_limit=20,
         ))
         assert report.strategy == "qp"
         assert report.metadata["auto_pick"] == "qp"
@@ -392,7 +386,6 @@ class TestChaining:
             tiny_instance, 2, strategy="sa-portfolio->qp",
             options={
                 "sa-portfolio": {"restarts": 2, **SA_TEST_OPTIONS},
-                "qp": {"backend": "scipy"},
             },
             seed=4, time_limit=20,
         ))
@@ -412,13 +405,12 @@ class TestChaining:
             options=SaOptions(seed=4, restarts=2, **SA_TEST_OPTIONS),
         ).solve()
         direct = QpPartitioner(coefficients, 2).solve(
-            time_limit=20, backend="scipy", warm_start=incumbent
+            time_limit=20, warm_start=incumbent
         )
         report = advise(SolveRequest(
             tiny_instance, 2, strategy="sa-portfolio->qp",
             options={
                 "sa-portfolio": {"restarts": 2, **SA_TEST_OPTIONS},
-                "qp": {"backend": "scipy"},
             },
             seed=4, time_limit=20,
         ))
@@ -487,7 +479,7 @@ class TestChaining:
 
     def test_prebuilt_coefficients_shims_skip_rebuild(self, tiny_instance):
         coefficients = build_coefficients(tiny_instance, CostParameters())
-        qp = solve_qp(coefficients, 2, time_limit=20, backend="scipy")
+        qp = solve_qp(coefficients, 2, time_limit=20)
         assert qp.coefficients is coefficients
         sa = solve_sa(
             coefficients, 2, options=SaOptions(**SA_TEST_OPTIONS), seed=2
@@ -498,7 +490,7 @@ class TestChaining:
         """Only warm-start consumers (the QP family) may record one."""
         report = advise(SolveRequest(
             tiny_instance, 2, strategy="qp->round-robin",
-            options={"qp": {"backend": "scipy", "time_limit": 20}},
+            options={"qp": {"time_limit": 20}},
         ))
         assert report.result.solver == "round-robin"
         assert "warm_start_objective" not in report.metadata
@@ -506,11 +498,11 @@ class TestChaining:
     def test_stage_scoped_time_limit_overrides_request(self, tiny_instance):
         report = advise(SolveRequest(
             tiny_instance, 2, strategy="qp",
-            options={"backend": "scipy", "time_limit": 20},
+            options={"time_limit": 20},
         ))
         direct = QpPartitioner(
             build_coefficients(tiny_instance, CostParameters()), 2
-        ).solve(time_limit=20, backend="scipy")
+        ).solve(time_limit=20)
         _assert_same_solution(report.result, direct)
 
 
@@ -526,7 +518,7 @@ def _sweep_requests(instance):
             requests.append(SolveRequest(
                 instance, 2, parameters=parameters,
                 allow_replication=allow_replication, strategy="qp",
-                options={"backend": "scipy"}, time_limit=20,
+                time_limit=20,
             ))
     return requests
 

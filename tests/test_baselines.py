@@ -47,7 +47,7 @@ def test_qp_never_worse_than_baselines_blended():
         instance = small_random_instance(seed)
         coefficients = build_coefficients(instance, CostParameters())
         evaluator = SolutionEvaluator(coefficients)
-        qp = QpPartitioner(coefficients, 2).solve(backend="scipy", gap=1e-6)
+        qp = QpPartitioner(coefficients, 2).solve(gap=1e-6)
         qp_blended = evaluator.objective6(qp.x, qp.y)
         for baseline in ALL_BASELINES:
             result = baseline(coefficients, 2)

@@ -8,7 +8,8 @@ from repro.costmodel.config import CostParameters, WriteAccounting
 from repro.costmodel.evaluator import SolutionEvaluator
 from repro.exceptions import SolverError
 from repro.qp.linearize import LinearizationCache, build_linearized_model
-from tests.conftest import small_random_instance
+from repro.solver.model import MipModel
+from tests.conftest import small_random_instance, solution_violations
 
 
 class TestConstruction:
@@ -142,8 +143,8 @@ class TestLinearizationCache:
             )
             cached = build_linearized_model(coefficients, 2, cache=cache)
             plain = build_linearized_model(coefficients, 2)
-            solved_cached = cached.model.solve(backend="scipy", gap=1e-9)
-            solved_plain = plain.model.solve(backend="scipy", gap=1e-9)
+            solved_cached = cached.model.solve(gap=1e-9)
+            solved_plain = plain.model.solve(gap=1e-9)
             assert solved_cached.objective == pytest.approx(
                 solved_plain.objective, rel=1e-9
             )
@@ -198,7 +199,7 @@ class TestSolutionConsistency:
         instance = small_random_instance(seed)
         coefficients = build_coefficients(instance, CostParameters())
         linearized = build_linearized_model(coefficients, 2)
-        solution = linearized.model.solve(backend="scipy", gap=1e-9)
+        solution = linearized.model.solve(gap=1e-9)
         x, y = linearized.extract(solution.values)
         evaluator = SolutionEvaluator(coefficients)
         assert solution.objective == pytest.approx(
@@ -220,8 +221,6 @@ class TestSolutionConsistency:
         np.testing.assert_array_equal(x, x2)
         np.testing.assert_array_equal(y, y2)
         # The incumbent must satisfy the model's constraints.
-        from repro.solver.branch_and_bound import solution_violations
-
         assert solution_violations(
             linearized.model.to_standard_arrays(), values
         ) == 0.0
@@ -232,7 +231,7 @@ class TestSolutionConsistency:
         )
         linearized = build_linearized_model(coefficients, 2, latency=True)
         assert len(linearized.psi_vars) == 1  # one write query
-        solution = linearized.model.solve(backend="scipy", gap=1e-9)
+        solution = linearized.model.solve(gap=1e-9)
         x, y = linearized.extract(solution.values)
         evaluator = SolutionEvaluator(coefficients)
         q_index = next(iter(linearized.psi_vars))
@@ -240,3 +239,13 @@ class TestSolutionConsistency:
         assert psi_value == pytest.approx(
             evaluator.latency(x, y) / 10.0, abs=1e-6
         )
+
+
+def test_solution_violations_counts_bound_and_row_violations():
+    model = MipModel()
+    x = model.add_variable("x", upper=1)
+    model.add_constraint(x <= 0.5)
+    arrays = model.to_standard_arrays()
+    assert solution_violations(arrays, np.array([0.4])) == 0.0
+    assert solution_violations(arrays, np.array([0.9])) > 0.0
+    assert solution_violations(arrays, np.array([1.5])) > 0.0

@@ -31,10 +31,8 @@ def test_replication_never_hurts_pure_cost(seed):
     """Objective (4) optimum with replication <= without (lambda = 1)."""
     instance = small_random_instance(seed)
     coefficients = build_coefficients(instance, PURE_COST)
-    replicated = QpPartitioner(coefficients, 2).solve(backend="scipy", gap=1e-9)
-    disjoint = QpPartitioner(coefficients, 2, allow_replication=False).solve(
-        backend="scipy", gap=1e-9
-    )
+    replicated = QpPartitioner(coefficients, 2).solve(gap=1e-9)
+    disjoint = QpPartitioner(coefficients, 2, allow_replication=False).solve(gap=1e-9)
     assert replicated.objective <= disjoint.objective + 1e-6
 
 
@@ -46,7 +44,7 @@ def test_more_sites_never_hurt_pure_cost(seed):
     instance = small_random_instance(seed, num_transactions=3)
     coefficients = build_coefficients(instance, PURE_COST)
     costs = [
-        QpPartitioner(coefficients, sites).solve(backend="scipy", gap=1e-9).objective
+        QpPartitioner(coefficients, sites).solve(gap=1e-9).objective
         for sites in (1, 2, 3)
     ]
     assert costs[1] <= costs[0] + 1e-6
@@ -60,10 +58,10 @@ def test_local_placement_never_costlier(seed):
     instance = small_random_instance(seed)
     remote = QpPartitioner(
         build_coefficients(instance, PURE_COST), 2
-    ).solve(backend="scipy", gap=1e-9)
+    ).solve(gap=1e-9)
     local = QpPartitioner(
         build_coefficients(instance, PURE_COST.with_local_placement()), 2
-    ).solve(backend="scipy", gap=1e-9)
+    ).solve(gap=1e-9)
     assert local.objective <= remote.objective + 1e-6
 
 
@@ -74,7 +72,7 @@ def test_qp_lower_bounds_sa(seed):
     instance = small_random_instance(seed)
     coefficients = build_coefficients(instance, CostParameters())
     evaluator = SolutionEvaluator(coefficients)
-    qp = QpPartitioner(coefficients, 2).solve(backend="scipy", gap=1e-9)
+    qp = QpPartitioner(coefficients, 2).solve(gap=1e-9)
     sa = SaPartitioner(
         coefficients, 2, options=SaOptions(inner_loops=6, max_outer_loops=8, seed=seed)
     ).solve()

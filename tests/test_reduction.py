@@ -57,11 +57,11 @@ class TestGroupedInstance:
         instance = small_random_instance(seed)
         parameters = CostParameters(load_balance_lambda=1.0)
         coefficients = build_coefficients(instance, parameters)
-        direct = QpPartitioner(coefficients, 2).solve(backend="scipy", gap=1e-9)
+        direct = QpPartitioner(coefficients, 2).solve(gap=1e-9)
         grouped = group_instance(instance)
         grouped_result = QpPartitioner(
             grouped.grouped, 2, parameters=parameters
-        ).solve(backend="scipy", gap=1e-9)
+        ).solve(gap=1e-9)
         expanded = grouped.expand(grouped_result, coefficients)
         assert expanded.objective == pytest.approx(direct.objective, rel=1e-9)
         assert expanded.solver.endswith("+cuts")
@@ -71,7 +71,7 @@ class TestGroupedInstance:
         parameters = CostParameters()
         result = QpPartitioner(
             grouped.grouped, 2, parameters=parameters
-        ).solve(backend="scipy")
+        ).solve()
         expanded = grouped.expand(result)
         for g_index, members in enumerate(grouped.groups):
             for member in members:

@@ -206,9 +206,9 @@ class TestBackendParity:
 
 
 class TestAutoBackendDisambiguation:
-    """"backend" names the MIP backend for "qp" and the execution
-    backend for "sa"; the "auto" strategy routes the key by value and
-    drops it when it belongs to the road not taken."""
+    """"backend" names a portfolio execution backend only: "auto" keeps
+    it on an SA pick, drops it on a QP pick, and rejects any other value
+    before picking."""
 
     def test_auto_qp_pick_drops_execution_backend(self):
         instance = small_random_instance(5)  # small: auto picks qp
@@ -220,16 +220,17 @@ class TestAutoBackendDisambiguation:
         )
         assert report.result.metadata["auto_pick"] == "qp"
 
-    def test_auto_sa_pick_drops_mip_backend(self):
+    @pytest.mark.parametrize("auto_cutoff", [1, 10**9], ids=["sa", "qp"])
+    def test_auto_rejects_mip_backend_names(self, auto_cutoff):
+        """The retired MIP backend spellings are no longer accepted."""
         instance = small_random_instance(5)
-        report = advise(
-            SolveRequest(
-                instance, 2, strategy="auto", seed=1,
-                options={"backend": "scipy", "auto_cutoff": 1, **FAST},
+        with pytest.raises(OptionsError, match="not a portfolio"):
+            advise(
+                SolveRequest(
+                    instance, 2, strategy="auto", seed=1,
+                    options={"backend": "scipy", "auto_cutoff": auto_cutoff},
+                )
             )
-        )
-        assert report.result.metadata["auto_pick"] == "sa"
-        assert report.result.metadata.get("executor") is None  # no portfolio
 
     def test_auto_sa_pick_keeps_execution_backend(self):
         instance = small_random_instance(5)
@@ -245,11 +246,23 @@ class TestAutoBackendDisambiguation:
     def test_auto_sa_pick_rejects_unknown_backend(self):
         """A typo'd backend must raise, not silently fall back."""
         instance = small_random_instance(5)
-        with pytest.raises(OptionsError, match="neither a portfolio"):
+        with pytest.raises(OptionsError, match="not a portfolio"):
             advise(
                 SolveRequest(
                     instance, 2, strategy="auto", seed=1,
                     options={"backend": "qeue", "auto_cutoff": 1, **FAST},
+                )
+            )
+
+    def test_auto_qp_pick_rejects_unknown_backend(self):
+        """The QP road drops SA-only options, but a bad backend is
+        checked before the pick, so it still raises there."""
+        instance = small_random_instance(5)  # small: auto picks qp
+        with pytest.raises(OptionsError, match="not a portfolio"):
+            advise(
+                SolveRequest(
+                    instance, 2, strategy="auto", seed=1,
+                    options={"backend": "bogus"},
                 )
             )
 

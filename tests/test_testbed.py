@@ -42,9 +42,7 @@ class TestTatp:
         instance = tatp_instance()
         coefficients = build_coefficients(instance, CostParameters())
         baseline = single_site_partitioning(coefficients).objective
-        result = QpPartitioner(coefficients, 2).solve(
-            time_limit=30, backend="scipy"
-        )
+        result = QpPartitioner(coefficients, 2).solve(time_limit=30)
         assert result.objective <= baseline
 
 

@@ -97,7 +97,7 @@ class TestHeadlineResults:
         results = {}
         for num_sites in (2, 3, 4):
             results[num_sites] = QpPartitioner(coefficients, num_sites).solve(
-                time_limit=60, backend="scipy"
+                time_limit=60
             )
         return results
 
@@ -117,7 +117,7 @@ class TestHeadlineResults:
     def test_disjoint_is_worse(self, coefficients, qp_by_sites):
         disjoint = QpPartitioner(
             coefficients, 2, allow_replication=False
-        ).solve(time_limit=60, backend="scipy")
+        ).solve(time_limit=60)
         ratio = qp_by_sites[2].objective / disjoint.objective
         assert ratio < 0.9  # paper: 64%
 
@@ -125,7 +125,7 @@ class TestHeadlineResults:
         local = build_coefficients(
             instance, CostParameters().with_local_placement()
         )
-        local_result = QpPartitioner(local, 2).solve(time_limit=60, backend="scipy")
+        local_result = QpPartitioner(local, 2).solve(time_limit=60)
         assert local_result.objective <= qp_by_sites[2].objective + 1e-6
 
     def test_sa_close_to_qp(self, coefficients, qp_by_sites):
