@@ -2,7 +2,7 @@
 
 Drives the ``advisor_batch`` target end to end (runner dispatch included)
 and asserts the outcomes that are stable on the single-core CI
-container: cache-hit ratios of the shared advisor caches and
+container: the cache-hit ratio of the shared coefficient cache and
 determinism of the batch per master seed regardless of ``jobs`` — never
 wall-clock parallelism.
 """
@@ -34,13 +34,6 @@ def test_advisor_batch_cache_hit_ratios(profile):
     # the two SA requests reuse penalties already built -> >= 50% hits.
     coefficient_total = stats["coefficient_hits"] + stats["coefficient_misses"]
     assert stats["coefficient_hits"] / coefficient_total >= 0.5
-    # One replicated and one disjoint MIP skeleton are built; every
-    # later QP point re-prices a cached skeleton (the LRU holds both).
-    assert stats["linearization_misses"] == 2
-    linearization_total = (
-        stats["linearization_hits"] + stats["linearization_misses"]
-    )
-    assert stats["linearization_hits"] / linearization_total >= 0.75
 
 
 def test_advisor_batch_deterministic_regardless_of_jobs(profile):

@@ -3,8 +3,8 @@
 Simulates what a partitioning service sees: a queue of heterogeneous
 requests — different cost parameters, replication modes and strategies,
 some arriving as JSON — all served through one long-lived
-:class:`~repro.api.Advisor` that shares coefficient products and MIP
-skeletons across them, with an ``"auto"`` strategy that routes each
+:class:`~repro.api.Advisor` that shares coefficient products across
+them, with an ``"auto"`` strategy that routes each
 request to the QP or SA solver by model size.
 
 Run with:  python examples/advisor_service.py
@@ -55,9 +55,7 @@ def main() -> None:
     stats = advisor.cache_stats()
     print(f"\nserved {advisor.requests_served} requests; "
           f"coefficient cache {stats['coefficient_hits']} hits / "
-          f"{stats['coefficient_misses']} misses; "
-          f"linearization cache {stats['linearization_hits']} hits / "
-          f"{stats['linearization_misses']} misses")
+          f"{stats['coefficient_misses']} misses")
 
 
 if __name__ == "__main__":

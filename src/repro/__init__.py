@@ -16,8 +16,8 @@ solve as a :class:`SolveRequest` and serve it with :func:`advise` — the
 simulated-annealing heuristic from the model-size estimate, or name any
 registered strategy explicitly (``"qp"``, ``"sa"``, ``"sa-portfolio"``,
 the baselines, or your own via :func:`register_solver`).  Batches go
-through :class:`Advisor` (``advise_many``), which shares coefficient and
-MIP-skeleton caches across requests.  Reports carry the underlying
+through :class:`Advisor` (``advise_many``), which shares a coefficient
+cache across requests.  Reports carry the underlying
 :class:`PartitioningResult` with full cost breakdowns and Table-4-style
 layout rendering (:func:`render_layout`).  The pre-API one-call wrappers
 (:func:`solve_qp`, :func:`solve_sa`) remain as thin shims over

@@ -5,12 +5,10 @@ Every sweep serves its points through one sweep-level
 instance's indicators/weights feed a
 :class:`~repro.costmodel.coefficients.CoefficientCache` (coefficients
 are assembled with exactly the uncached arithmetic, so results are
-bitwise identical), and the QP points share a
-:class:`~repro.qp.linearize.LinearizationCache` so
-``build_linearized_model`` re-prices the cached constraint skeleton
-instead of rebuilding every variable and constraint from scratch.  The
-``solver`` argument of each sweep is a registry strategy name, so
-user-registered strategies sweep exactly like the built-ins.
+bitwise identical).  Each QP point assembles its own model (7) from
+those coefficients with array arithmetic.  The ``solver`` argument of
+each sweep is a registry strategy name, so user-registered strategies
+sweep exactly like the built-ins.
 """
 
 from __future__ import annotations
@@ -71,23 +69,12 @@ class SweepSeries:
 
 
 class SweepCaches:
-    """Per-sweep serving bundle: one advisor shared by every point.
+    """Per-sweep serving bundle: one advisor shared by every point."""
 
-    ``skeletons=False`` disables the linearization cache (capacity 0) —
-    used by sweeps whose points can never share a skeleton
-    (``sites_sweep`` changes ``num_sites`` every point), where caching
-    would only retain dead models for the sweep's lifetime.
-    """
-
-    def __init__(self, instance: ProblemInstance, skeletons: bool = True):
-        self.advisor = (
-            Advisor() if skeletons else Advisor(linearization_capacity=0)
-        )
+    def __init__(self, instance: ProblemInstance):
+        self.advisor = Advisor()
         self.instance = instance
         self.coefficients = self.advisor.coefficient_cache(instance)
-        self.linearization = (
-            self.advisor.linearization_cache if skeletons else None
-        )
 
 
 def _solve(
@@ -195,7 +182,7 @@ def sites_sweep(
     """Optimal cost as the number of sites grows (the Table 5 plateau)."""
     parameters = parameters or CostParameters()
     series = SweepSeries(instance.name, "|S|", solver)
-    caches = SweepCaches(instance, skeletons=False)
+    caches = SweepCaches(instance)
     for num_sites in range(1, max_sites + 1):
         result = _solve(
             caches, num_sites, parameters, solver, time_limit, seed, sa_options

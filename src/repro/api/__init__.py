@@ -12,7 +12,7 @@ that interchangeability an API:
   ``"hillclimb"``, ``"round-robin"``, ``"single-site"``, ``"auto"``,
   plus user-registered ones),
 * :func:`advise` / :class:`Advisor` — serve one request, or batches that
-  share coefficient products and MIP skeletons across requests.
+  share coefficient products across requests.
 
 >>> from repro.api import SolveRequest, advise
 >>> from repro.instances import tpcc_instance

@@ -3,13 +3,12 @@
 One :class:`Advisor` is a long-lived serving object: it owns a
 per-instance :class:`~repro.costmodel.coefficients.CoefficientCache`
 (indicators/weights built once per instance, coefficient arrays memoised
-per cost parameters) and a shared
-:class:`~repro.qp.linearize.LinearizationCache` (MIP constraint
-skeletons re-priced instead of rebuilt), so a batch of requests — a
-parameter sweep, a bench table, a service queue — pays the expensive
-model-building work once.  Cached serving is bitwise identical to
-uncached: the caches only share intermediate products, never change the
-arithmetic.
+per cost parameters), so a batch of requests — a parameter sweep, a
+bench table, a service queue — pays the coefficient work once.  Cached
+serving is bitwise identical to uncached: the cache only shares
+intermediate products, never changes the arithmetic.  Model (7) is
+rebuilt per QP request; its array assembly costs a small fraction of
+the HiGHS solve.
 
 ``advise_many`` serves a list of requests in deterministic order and
 derives per-request seeds from one master seed; SA-family stages can fan
@@ -23,10 +22,9 @@ Threading model
 One :class:`Advisor` may be shared across threads — the asyncio service
 front end (:mod:`repro.service`) does exactly that, admitting requests
 on the event loop while solves run on a worker thread.  The shared
-caches (:class:`~repro.costmodel.coefficients.CoefficientCache`,
-:class:`~repro.qp.linearize.LinearizationCache`, and the advisor's own
-per-instance LRU) are plain Python structures with no concurrency story
-of their own, so the advisor serialises: every :meth:`advise` call runs
+caches (:class:`~repro.costmodel.coefficients.CoefficientCache` and
+the advisor's own per-instance LRU) are plain Python structures with no
+concurrency story of their own, so the advisor serialises: every :meth:`advise` call runs
 under one internal re-entrant lock, as do :meth:`coefficient_cache` and
 :meth:`cache_stats`.  Concurrent callers therefore never corrupt a
 cache — they queue.  Serialisation is also what keeps the per-request
@@ -57,7 +55,6 @@ from repro.costmodel.evaluator import SolutionEvaluator
 from repro.exceptions import OptionsError
 from repro.model.instance import ProblemInstance
 from repro.partition.assignment import PartitioningResult
-from repro.qp.linearize import DEFAULT_CACHE_CAPACITY, LinearizationCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.calibration import CalibrationTable
@@ -80,9 +77,6 @@ class Advisor:
     registry:
         The strategy registry to resolve names against (default: the
         process-wide registry with all built-ins).
-    linearization_capacity:
-        LRU size of the shared MIP-skeleton cache; ``0`` disables
-        skeleton reuse (each QP request builds from scratch).
     instance_cache_capacity:
         Number of distinct instances whose coefficient caches the
         advisor retains (LRU eviction beyond it), bounding memory for
@@ -112,7 +106,6 @@ class Advisor:
         self,
         registry: SolverRegistry | None = None,
         *,
-        linearization_capacity: int = DEFAULT_CACHE_CAPACITY,
         instance_cache_capacity: int = DEFAULT_INSTANCE_CAPACITY,
         coefficient_capacity: int | None = None,
         calibration: "CalibrationTable | None" = None,
@@ -123,9 +116,6 @@ class Advisor:
                 f"{instance_cache_capacity}"
             )
         self.registry = registry or default_registry()
-        self.linearization_cache = LinearizationCache(
-            capacity=linearization_capacity
-        )
         self.instance_cache_capacity = instance_cache_capacity
         self.coefficient_capacity = coefficient_capacity
         # Keyed by instance identity; the instance reference is kept so
@@ -212,9 +202,6 @@ class Advisor:
                 + sum(cache.misses for cache in caches),
                 "coefficient_evictions": self._evicted_evictions
                 + sum(cache.evictions for cache in caches),
-                "linearization_hits": self.linearization_cache.hits,
-                "linearization_misses": self.linearization_cache.misses,
-                "linearization_evictions": self.linearization_cache.evictions,
             }
 
     # ------------------------------------------------------------------
@@ -310,7 +297,6 @@ class Advisor:
                 stage_request = request
             context = StrategyContext(
                 coefficients=self.coefficients_for(request),
-                linearization_cache=self.linearization_cache,
                 warm_start=incumbent,
                 advisor=self,
             )
@@ -489,7 +475,7 @@ def advise(
 
     Results are identical to ``Advisor().advise(request)``; use a
     long-lived :class:`Advisor` when serving several related requests so
-    they share coefficient products and MIP skeletons.
+    they share coefficient products.
     """
     return Advisor(registry).advise(request, warm_start=warm_start)
 

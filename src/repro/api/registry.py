@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 from repro.costmodel.coefficients import CostCoefficients
 from repro.exceptions import SolverError, UnknownStrategyError
 from repro.partition.assignment import PartitioningResult
-from repro.qp.linearize import LinearizationCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.request import SolveRequest
@@ -34,15 +33,13 @@ class StrategyContext:
 
     ``coefficients`` are prebuilt by the advisor's per-instance
     :class:`~repro.costmodel.coefficients.CoefficientCache` (bitwise
-    identical to an uncached build).  ``linearization_cache`` lets
-    QP-based strategies re-price cached MIP skeletons.  ``warm_start``
-    carries the previous stage's incumbent in a chained strategy (or a
+    identical to an uncached build).  ``warm_start`` carries the
+    previous stage's incumbent in a chained strategy (or a
     caller-provided one); strategies that cannot use it simply ignore
     it.
     """
 
     coefficients: CostCoefficients
-    linearization_cache: LinearizationCache | None = None
     warm_start: PartitioningResult | None = None
     #: The serving advisor (when one is serving), for strategies that
     #: issue sub-requests — e.g. "qp-heavy" solves a restricted

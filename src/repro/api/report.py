@@ -62,9 +62,7 @@ class SolveReport:
     cache_stats:
         Advisor cache activity attributable to this request:
         ``coefficient_hits`` / ``coefficient_misses`` /
-        ``coefficient_evictions`` (shared indicator/weight products)
-        and ``linearization_hits`` / ``linearization_misses`` /
-        ``linearization_evictions`` (re-priced MIP skeletons).
+        ``coefficient_evictions`` (shared indicator/weight products).
     stage_results:
         Results of earlier stages of a chained strategy (empty when the
         chain has one stage); ``result`` is always the final stage's.

@@ -76,7 +76,6 @@ def qp_strategy(request: SolveRequest, context: StrategyContext) -> Partitioning
         allow_replication=request.allow_replication,
         latency=bool(options.get("latency", False)),
         symmetry_breaking=bool(options.get("symmetry_breaking", True)),
-        linearization_cache=context.linearization_cache,
     )
     return partitioner.solve(
         # A stage-scoped options["time_limit"] overrides the request's

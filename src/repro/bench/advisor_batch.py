@@ -4,9 +4,8 @@ A 10-point request batch over one instance — a penalty sweep alternating
 replicated/disjoint QP requests plus a pair of seeded SA requests — the
 shape a long-lived advisor service sees.  The point is cache behaviour,
 not wall-clock: on the single-core CI container the assertable outcome
-is the hit ratios of the shared ``CoefficientCache`` and
-``LinearizationCache`` (and batch determinism), which the bench-smoke
-test pins.
+is the hit ratio of the shared ``CoefficientCache`` (and batch
+determinism), which the bench-smoke test pins.
 """
 
 from __future__ import annotations
@@ -18,9 +17,8 @@ from repro.bench.formatting import BenchTable
 from repro.costmodel.config import CostParameters
 from repro.instances.library import named_instance
 
-#: Nonzero penalties share one ``need_pair`` sparsity pattern, so the
-#: replicated and disjoint MIP skeletons are each built once and
-#: re-priced for every later point.
+#: Every point after the first re-uses the instance's indicator and
+#: weight products from the shared coefficient cache.
 BATCH_PENALTIES = (1.0, 2.0, 4.0, 8.0)
 BATCH_INSTANCE = "rndBt4x15"
 BATCH_SEED = 20100116
@@ -80,7 +78,7 @@ def advisor_batch(profile: BenchProfile | None = None) -> BenchTable:
         title="Advisor batch — 10 requests through one shared Advisor "
         f"({BATCH_INSTANCE}, |S|=2)",
         columns=["#", "strategy", "p", "repl", "objective", "time s",
-                 "coeff hit", "lin hit"],
+                 "coeff hit"],
         notes=[],
     )
     for index, report in enumerate(reports):
@@ -92,15 +90,12 @@ def advisor_batch(profile: BenchProfile | None = None) -> BenchTable:
                "repl": "yes" if request.allow_replication else "no",
                "objective": round(report.objective),
                "time s": round(report.wall_time, 2),
-               "coeff hit": report.cache_stats["coefficient_hits"],
-               "lin hit": report.cache_stats["linearization_hits"]},
+               "coeff hit": report.cache_stats["coefficient_hits"]},
         )
     stats = advisor.cache_stats()
     total_coeff = stats["coefficient_hits"] + stats["coefficient_misses"]
-    total_lin = stats["linearization_hits"] + stats["linearization_misses"]
     table.notes.append(
-        f"coefficient cache: {stats['coefficient_hits']}/{total_coeff} hits; "
-        f"linearization cache: {stats['linearization_hits']}/{total_lin} hits"
+        f"coefficient cache: {stats['coefficient_hits']}/{total_coeff} hits"
     )
     table.notes.append(
         "deterministic per master seed regardless of jobs (portfolio "

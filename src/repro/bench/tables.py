@@ -8,8 +8,8 @@ as reference columns and, where meaningful, relative quantities
 
 Every solve is served through one per-table
 :class:`~repro.api.Advisor`, so rows of the same instance share
-coefficient products and re-priced MIP skeletons (bitwise identical to
-the direct solver calls the tables used before the unified API).
+coefficient products (bitwise identical to the direct solver calls the
+tables used before the unified API).
 """
 
 from __future__ import annotations

@@ -311,9 +311,8 @@ def attach_migration(
 ) -> CostCoefficients:
     """A copy of ``coefficients`` carrying a migration term.
 
-    The c1–c4 arrays, indicators and instance are shared by identity
-    (so :class:`~repro.qp.linearize.LinearizationCache` lookups keyed on
-    them still hit); only the ``migration`` field differs.  With a
+    The c1–c4 arrays, indicators and instance are shared by identity;
+    only the ``migration`` field differs.  With a
     compressed view, build the block against the *original* instance's
     coefficients when re-evaluating lifted solutions — attribute widths
     and the schema are identical across views, so the layout validates
@@ -341,13 +340,11 @@ class CoefficientCache:
 
     ``capacity`` bounds the number of per-parameters entries the memo
     retains (least-recently-used eviction beyond it, counted in
-    :attr:`evictions`), mirroring
-    :class:`~repro.qp.linearize.LinearizationCache`: a week-long
-    advisor service that sees many distinct cost parameters must not
-    grow without bound.  The default ``None`` keeps the historical
-    unbounded behaviour; eviction never changes any returned value —
-    an evicted entry is simply reassembled (bitwise identically) on the
-    next request.
+    :attr:`evictions`): a week-long advisor service that sees many
+    distinct cost parameters must not grow without bound.  The default
+    ``None`` keeps the historical unbounded behaviour; eviction never
+    changes any returned value — an evicted entry is simply reassembled
+    (bitwise identically) on the next request.
     """
 
     def __init__(

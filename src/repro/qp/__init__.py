@@ -6,11 +6,10 @@ cost parameters) and the Appendix-A latency extension — and
 :class:`QpPartitioner` solves it with HiGHS.
 """
 
-from repro.qp.linearize import LinearizationCache, LinearizedModel, build_linearized_model
+from repro.qp.linearize import LinearizedModel, build_linearized_model
 from repro.qp.solver import QpPartitioner, solve_qp
 
 __all__ = [
-    "LinearizationCache",
     "LinearizedModel",
     "build_linearized_model",
     "QpPartitioner",

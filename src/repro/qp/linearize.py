@@ -11,243 +11,119 @@ variables ``u[t,a,s]`` with the three inequalities of Section 2.3:
 objective (``c1``) or the load constraint (``c3``) is non-zero, which
 keeps the model far smaller than the dense ``|A| * |T| * |S|`` bound.
 
-Sweep-level caching
--------------------
-
-Across the points of a parameter sweep (``p``, ``lambda``) only the
-objective prices change: the placement / co-location / linearisation /
-load constraints depend on the instance, the sparsity pattern of
-``c1``/``c3`` and the flags, not on the parameter values.  Passing a
-:class:`LinearizationCache` lets :func:`build_linearized_model` detect
-this, clone the cached constraint skeleton
-(:meth:`~repro.solver.model.MipModel.clone_structure`) and re-price the
-objective only — the resulting model converts to exactly the same
-standard arrays as a from-scratch build.
+The model is emitted straight from the coefficient arrays: every
+constraint family is one :class:`~repro.solver.model.RowBlock` built
+with numpy index arithmetic.  Column order is ``x`` (transaction-major),
+``y`` (attribute-major), ``u`` (per pair of :func:`linearization_pattern`,
+then site), ``m``, ``psi``; row order is placement of ``x``, placement
+of ``y``, read co-location, the ``u`` triples, load, ``psi`` bounds and
+symmetry breaking.  ``tests/test_linearize.py`` pins this layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.costmodel.coefficients import CostCoefficients
 from repro.costmodel.config import WriteAccounting
 from repro.exceptions import SolverError
-from repro.solver.expr import LinExpr, Variable
-from repro.solver.model import MipModel
+from repro.solver.model import MipModel, RowBlock
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearizedModel:
-    """The MIP together with the variable handles needed for extraction."""
+    """The MIP together with the column indices needed for extraction."""
 
     model: MipModel
     coefficients: CostCoefficients
     num_sites: int
-    x_vars: np.ndarray  # (|T|, |S|) of Variable
-    y_vars: np.ndarray  # (|A|, |S|) of Variable
-    u_vars: dict[tuple[int, int, int], Variable] = field(default_factory=dict)
-    m_var: Variable | None = None
-    psi_vars: dict[int, Variable] = field(default_factory=dict)
+    x_columns: np.ndarray  # (|T|, |S|)
+    y_columns: np.ndarray  # (|A|, |S|)
+    #: ``(attribute, transaction)`` of each linearised pair, (P, 2).
+    pairs: np.ndarray
+    u_columns: np.ndarray  # (P, |S|)
+    m_column: int | None
+    #: Canonical indices of the queries with a ``psi`` variable.
+    psi_queries: np.ndarray
+    psi_columns: np.ndarray  # (len(psi_queries),)
 
     def extract(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Recover boolean ``(x, y)`` matrices from a solution vector."""
-        num_transactions, num_sites = self.x_vars.shape
-        num_attributes = self.y_vars.shape[0]
-        x = np.zeros((num_transactions, num_sites), dtype=bool)
-        y = np.zeros((num_attributes, num_sites), dtype=bool)
-        for t in range(num_transactions):
-            for s in range(num_sites):
-                x[t, s] = values[self.x_vars[t, s].index] > 0.5
-        for a in range(num_attributes):
-            for s in range(num_sites):
-                y[a, s] = values[self.y_vars[a, s].index] > 0.5
-        return x, y
+        return values[self.x_columns] > 0.5, values[self.y_columns] > 0.5
 
     def incumbent_vector(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Encode a known solution as a warm-start vector for the solver."""
+        """Encode a known solution as a full vector over the model's columns."""
         values = np.zeros(self.model.num_variables)
-        for t in range(self.x_vars.shape[0]):
-            for s in range(self.num_sites):
-                values[self.x_vars[t, s].index] = float(x[t, s])
-        for a in range(self.y_vars.shape[0]):
-            for s in range(self.num_sites):
-                values[self.y_vars[a, s].index] = float(y[a, s])
-        for (t, a, s), variable in self.u_vars.items():
-            values[variable.index] = float(bool(x[t, s]) and bool(y[a, s]))
-        if self.m_var is not None:
+        values[self.x_columns] = x
+        values[self.y_columns] = y
+        attributes, transactions = self.pairs.T
+        values[self.u_columns] = x[transactions] & y[attributes]
+        if self.m_column is not None:
             from repro.costmodel.evaluator import SolutionEvaluator
 
             loads = SolutionEvaluator(self.coefficients).site_loads(x, y)
-            values[self.m_var.index] = float(loads.max())
-        if self.psi_vars:
-            values = self._fill_psi(values, x, y)
-        return values
-
-    def _fill_psi(self, values: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        indicators = self.coefficients.indicators
-        owner = self.coefficients.instance.query_transaction
-        home = np.argmax(x, axis=1)
-        for q_index, psi in self.psi_vars.items():
-            site = home[owner[q_index]]
-            updated = np.flatnonzero(indicators.alpha[:, q_index] > 0)
-            remote = int(y[updated].sum() - y[updated, site].sum())
-            values[psi.index] = 1.0 if remote > 0 else 0.0
+            values[self.m_column] = float(loads.max())
+        if self.psi_queries.size:
+            coefficients = self.coefficients
+            site = np.argmax(x, axis=1)[coefficients.query_owner[self.psi_queries]]
+            updated = coefficients.indicators.alpha[:, self.psi_queries] > 0
+            remote = y.sum(axis=1)[:, None] - y[:, site]  # (|A|, |psi|)
+            values[self.psi_columns] = (updated * remote).sum(axis=0) > 0
         return values
 
 
-@dataclass
-class _SkeletonEntry:
-    """One cached constraint skeleton plus the data proving it reusable."""
-
-    instance: object
-    indicators: object
-    load_side: bool
-    latency_active: bool
-    need_pair: np.ndarray
-    c3: np.ndarray
-    c4: np.ndarray
-    model: MipModel
-    x_vars: np.ndarray
-    y_vars: np.ndarray
-    u_vars: dict[tuple[int, int, int], Variable]
-    m_var: Variable | None
-    psi_vars: dict[int, Variable]
+#: The bound of every ``... >= 0`` / ``... <= 0`` row.  Negative zero is
+#: the value these rows have always carried, so HiGHS's input stays
+#: byte-identical to the one every pinned result was computed from.
+_ZERO = -0.0
 
 
-#: Default number of skeletons one cache retains (LRU eviction).
-DEFAULT_CACHE_CAPACITY = 8
+def linearization_pattern(
+    coefficients: CostCoefficients, latency: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(|A|, |T|)`` mask of pairs that get ``u`` variables, and the
+    canonical indices of the queries that get a ``psi`` variable.
 
-
-class LinearizationCache:
-    """Reuses model-(7) constraint skeletons across sweep points.
-
-    Keyed by ``(num_sites, allow_replication, latency,
-    symmetry_breaking)``; a hit additionally requires the same instance
-    and indicators (by identity), the same ``lambda < 1`` /
-    latency-active regime and identical ``need_pair`` / ``c3`` / ``c4``
-    arrays — everything the constraint rows are built from.  A miss
-    falls back to a full build and stores a fresh entry.
-
-    Entries live in a small LRU (``capacity`` skeletons, most recently
-    used first), so one long-lived cache — e.g. inside an
-    :class:`~repro.api.Advisor` serving a whole batch — can hold several
-    regimes at once: alternating replicated/disjoint requests, requests
-    over different instances, or different ``num_sites``, without each
-    regime evicting the others.  ``capacity=0`` disables the cache
-    (every build misses and nothing is retained).
+    Shared by :func:`build_linearized_model` and
+    :meth:`~repro.qp.solver.QpPartitioner.estimate_model_size`.
     """
-
-    def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY) -> None:
-        if capacity < 0:
-            raise SolverError(f"cache capacity must be >= 0, got {capacity}")
-        self.capacity = capacity
-        self._entries: list[tuple[tuple[int, bool, bool, bool], _SkeletonEntry]] = []
-        self.hits = 0
-        self.misses = 0
-        #: Skeletons dropped by the LRU bound (stores beyond capacity).
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(
-        self,
-        key: tuple[int, bool, bool, bool],
-        coefficients: CostCoefficients,
-        load_side: bool,
-        latency_active: bool,
-        need_pair: np.ndarray,
-    ) -> _SkeletonEntry | None:
-        for position, (entry_key, entry) in enumerate(self._entries):
-            if (
-                entry_key == key
-                and entry.instance is coefficients.instance
-                and entry.indicators is coefficients.indicators
-                and entry.load_side == load_side
-                and entry.latency_active == latency_active
-                and np.array_equal(entry.need_pair, need_pair)
-                and np.array_equal(entry.c3, coefficients.c3)
-                and np.array_equal(entry.c4, coefficients.c4)
-            ):
-                if position:
-                    self._entries.insert(0, self._entries.pop(position))
-                self.hits += 1
-                return entry
-        self.misses += 1
-        return None
-
-    def store(self, key: tuple[int, bool, bool, bool], entry: _SkeletonEntry) -> None:
-        if self.capacity == 0:
-            return
-        self._entries.insert(0, (key, entry))
-        self.evictions += max(0, len(self._entries) - self.capacity)
-        del self._entries[self.capacity:]
-
-    def stats(self) -> dict[str, int]:
-        """Hit/miss/evict counters as one dictionary."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-
-def _objective_terms(
-    coefficients: CostCoefficients,
-    lam: float,
-    u_vars: dict[tuple[int, int, int], Variable],
-    y_vars: np.ndarray,
-    m_var: Variable | None,
-    psi_vars: dict[int, Variable],
-) -> list[tuple[Variable, float]]:
-    """Objective prices of model (7) for the given variable handles.
-
-    Shared by the from-scratch build and the cached re-pricing path so
-    both produce the same expression for the same coefficients.
-    """
-    objective_terms: list[tuple[Variable, float]] = []
-    for (t, a, s), u in u_vars.items():
-        coefficient = lam * coefficients.c1[a, t]
-        if coefficient != 0.0:
-            objective_terms.append((u, coefficient))
-    num_attributes, num_sites = y_vars.shape
-    for a in range(num_attributes):
-        coefficient = lam * coefficients.c2[a]
-        if coefficient != 0.0:
-            for s in range(num_sites):
-                objective_terms.append((y_vars[a, s], coefficient))
-    if coefficients.migration is not None:
-        # The migration term is linear in y, so it rides on the y
-        # prices (LinExpr.from_terms accumulates duplicates with c2).
-        # Prices are rebuilt on every (cached or scratch) build, so the
-        # skeleton cache needs no migration-aware key.
-        c5 = coefficients.migration.c5
-        if c5.shape != y_vars.shape:
-            from repro.exceptions import SolverError
-
-            raise SolverError(
-                f"migration block spans {c5.shape} but the model has "
-                f"{y_vars.shape} y variables; rebuild the block for "
-                f"this site count"
+    parameters = coefficients.parameters
+    lam = parameters.load_balance_lambda
+    need_pair = (coefficients.c1 != 0) | ((lam < 1.0) & (coefficients.c3 != 0))
+    psi_queries = np.zeros(0, dtype=np.intp)
+    if latency:
+        indicators = coefficients.indicators
+        write_alpha = (
+            indicators.alpha * indicators.delta[None, :]
+        ) @ indicators.gamma  # (|A|, |T|)
+        need_pair = need_pair | (write_alpha > 0)
+        if parameters.latency_penalty > 0:
+            psi_queries = np.flatnonzero(
+                (indicators.delta > 0) & (indicators.alpha > 0).any(axis=0)
             )
-        for a in range(num_attributes):
-            for s in range(num_sites):
-                coefficient = lam * c5[a, s]
-                if coefficient != 0.0:
-                    objective_terms.append((y_vars[a, s], coefficient))
-    if m_var is not None:
-        objective_terms.append((m_var, 1.0 - lam))
-    if psi_vars:
-        instance = coefficients.instance
-        penalty = coefficients.parameters.latency_penalty
-        frequencies = [query.frequency for query in instance.queries]
-        for q_index, psi in psi_vars.items():
-            objective_terms.append(
-                (psi, lam * penalty * float(frequencies[q_index]))
-            )
-    return objective_terms
+    return need_pair, psi_queries
+
+
+def _block(
+    rows: np.ndarray, cols: np.ndarray, data: np.ndarray, num_rows: int,
+    lower: float | np.ndarray, upper: float | np.ndarray,
+) -> RowBlock:
+    """A row block with scalar or per-row bounds."""
+    return RowBlock(
+        rows, cols, np.asarray(data, dtype=float),
+        np.full(num_rows, lower), np.full(num_rows, upper),
+    )
+
+
+def _rows_of(columns: np.ndarray, lower: float, upper: float) -> RowBlock:
+    """One row per line of ``columns``: the sum of those columns."""
+    num_rows, width = columns.shape
+    return _block(
+        np.repeat(np.arange(num_rows), width), columns.ravel(),
+        np.ones(columns.size), num_rows, lower, upper,
+    )
 
 
 def build_linearized_model(
@@ -256,7 +132,6 @@ def build_linearized_model(
     allow_replication: bool = True,
     latency: bool = False,
     symmetry_breaking: bool = True,
-    cache: LinearizationCache | None = None,
 ) -> LinearizedModel:
     """Construct the linearised model (7).
 
@@ -273,12 +148,6 @@ def build_linearized_model(
         Sites are homogeneous, so transaction ``t`` may be restricted to
         sites ``0..t`` without losing any solution; prunes the search
         considerably.
-    cache:
-        Optional :class:`LinearizationCache`: when the constraint
-        skeleton matches a cached build (same instance, flags and
-        coefficient sparsity — only the objective prices changed, as in
-        a ``p`` or ``lambda`` sweep), the skeleton is cloned and only
-        the objective is rebuilt.
     """
     if num_sites < 1:
         raise SolverError(f"need at least one site, got {num_sites}")
@@ -289,174 +158,168 @@ def build_linearized_model(
             "NO_ATTRIBUTES write accounting (Section 2.1 explains why "
             "RELEVANT_ATTRIBUTES needs |A|^2 |S| extra variables)"
         )
+    migration = coefficients.migration
+    if migration is not None and migration.c5.shape != (
+        coefficients.num_attributes, num_sites
+    ):
+        raise SolverError(
+            f"migration block spans {migration.c5.shape} but the model has "
+            f"{(coefficients.num_attributes, num_sites)} y variables; "
+            f"rebuild the block for this site count"
+        )
     lam = parameters.load_balance_lambda
     num_transactions = coefficients.num_transactions
     num_attributes = coefficients.num_attributes
-    instance = coefficients.instance
-
-    # --- linearisation pair pattern (also the cache signature) ---------
-    need_pair = (coefficients.c1 != 0) | ((lam < 1.0) & (coefficients.c3 != 0))
-    if latency:
-        indicators = coefficients.indicators
-        write_alpha = (
-            indicators.alpha * indicators.delta[None, :]
-        ) @ indicators.gamma  # (|A|, |T|)
-        need_pair = need_pair | (write_alpha > 0)
+    need_pair, psi_queries = linearization_pattern(coefficients, latency)
+    pair_a, pair_t = np.nonzero(need_pair)
     load_side = lam < 1.0
-    latency_active = latency and parameters.latency_penalty > 0
 
-    cache_key = (num_sites, allow_replication, latency, symmetry_breaking)
-    if cache is not None:
-        entry = cache.lookup(cache_key, coefficients, load_side, latency_active, need_pair)
-        if entry is not None:
-            model = entry.model.clone_structure(
-                f"qp[{instance.name},S={num_sites}]"
-            )
-            model.minimize(
-                LinExpr.from_terms(
-                    _objective_terms(
-                        coefficients, lam, entry.u_vars, entry.y_vars,
-                        entry.m_var, entry.psi_vars,
-                    )
-                )
-            )
-            return LinearizedModel(
-                model=model,
-                coefficients=coefficients,
-                num_sites=num_sites,
-                x_vars=entry.x_vars,
-                y_vars=entry.y_vars,
-                u_vars=entry.u_vars,
-                m_var=entry.m_var,
-                psi_vars=entry.psi_vars,
-            )
+    # --- columns ------------------------------------------------------
+    x_columns = np.arange(num_transactions * num_sites).reshape(-1, num_sites)
+    y_columns = x_columns.size + np.arange(
+        num_attributes * num_sites
+    ).reshape(-1, num_sites)
+    u_columns = x_columns.size + y_columns.size + np.arange(
+        pair_a.size * num_sites
+    ).reshape(-1, num_sites)
+    next_column = x_columns.size + y_columns.size + u_columns.size
+    m_column = next_column if load_side else None
+    psi_columns = next_column + int(load_side) + np.arange(psi_queries.size)
+    num_columns = next_column + int(load_side) + psi_queries.size
 
-    model = MipModel(f"qp[{instance.name},S={num_sites}]")
+    # --- placement ----------------------------------------------------
+    blocks = [
+        _rows_of(x_columns, 1.0, 1.0),
+        _rows_of(y_columns, 1.0, np.inf if allow_replication else 1.0),
+    ]
+    # --- read co-location (single-sitedness): y[a,s] - x[t,s] >= 0 -----
+    read_a, read_t = np.nonzero(coefficients.phi_bool)
+    y, x = y_columns[read_a].ravel(), x_columns[read_t].ravel()
+    blocks.append(_block(
+        np.repeat(np.arange(y.size), 2),
+        np.stack([y, x], axis=1).ravel(),
+        np.tile([1.0, -1.0], y.size),
+        y.size, _ZERO, np.inf,
+    ))
 
-    x_vars = np.empty((num_transactions, num_sites), dtype=object)
-    for t in range(num_transactions):
-        name = instance.transactions[t].name
-        for s in range(num_sites):
-            x_vars[t, s] = model.binary_variable(f"x[{name},{s}]")
-    y_vars = np.empty((num_attributes, num_sites), dtype=object)
-    for a in range(num_attributes):
-        name = instance.attributes[a].qualified_name
-        for s in range(num_sites):
-            y_vars[a, s] = model.binary_variable(f"y[{name},{s}]")
+    # --- linearisation triples per (pair, site) ------------------------
+    # u - x <= 0, u - y <= 0, u - x - y >= -1
+    u = u_columns.ravel()
+    x = x_columns[pair_t].ravel()
+    y = y_columns[pair_a].ravel()
+    blocks.append(_block(
+        np.repeat(np.arange(3 * u.size), np.tile([2, 2, 3], u.size)),
+        np.stack([u, x, u, y, u, x, y], axis=1).ravel(),
+        np.tile([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0], u.size),
+        3 * u.size,
+        np.tile([-np.inf, -np.inf, -1.0], u.size),
+        np.tile([_ZERO, _ZERO, np.inf], u.size),
+    ))
 
-    # --- placement constraints ---------------------------------------
-    for t in range(num_transactions):
-        model.add_constraint(
-            LinExpr.from_terms((x_vars[t, s], 1.0) for s in range(num_sites)) == 1,
-            name=f"place_x[{t}]",
-        )
-    for a in range(num_attributes):
-        total = LinExpr.from_terms((y_vars[a, s], 1.0) for s in range(num_sites))
-        if allow_replication:
-            model.add_constraint(total >= 1, name=f"place_y[{a}]")
-        else:
-            model.add_constraint(total == 1, name=f"place_y[{a}]")
-
-    # --- read co-location (single-sitedness) --------------------------
-    phi = coefficients.phi_bool
-    for a, t in zip(*np.nonzero(phi)):
-        for s in range(num_sites):
-            model.add_constraint(
-                y_vars[a, s] - x_vars[t, s] >= 0, name=f"coloc[{a},{t},{s}]"
-            )
-
-    # --- linearisation variables --------------------------------------
-    u_vars: dict[tuple[int, int, int], Variable] = {}
-    for a, t in zip(*np.nonzero(need_pair)):
-        for s in range(num_sites):
-            u = model.add_variable(f"u[{t},{a},{s}]", lower=0.0, upper=1.0)
-            u_vars[(int(t), int(a), int(s))] = u
-            model.add_constraint(u - x_vars[t, s] <= 0)
-            model.add_constraint(u - y_vars[a, s] <= 0)
-            model.add_constraint(u - x_vars[t, s] - y_vars[a, s] >= -1)
-
-    # --- max-load side ------------------------------------------------
-    m_var: Variable | None = None
+    # --- max-load side: sum c3 u + sum c4 y - m <= 0 per site -----------
     if load_side:
-        m_var = model.add_variable("m", lower=0.0)
-        for s in range(num_sites):
-            load_terms: list[tuple[Variable, float]] = []
-            for (t, a, s2), u in u_vars.items():
-                if s2 == s and coefficients.c3[a, t] != 0.0:
-                    load_terms.append((u, coefficients.c3[a, t]))
-            for a in range(num_attributes):
-                if coefficients.c4[a] != 0.0:
-                    load_terms.append((y_vars[a, s], coefficients.c4[a]))
-            load_terms.append((m_var, -1.0))
-            model.add_constraint(
-                LinExpr.from_terms(load_terms) <= 0, name=f"load[{s}]"
-            )
+        pair_load = coefficients.c3[pair_a, pair_t]
+        loaded = np.flatnonzero(pair_load != 0.0)
+        written = np.flatnonzero(coefficients.c4 != 0.0)
+        sites = np.arange(num_sites)
+        blocks.append(_block(
+            np.concatenate([
+                np.repeat(sites, loaded.size),
+                np.repeat(sites, written.size),
+                sites,
+            ]),
+            np.concatenate([
+                u_columns[loaded].T.ravel(),
+                y_columns[written].T.ravel(),
+                np.full(num_sites, m_column),
+            ]),
+            np.concatenate([
+                np.tile(pair_load[loaded], num_sites),
+                np.tile(coefficients.c4[written], num_sites),
+                np.full(num_sites, -1.0),
+            ]),
+            num_sites, -np.inf, _ZERO,
+        ))
 
-    # --- Appendix A latency --------------------------------------------
-    psi_vars: dict[int, Variable] = {}
-    if latency_active:
-        indicators = coefficients.indicators
-        for q_index in np.flatnonzero(indicators.delta > 0):
-            t = instance.query_transaction[q_index]
-            updated = np.flatnonzero(indicators.alpha[:, q_index] > 0)
-            if updated.size == 0:
-                continue
-            psi = model.binary_variable(f"psi[{instance.queries[q_index].name}]")
-            psi_vars[int(q_index)] = psi
-            # n_q = sum_a alpha (sum_s y[a,s] - sum_s u[t,a,s])
-            n_terms: list[tuple[Variable, float]] = []
-            for a in updated:
-                for s in range(num_sites):
-                    n_terms.append((y_vars[a, s], 1.0))
-                    n_terms.append((u_vars[(int(t), int(a), int(s))], -1.0))
-            big_m = float(updated.size * num_sites)
-            # psi <= n_q  (n = 0 forces psi = 0)
-            model.add_constraint(
-                LinExpr.from_terms(n_terms) - psi >= 0, name=f"psi_ub[{q_index}]"
-            )
-            # n_q <= M * psi  (n > 0 forces psi = 1)
-            model.add_constraint(
-                LinExpr.from_terms(n_terms) - big_m * psi <= 0,
-                name=f"psi_lb[{q_index}]",
-            )
+    # --- Appendix A latency ---------------------------------------------
+    # n_q = sum_a alpha (sum_s y[a,s] - sum_s u[t,a,s]);
+    # psi <= n_q (n = 0 forces psi = 0), n_q <= M psi (n > 0 forces 1)
+    if psi_queries.size:
+        num_psi = psi_queries.size
+        pair_index = np.full(need_pair.shape, -1)
+        pair_index[pair_a, pair_t] = np.arange(pair_a.size)
+        updated, which = np.nonzero(
+            coefficients.indicators.alpha[:, psi_queries] > 0
+        )
+        owner = coefficients.query_owner[psi_queries][which]
+        n_rows = np.tile(np.repeat(which, num_sites), 2)
+        n_cols = np.concatenate([
+            y_columns[updated].ravel(),
+            u_columns[pair_index[updated, owner]].ravel(),
+        ])
+        n_data = np.repeat([1.0, -1.0], updated.size * num_sites)
+        big_m = np.bincount(which, minlength=num_psi) * float(num_sites)
+        psi_rows = np.arange(num_psi)
+        # Row 2k bounds psi from above, row 2k + 1 from below.
+        blocks.append(_block(
+            np.concatenate([
+                2 * n_rows, 2 * psi_rows, 2 * n_rows + 1, 2 * psi_rows + 1,
+            ]),
+            np.concatenate([n_cols, psi_columns, n_cols, psi_columns]),
+            np.concatenate([n_data, -np.ones(num_psi), n_data, -big_m]),
+            2 * num_psi,
+            np.tile([_ZERO, -np.inf], num_psi),
+            np.tile([np.inf, _ZERO], num_psi),
+        ))
 
-    # --- symmetry breaking ----------------------------------------------
+    # --- symmetry breaking: x[t,s] <= 0 for s > t -------------------------
     if symmetry_breaking:
-        for t in range(min(num_transactions, num_sites - 1)):
-            for s in range(t + 1, num_sites):
-                model.add_constraint(x_vars[t, s] <= 0, name=f"sym[{t},{s}]")
+        pinned = min(num_transactions, num_sites - 1)
+        sym_t, sym_s = np.nonzero(
+            np.triu(np.ones((pinned, num_sites), dtype=bool), k=1)
+        )
+        blocks.append(_block(
+            np.arange(sym_t.size), x_columns[sym_t, sym_s], np.ones(sym_t.size),
+            sym_t.size, -np.inf, _ZERO,
+        ))
 
-    model.minimize(
-        LinExpr.from_terms(
-            _objective_terms(coefficients, lam, u_vars, y_vars, m_var, psi_vars)
-        )
+    # --- objective and column bounds ------------------------------------
+    # (accumulated onto zeros, so a zero price is +0.0 like an unset one)
+    objective = np.zeros(num_columns)
+    objective[u_columns] += lam * coefficients.c1[pair_a, pair_t][:, None]
+    objective[y_columns] += lam * coefficients.c2[:, None]
+    if migration is not None:
+        objective[y_columns] += lam * migration.c5
+    if load_side:
+        objective[m_column] += 1.0 - lam
+    objective[psi_columns] += (
+        lam * parameters.latency_penalty
+        * coefficients.query_frequencies[psi_queries].astype(float)
     )
-    if cache is not None:
-        cache.store(
-            cache_key,
-            _SkeletonEntry(
-                instance=instance,
-                indicators=coefficients.indicators,
-                load_side=load_side,
-                latency_active=latency_active,
-                need_pair=need_pair,
-                c3=coefficients.c3,
-                c4=coefficients.c4,
-                model=model,
-                x_vars=x_vars,
-                y_vars=y_vars,
-                u_vars=u_vars,
-                m_var=m_var,
-                psi_vars=psi_vars,
-            ),
-        )
+    upper = np.ones(num_columns)
+    integrality = np.ones(num_columns, dtype=bool)
+    integrality[u_columns] = False
+    if load_side:
+        upper[m_column] = np.inf
+        integrality[m_column] = False
+
+    model = MipModel(
+        f"qp[{coefficients.instance.name},S={num_sites}]",
+        objective=objective,
+        lower=np.zeros(num_columns),
+        upper=upper,
+        integrality=integrality,
+        blocks=tuple(blocks),
+    )
     return LinearizedModel(
         model=model,
         coefficients=coefficients,
         num_sites=num_sites,
-        x_vars=x_vars,
-        y_vars=y_vars,
-        u_vars=u_vars,
-        m_var=m_var,
-        psi_vars=psi_vars,
+        x_columns=x_columns,
+        y_columns=y_columns,
+        pairs=np.stack([pair_a, pair_t], axis=1),
+        u_columns=u_columns,
+        m_column=m_column,
+        psi_queries=psi_queries,
+        psi_columns=psi_columns,
     )

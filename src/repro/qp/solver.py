@@ -12,7 +12,7 @@ from repro.costmodel.evaluator import SolutionEvaluator, feasibility_violations
 from repro.exceptions import SolverError, SolverLimitError
 from repro.model.instance import ProblemInstance
 from repro.partition.assignment import PartitioningResult
-from repro.qp.linearize import LinearizationCache, build_linearized_model
+from repro.qp.linearize import build_linearized_model, linearization_pattern
 from repro.solver.solution import SolutionStatus
 
 #: The paper's MIP tolerance gap (Section 5: 0.1%).
@@ -35,7 +35,6 @@ class QpPartitioner:
         allow_replication: bool = True,
         latency: bool = False,
         symmetry_breaking: bool = True,
-        linearization_cache: LinearizationCache | None = None,
     ):
         if isinstance(instance, CostCoefficients):
             self.coefficients = instance
@@ -56,7 +55,6 @@ class QpPartitioner:
             allow_replication=allow_replication,
             latency=latency,
             symmetry_breaking=symmetry_breaking,
-            cache=linearization_cache,
         )
 
     @property
@@ -67,7 +65,7 @@ class QpPartitioner:
             "variables": model.num_variables,
             "integer_variables": model.num_integer_variables,
             "constraints": model.num_constraints,
-            "u_variables": len(self.linearized.u_vars),
+            "u_variables": self.linearized.u_columns.size,
         }
 
     @staticmethod
@@ -86,25 +84,11 @@ class QpPartitioner:
         ``"auto"`` strategy's QP-vs-SA cutoff (the paper's Section VI
         scalability limit) on every request.
         """
-        parameters = coefficients.parameters
-        lam = parameters.load_balance_lambda
         num_transactions = coefficients.num_transactions
         num_attributes = coefficients.num_attributes
-        indicators = coefficients.indicators
-
-        need_pair = (coefficients.c1 != 0) | ((lam < 1.0) & (coefficients.c3 != 0))
-        num_psi = 0
-        latency_active = latency and parameters.latency_penalty > 0
-        if latency:
-            write_alpha = (
-                indicators.alpha * indicators.delta[None, :]
-            ) @ indicators.gamma
-            need_pair = need_pair | (write_alpha > 0)
-        if latency_active:
-            for q_index in np.flatnonzero(indicators.delta > 0):
-                if (indicators.alpha[:, q_index] > 0).any():
-                    num_psi += 1
-        load_side = lam < 1.0
+        need_pair, psi_queries = linearization_pattern(coefficients, latency)
+        num_psi = psi_queries.size
+        load_side = coefficients.parameters.load_balance_lambda < 1.0
 
         num_u = int(need_pair.sum()) * num_sites
         num_binary = (num_transactions + num_attributes) * num_sites + num_psi
@@ -182,13 +166,13 @@ class QpPartitioner:
                 # against the bound HiGHS proved.  Under lambda < 1 a
                 # warm start can buy its lower cost (4) with worse
                 # balance, so this gap can exceed the requested one.
-                value = linearized.model.objective.value(
-                    linearized.incumbent_vector(x, y)
+                value = float(
+                    linearized.model.objective
+                    @ linearized.incumbent_vector(x, y)
                 )
                 mip_gap = abs(value - solution.bound) / max(1.0, abs(value))
                 proven_optimal = proven_optimal and mip_gap <= gap
         metadata = {
-            "backend": solution.backend,
             "mip_objective6": solution.objective,
             "mip_bound": solution.bound,
             "mip_gap": mip_gap,

@@ -35,8 +35,7 @@ import numpy as np
 
 from repro.costmodel.coefficients import CostCoefficients
 from repro.exceptions import SolverError
-from repro.solver.expr import LinExpr
-from repro.solver.model import MipModel
+from repro.solver.model import MipModel, RowBlock
 
 
 class SubproblemSolver:
@@ -276,49 +275,17 @@ class SubproblemSolver:
         k = self.lam * (self.c1 @ xs + self.c2[:, None])
         load_weight = self.c3 @ xs + self.c4[:, None]
         forced = self.forced_y(x)
-        num_attributes = k.shape[0]
-
-        model = MipModel("sa-suby")
-        y_vars = np.empty((num_attributes, self.num_sites), dtype=object)
-        for a in range(num_attributes):
-            for s in range(self.num_sites):
-                lower = 1.0 if forced[a, s] else 0.0
-                y_vars[a, s] = model.add_variable(
-                    f"y[{a},{s}]", lower=lower, upper=1.0, integer=True
-                )
-        for a in range(num_attributes):
-            total = LinExpr.from_terms((y_vars[a, s], 1.0) for s in range(self.num_sites))
-            if disjoint:
-                model.add_constraint(total == 1)
-            else:
-                model.add_constraint(total >= 1)
-        objective_terms = [
-            (y_vars[a, s], k[a, s])
-            for a in range(num_attributes)
-            for s in range(self.num_sites)
-            if k[a, s] != 0.0
-        ]
-        if self.lam < 1.0:
-            m_var = model.add_variable("m", lower=0.0)
-            objective_terms.append((m_var, 1.0 - self.lam))
-            for s in range(self.num_sites):
-                terms = [
-                    (y_vars[a, s], load_weight[a, s])
-                    for a in range(num_attributes)
-                    if load_weight[a, s] != 0.0
-                ]
-                terms.append((m_var, -1.0))
-                model.add_constraint(LinExpr.from_terms(terms) <= 0)
-        model.minimize(LinExpr.from_terms(objective_terms))
+        model = _placement_model(
+            "sa-suby", k, load_weight, self.lam,
+            lower=forced.astype(float), upper=np.ones_like(k),
+            row_upper=1.0 if disjoint else np.inf,
+            static=np.zeros(self.num_sites),
+        )
         solution = model.solve(time_limit=time_limit)
         if not solution.status.has_solution:
             # Fall back to the greedy rather than losing the iteration.
             return self.optimize_y_greedy(x, disjoint=disjoint)
-        y = np.zeros((num_attributes, self.num_sites), dtype=bool)
-        for a in range(num_attributes):
-            for s in range(self.num_sites):
-                y[a, s] = solution.values[y_vars[a, s].index] > 0.5
-        return y
+        return solution.values[:k.size].reshape(k.shape) > 0.5
 
     # ------------------------------------------------------------------
     # x given y
@@ -475,50 +442,61 @@ class SubproblemSolver:
         cost = self.lam * (self.c1.T @ ys)
         read_load = self.c3.T @ ys
         allowed = self.allowed_sites(y)
-        num_transactions = cost.shape[0]
         if not allowed.any(axis=1).all():
             # Infeasible under this y; let the greedy pick least-bad sites
             # and have the caller repair y.
             return self.optimize_x_greedy(y)
-
-        model = MipModel("sa-subx")
-        x_vars = np.empty((num_transactions, self.num_sites), dtype=object)
-        for t in range(num_transactions):
-            for s in range(self.num_sites):
-                upper = 1.0 if allowed[t, s] else 0.0
-                x_vars[t, s] = model.add_variable(
-                    f"x[{t},{s}]", lower=0.0, upper=upper, integer=True
-                )
-        for t in range(num_transactions):
-            model.add_constraint(
-                LinExpr.from_terms((x_vars[t, s], 1.0) for s in range(self.num_sites))
-                == 1
-            )
-        objective_terms = [
-            (x_vars[t, s], cost[t, s])
-            for t in range(num_transactions)
-            for s in range(self.num_sites)
-            if allowed[t, s] and cost[t, s] != 0.0
-        ]
-        if self.lam < 1.0:
-            m_var = model.add_variable("m", lower=0.0)
-            objective_terms.append((m_var, 1.0 - self.lam))
-            static = self.c4 @ ys
-            for s in range(self.num_sites):
-                terms = [
-                    (x_vars[t, s], read_load[t, s])
-                    for t in range(num_transactions)
-                    if allowed[t, s] and read_load[t, s] != 0.0
-                ]
-                terms.append((m_var, -1.0))
-                model.add_constraint(LinExpr.from_terms(terms) <= -static[s] + 0.0)
-                # i.e. sum read_load x - m <= -static  <=>  static + reads <= m
-        model.minimize(LinExpr.from_terms(objective_terms))
+        model = _placement_model(
+            "sa-subx", np.where(allowed, cost, 0.0),
+            np.where(allowed, read_load, 0.0), self.lam,
+            lower=np.zeros_like(cost), upper=allowed.astype(float),
+            row_upper=1.0, static=self.c4 @ ys,
+        )
         solution = model.solve(time_limit=time_limit)
         if not solution.status.has_solution:
             return self.optimize_x_greedy(y)
-        x = np.zeros((num_transactions, self.num_sites), dtype=bool)
-        for t in range(num_transactions):
-            for s in range(self.num_sites):
-                x[t, s] = solution.values[x_vars[t, s].index] > 0.5
-        return x
+        return solution.values[:cost.size].reshape(cost.shape) > 0.5
+
+
+def _placement_model(
+    name: str,
+    prices: np.ndarray,
+    load: np.ndarray,
+    lam: float,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    row_upper: float,
+    static: np.ndarray,
+) -> MipModel:
+    """The MIP of one exact sub-solve over binary ``v[i, s]``.
+
+    Minimise ``sum prices * v + (1 - lam) * m`` subject to
+    ``1 <= sum_s v[i, s] <= row_upper`` per item and, when ``lam < 1``,
+    ``sum_i load[i, s] * v[i, s] - m <= -static[s]`` per site.  Columns
+    are ``v`` (item-major) then ``m``; rows are the items then the sites.
+    """
+    num_items, num_sites = prices.shape
+    num_v = prices.size
+    columns = np.arange(num_v).reshape(num_items, num_sites)
+    blocks = [RowBlock(
+        np.repeat(np.arange(num_items), num_sites), columns.ravel(),
+        np.ones(num_v), np.ones(num_items), np.full(num_items, row_upper),
+    )]
+    objective = np.zeros(num_v) + prices.ravel()
+    lower, upper = lower.ravel(), upper.ravel()
+    integrality = np.ones(num_v, dtype=bool)
+    if lam < 1.0:
+        sites, items = np.nonzero(load.T != 0.0)
+        blocks.append(RowBlock(
+            np.concatenate([sites, np.arange(num_sites)]),
+            np.concatenate([columns[items, sites], np.full(num_sites, num_v)]),
+            np.concatenate([load[items, sites], np.full(num_sites, -1.0)]),
+            np.full(num_sites, -np.inf), -static,
+        ))
+        objective = np.append(objective, 1.0 - lam)
+        lower, upper = np.append(lower, 0.0), np.append(upper, np.inf)
+        integrality = np.append(integrality, False)
+    return MipModel(
+        name, objective=objective, lower=lower, upper=upper,
+        integrality=integrality, blocks=tuple(blocks),
+    )

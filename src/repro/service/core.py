@@ -5,8 +5,8 @@ sight — the socket server (:mod:`repro.service.server`) is a thin frame
 pump over it, and tests and embedders use it directly.  One instance
 owns:
 
-* a long-lived :class:`~repro.api.Advisor` (shared coefficient and
-  MIP-skeleton caches across every request served),
+* a long-lived :class:`~repro.api.Advisor` (a coefficient cache shared
+  across every request served),
 * **request coalescing** — requests with identical canonical JSON
   (:meth:`~repro.api.SolveRequest.canonical_key`) that are in flight
   together share one underlying solve and all receive the *same*

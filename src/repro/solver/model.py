@@ -1,8 +1,7 @@
-"""The MIP model container and its conversion to solver arrays."""
+"""The MIP model as arrays, and its conversion to solver form."""
 
 from __future__ import annotations
 
-import enum
 import time
 from dataclasses import dataclass
 
@@ -10,31 +9,24 @@ import numpy as np
 from scipy import sparse
 
 from repro.exceptions import SolverError
-from repro.solver.expr import Constraint, LinExpr, Sense, Variable
 from repro.solver.solution import MipSolution
-
-
-class ObjectiveSense(enum.Enum):
-    MINIMIZE = "min"
-    MAXIMIZE = "max"
 
 
 @dataclass(frozen=True)
 class StandardArrays:
-    """A model in array form (minimisation).
+    """A minimisation model ``lower <= v <= upper``,
+    ``row_lower <= matrix @ v <= row_upper`` in solver form.
 
-    ``A`` is a sparse CSR matrix over all constraints; ``senses`` holds a
-    :class:`Sense` per row. Bounds are per-variable ``(lower, upper)``
-    with ``upper = None`` meaning unbounded above.
+    ``matrix`` is a canonical CSR matrix (sorted indices, no duplicate
+    entries); infinite bounds are ``±np.inf``.
     """
 
     objective: np.ndarray  # (n,)
-    objective_constant: float
     matrix: sparse.csr_matrix  # (m, n)
-    senses: tuple[Sense, ...]
-    rhs: np.ndarray  # (m,)
+    row_lower: np.ndarray  # (m,)
+    row_upper: np.ndarray  # (m,)
     lower: np.ndarray  # (n,)
-    upper: np.ndarray  # (n,) with np.inf for unbounded
+    upper: np.ndarray  # (n,)
     integrality: np.ndarray  # (n,) bool
 
     @property
@@ -43,153 +35,119 @@ class StandardArrays:
 
     @property
     def num_constraints(self) -> int:
-        return self.rhs.shape[0]
+        return self.row_lower.shape[0]
 
 
+@dataclass(frozen=True)
+class RowBlock:
+    """One constraint family: ``lower <= A @ v <= upper`` with ``A`` in
+    COO form and ``rows`` numbered from 0 within the block."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    @property
+    def num_rows(self) -> int:
+        return self.lower.shape[0]
+
+
+_NO_ROWS = RowBlock(
+    np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp),
+    np.zeros(0), np.zeros(0), np.zeros(0),
+)
+
+
+@dataclass(frozen=True)
 class MipModel:
-    """A mixed-integer linear program under construction.
+    """A mixed-integer linear program (minimisation) as arrays.
 
-    >>> model = MipModel("demo")
-    >>> x = model.add_variable("x", upper=10)
-    >>> y = model.binary_variable("y")
-    >>> _ = model.add_constraint(x + 3 * y <= 7, name="cap")
-    >>> model.minimize(-x - 2 * y)
+    Variables are columns ``0..n-1`` with bounds ``lower``/``upper`` and
+    an ``integrality`` mask; constraints are :class:`RowBlock` families,
+    stacked in order into the rows of :meth:`to_standard_arrays`.
+
+    Minimise ``-x - 2y`` subject to ``x + 3y <= 7``, ``0 <= x <= 10``
+    and binary ``y``:
+
+    >>> cap = RowBlock(
+    ...     rows=np.array([0, 0]), cols=np.array([0, 1]),
+    ...     data=np.array([1.0, 3.0]),
+    ...     lower=np.array([-np.inf]), upper=np.array([7.0]),
+    ... )
+    >>> model = MipModel(
+    ...     "demo", objective=np.array([-1.0, -2.0]),
+    ...     lower=np.zeros(2), upper=np.array([10.0, 1.0]),
+    ...     integrality=np.array([False, True]), blocks=(cap,),
+    ... )
     >>> solution = model.solve()
     >>> round(solution.objective, 6)
     -7.0
     """
 
-    def __init__(self, name: str = "model"):
-        self.name = name
-        self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
-        self._objective: LinExpr = LinExpr()
-        self._sense = ObjectiveSense.MINIMIZE
-        self._names: set[str] = set()
+    name: str
+    objective: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    integrality: np.ndarray
+    blocks: tuple[RowBlock, ...] = ()
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def add_variable(
-        self,
-        name: str,
-        lower: float = 0.0,
-        upper: float | None = None,
-        integer: bool = False,
-    ) -> Variable:
-        if name in self._names:
-            raise SolverError(f"duplicate variable name {name!r}")
-        self._names.add(name)
-        variable = Variable(len(self.variables), name, lower, upper, integer)
-        self.variables.append(variable)
-        return variable
-
-    def binary_variable(self, name: str) -> Variable:
-        return self.add_variable(name, lower=0.0, upper=1.0, integer=True)
-
-    def add_constraint(self, constraint: Constraint, name: str | None = None) -> Constraint:
-        if not isinstance(constraint, Constraint):
+    def __post_init__(self) -> None:
+        n = self.objective.shape[0]
+        for label in ("lower", "upper", "integrality"):
+            if getattr(self, label).shape != (n,):
+                raise SolverError(
+                    f"model {self.name!r}: {label} has shape "
+                    f"{getattr(self, label).shape}, expected ({n},)"
+                )
+        if (self.upper < self.lower).any():
+            column = int(np.flatnonzero(self.upper < self.lower)[0])
             raise SolverError(
-                f"expected a Constraint (did the comparison fold to bool?), "
-                f"got {type(constraint).__name__}"
+                f"model {self.name!r}: column {column} has upper bound "
+                f"{self.upper[column]} < lower bound {self.lower[column]}"
             )
-        if name:
-            constraint.name = name
-        elif not constraint.name:
-            constraint.name = f"c{len(self.constraints)}"
-        self.constraints.append(constraint)
-        return constraint
-
-    def clone_structure(self, name: str | None = None) -> "MipModel":
-        """A new model sharing this model's variables and constraints.
-
-        The clone starts with an empty objective; variables and
-        constraints are shared by reference (they are not mutated by
-        solving), while the containers are copied so later additions to
-        either model stay local to it.  Used to re-price a model whose
-        constraint skeleton is unchanged — e.g. across the points of a
-        parameter sweep — without rebuilding thousands of expression
-        objects.
-        """
-        clone = MipModel(name or self.name)
-        clone.variables = list(self.variables)
-        clone.constraints = list(self.constraints)
-        clone._names = set(self._names)
-        return clone
-
-    def minimize(self, expression: LinExpr | Variable) -> None:
-        self._objective = expression.to_expr() if isinstance(expression, Variable) else expression
-        self._sense = ObjectiveSense.MINIMIZE
-
-    def maximize(self, expression: LinExpr | Variable) -> None:
-        self._objective = expression.to_expr() if isinstance(expression, Variable) else expression
-        self._sense = ObjectiveSense.MAXIMIZE
-
-    @property
-    def objective(self) -> LinExpr:
-        return self._objective
-
-    @property
-    def objective_sense(self) -> ObjectiveSense:
-        return self._sense
 
     @property
     def num_variables(self) -> int:
-        return len(self.variables)
+        return self.objective.shape[0]
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return sum(block.num_rows for block in self.blocks)
 
     @property
     def num_integer_variables(self) -> int:
-        return sum(1 for variable in self.variables if variable.is_integer)
+        return int(np.count_nonzero(self.integrality))
 
     # ------------------------------------------------------------------
     # Array form
     # ------------------------------------------------------------------
     def to_standard_arrays(self) -> StandardArrays:
-        """Convert to minimisation array form (maximisation is negated)."""
-        n = len(self.variables)
-        objective = np.zeros(n)
-        for index, coefficient in self._objective.terms.items():
-            objective[index] = coefficient
-        constant = self._objective.constant
-        if self._sense is ObjectiveSense.MAXIMIZE:
-            objective = -objective
-            constant = -constant
-
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[float] = []
-        senses: list[Sense] = []
-        rhs: list[float] = []
-        for row, constraint in enumerate(self.constraints):
-            for index, coefficient in constraint.terms.items():
-                if coefficient != 0.0:
-                    rows.append(row)
-                    cols.append(index)
-                    data.append(coefficient)
-            senses.append(constraint.sense)
-            rhs.append(constraint.rhs)
+        """Stack the row blocks into one CSR matrix with row bounds."""
+        offsets = np.cumsum([0] + [block.num_rows for block in self.blocks])
+        blocks = self.blocks or (_NO_ROWS,)
         matrix = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(len(self.constraints), n)
+            (
+                np.concatenate([block.data for block in blocks]),
+                (
+                    np.concatenate([
+                        block.rows + offset
+                        for block, offset in zip(blocks, offsets)
+                    ]),
+                    np.concatenate([block.cols for block in blocks]),
+                ),
+            ),
+            shape=(int(offsets[-1]), self.num_variables),
         )
-
-        lower = np.array([variable.lower for variable in self.variables])
-        upper = np.array(
-            [np.inf if variable.upper is None else variable.upper for variable in self.variables]
-        )
-        integrality = np.array([variable.is_integer for variable in self.variables])
         return StandardArrays(
-            objective=objective,
-            objective_constant=constant,
+            objective=self.objective,
             matrix=matrix,
-            senses=tuple(senses),
-            rhs=np.asarray(rhs, dtype=float),
-            lower=lower,
-            upper=upper,
-            integrality=integrality,
+            row_lower=np.concatenate([block.lower for block in blocks]),
+            row_upper=np.concatenate([block.upper for block in blocks]),
+            lower=self.lower,
+            upper=self.upper,
+            integrality=self.integrality,
         )
 
     # ------------------------------------------------------------------
@@ -212,10 +170,6 @@ class MipModel:
         started = time.perf_counter()
         solution = solve_mip_scipy(arrays, time_limit=time_limit, gap=gap)
         solution.wall_time = time.perf_counter() - started
-        if solution.objective is not None and self._sense is ObjectiveSense.MAXIMIZE:
-            solution.objective = -solution.objective
-            if solution.bound is not None:
-                solution.bound = -solution.bound
         return solution
 
     def __repr__(self) -> str:

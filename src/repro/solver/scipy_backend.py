@@ -9,22 +9,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import optimize
 
-from repro.solver.expr import Sense
 from repro.solver.model import StandardArrays
 from repro.solver.solution import MipSolution, SolutionStatus
-
-
-def _constraint_bounds(arrays: StandardArrays) -> tuple[np.ndarray, np.ndarray]:
-    lb = np.full(arrays.num_constraints, -np.inf)
-    ub = np.full(arrays.num_constraints, np.inf)
-    for row, sense in enumerate(arrays.senses):
-        if sense is Sense.LE:
-            ub[row] = arrays.rhs[row]
-        elif sense is Sense.GE:
-            lb[row] = arrays.rhs[row]
-        else:
-            lb[row] = ub[row] = arrays.rhs[row]
-    return lb, ub
 
 
 def solve_mip_scipy(
@@ -33,9 +19,10 @@ def solve_mip_scipy(
     gap: float = 1e-3,
 ) -> MipSolution:
     """Solve the MIP with ``scipy.optimize.milp`` (HiGHS branch & cut)."""
-    lb, ub = _constraint_bounds(arrays)
     constraints = (
-        optimize.LinearConstraint(arrays.matrix, lb, ub)
+        optimize.LinearConstraint(
+            arrays.matrix, arrays.row_lower, arrays.row_upper
+        )
         if arrays.num_constraints
         else ()
     )
@@ -52,7 +39,7 @@ def solve_mip_scipy(
     nodes = int(getattr(result, "mip_node_count", 0) or 0)
     bound = getattr(result, "mip_dual_bound", None)
     if bound is not None:
-        bound = float(bound) + arrays.objective_constant
+        bound = float(bound)
 
     if result.status == 0:
         status = SolutionStatus.OPTIMAL
@@ -67,10 +54,9 @@ def solve_mip_scipy(
     found = status.has_solution
     return MipSolution(
         status=status,
-        objective=float(result.fun + arrays.objective_constant) if found else None,
+        objective=float(result.fun) if found else None,
         values=np.asarray(result.x) if found else None,
         bound=bound,
         nodes=nodes,
-        backend="scipy-highs",
         message=str(result.message),
     )

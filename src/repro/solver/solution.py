@@ -1,4 +1,4 @@
-"""Solver result objects shared by all backends."""
+"""The result of a MIP solve."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.solver.expr import Variable
 
 
 class SolutionStatus(enum.Enum):
@@ -39,7 +37,6 @@ class MipSolution:
     bound: float | None = None
     wall_time: float = 0.0
     nodes: int = 0
-    backend: str = ""
     message: str = ""
 
     @property
@@ -49,15 +46,9 @@ class MipSolution:
             return None
         return abs(self.objective - self.bound) / max(1.0, abs(self.objective))
 
-    def value(self, variable: Variable) -> float:
-        """Value of ``variable`` in the solution."""
-        if self.values is None:
-            raise ValueError(f"solution has no values (status={self.status.value})")
-        return float(self.values[variable.index])
-
     def __repr__(self) -> str:
         objective = "None" if self.objective is None else f"{self.objective:.6g}"
         return (
             f"MipSolution(status={self.status.value}, objective={objective}, "
-            f"nodes={self.nodes}, time={self.wall_time:.2f}s, backend={self.backend!r})"
+            f"nodes={self.nodes}, time={self.wall_time:.2f}s)"
         )

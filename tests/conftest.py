@@ -12,8 +12,7 @@ from repro.instances.random_gen import InstanceParameters, generate_instance
 from repro.model.instance import ProblemInstance
 from repro.model.schema import SchemaBuilder
 from repro.model.workload import Query, Transaction, Workload
-from repro.solver.expr import Sense
-from repro.solver.model import StandardArrays
+from repro.solver.model import RowBlock, StandardArrays
 
 
 def pytest_configure(config: pytest.Config) -> None:
@@ -140,20 +139,26 @@ def brute_force_optimum(
     return best
 
 
+def dense_block(matrix, lower=-np.inf, upper=np.inf) -> RowBlock:
+    """A :class:`RowBlock` from a dense coefficient matrix (zeros dropped)."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    rows, cols = np.nonzero(matrix)
+    shape = (matrix.shape[0],)
+    return RowBlock(
+        rows, cols, matrix[rows, cols],
+        np.broadcast_to(np.asarray(lower, dtype=float), shape),
+        np.broadcast_to(np.asarray(upper, dtype=float), shape),
+    )
+
+
 def solution_violations(
     arrays: StandardArrays, values: np.ndarray, tol: float = 1e-6
 ) -> float:
     """Total constraint and bound violation of ``values`` in a MIP's
     array form (0 when feasible)."""
     lhs = arrays.matrix @ values
-    residual = 0.0
-    for row, sense in enumerate(arrays.senses):
-        if sense is Sense.LE:
-            residual += max(0.0, lhs[row] - arrays.rhs[row] - tol)
-        elif sense is Sense.GE:
-            residual += max(0.0, arrays.rhs[row] - lhs[row] - tol)
-        else:
-            residual += max(0.0, abs(lhs[row] - arrays.rhs[row]) - tol)
+    residual = float(np.maximum(arrays.row_lower - lhs - tol, 0.0).sum())
+    residual += float(np.maximum(lhs - arrays.row_upper - tol, 0.0).sum())
     residual += float(np.maximum(arrays.lower - values - tol, 0.0).sum())
     residual += float(np.maximum(values - arrays.upper - tol, 0.0).sum())
     return residual

@@ -24,7 +24,6 @@ from repro.costmodel.coefficients import build_coefficients
 from repro.costmodel.config import CostParameters, WriteAccounting
 from repro.exceptions import OptionsError, SolverError, UnknownStrategyError
 from repro.partition.assignment import single_site_partitioning
-from repro.qp.linearize import LinearizationCache, build_linearized_model
 from repro.qp.solver import QpPartitioner, solve_qp
 from repro.reduction.heavy import IterativeRefinement
 from repro.sa.options import SaOptions
@@ -533,13 +532,9 @@ class TestAdviseMany:
         # disjoint twin.
         assert stats["coefficient_misses"] == 5
         assert stats["coefficient_hits"] == 5
-        # One replicated and one disjoint skeleton are built, then
-        # re-priced for every later penalty (the LRU keeps both).
-        assert stats["linearization_misses"] == 2
-        assert stats["linearization_hits"] == 8
-        # Cached serving must match fresh, uncached serving bitwise.
+        # Cached serving must match fresh advisors bitwise.
         for request, report in zip(_sweep_requests(tiny_instance), reports):
-            fresh = Advisor(linearization_capacity=0).advise(request)
+            fresh = Advisor().advise(request)
             _assert_same_solution(report.result, fresh.result)
 
     def test_deterministic_per_master_seed_regardless_of_jobs(
@@ -576,49 +571,6 @@ class TestAdviseMany:
     def test_module_level_advise_many(self, tiny_instance):
         reports = advise_many(_sweep_requests(tiny_instance)[:2])
         assert [r.result.solver for r in reports] == ["qp", "qp"]
-
-
-# ----------------------------------------------------------------------
-# LinearizationCache LRU
-# ----------------------------------------------------------------------
-class TestLinearizationLru:
-    def _build(self, cache, coefficients, allow_replication):
-        return build_linearized_model(
-            coefficients, 2, allow_replication=allow_replication, cache=cache
-        )
-
-    def test_alternating_regimes_stay_cached(self):
-        instance = small_random_instance(2)
-        coefficients = build_coefficients(instance, CostParameters())
-        cache = LinearizationCache(capacity=4)
-        for allow_replication in (True, False, True, False, True, False):
-            self._build(cache, coefficients, allow_replication)
-        assert cache.misses == 2  # one per regime
-        assert cache.hits == 4
-        assert len(cache) == 2
-
-    def test_capacity_evicts_least_recent(self):
-        instance = small_random_instance(2)
-        coefficients = build_coefficients(instance, CostParameters())
-        cache = LinearizationCache(capacity=1)
-        self._build(cache, coefficients, True)
-        self._build(cache, coefficients, False)  # evicts the replicated one
-        self._build(cache, coefficients, True)  # must rebuild
-        assert cache.hits == 0
-        assert cache.misses == 3
-        assert len(cache) == 1
-
-    def test_capacity_zero_disables(self):
-        instance = small_random_instance(2)
-        coefficients = build_coefficients(instance, CostParameters())
-        cache = LinearizationCache(capacity=0)
-        self._build(cache, coefficients, True)
-        self._build(cache, coefficients, True)
-        assert cache.hits == 0 and len(cache) == 0
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(SolverError):
-            LinearizationCache(capacity=-1)
 
 
 # ----------------------------------------------------------------------
@@ -756,8 +708,6 @@ class TestSolveReport:
         assert set(report.cache_stats) == {
             "coefficient_hits", "coefficient_misses",
             "coefficient_evictions",
-            "linearization_hits", "linearization_misses",
-            "linearization_evictions",
         }
         assert report.degraded_from is None
         assert advisor.requests_served == 1
