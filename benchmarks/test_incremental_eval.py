@@ -4,10 +4,11 @@ Two claims are pinned (on ``rndAt64x100``, a Table-2/3 instance with
 ~1000 attributes — well above the 200-attribute bar):
 
 * the annealer's inner loop runs >= 3x faster with the incremental
-  evaluator than with the dense path it replaces,
-* for fixed seeds the two paths return the same result, here and on
-  smaller Table-3 instances (the incremental path changes the cost
-  arithmetic, not the search).
+  evaluator than with the dense reference state
+  (``tests/reference_subsolve.py``) substituted for it,
+* for fixed seeds the two return the same result, here and on smaller
+  Table-3 instances (the incremental path changes the cost arithmetic,
+  not the search).
 
 Plus pytest-benchmark baselines for the delta-evaluation primitives.
 """
@@ -15,6 +16,7 @@ Plus pytest-benchmark baselines for the delta-evaluation primitives.
 import gc
 import os
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -23,10 +25,12 @@ from repro.costmodel.coefficients import build_coefficients
 from repro.costmodel.config import CostParameters
 from repro.costmodel.incremental import IncrementalEvaluator
 from repro.instances.library import named_instance
+from repro.sa import annealer as annealer_module
 from repro.sa.annealer import SimulatedAnnealer
 from repro.sa.options import SaOptions
 from repro.sa.state import random_transaction_placement
 from repro.sa.subsolve import SubproblemSolver
+from tests.reference_subsolve import DenseState
 
 #: Pure-cost parameters: the dense path then pays one (|A|,|T|,|S|)
 #: einsum per iteration, the paper's reporting objective.
@@ -40,15 +44,28 @@ def large_coefficients():
     return coefficients
 
 
+@contextmanager
+def _annealer_state(incremental: bool):
+    """Run the annealer on the incremental evaluator or the dense state."""
+    state = IncrementalEvaluator if incremental else DenseState
+    original = annealer_module.IncrementalEvaluator
+    annealer_module.IncrementalEvaluator = state
+    try:
+        yield
+    finally:
+        annealer_module.IncrementalEvaluator = original
+
+
 def _timed_run(coefficients, incremental: bool):
     annealer = SimulatedAnnealer(
         coefficients,
         4,
-        SaOptions(inner_loops=40, max_outer_loops=3, seed=0, incremental=incremental),
+        SaOptions(inner_loops=40, max_outer_loops=3, seed=0),
     )
-    started = time.perf_counter()
-    _, _, cost = annealer.run()
-    elapsed = time.perf_counter() - started
+    with _annealer_state(incremental):
+        started = time.perf_counter()
+        _, _, cost = annealer.run()
+        elapsed = time.perf_counter() - started
     return elapsed / annealer.trace.iterations, cost
 
 
@@ -115,13 +132,10 @@ def test_table3_instances_unchanged_for_fixed_seeds(name):
     costs = {}
     for incremental in (True, False):
         annealer = SimulatedAnnealer(
-            coefficients,
-            3,
-            SaOptions(
-                inner_loops=10, max_outer_loops=10, seed=1, incremental=incremental
-            ),
+            coefficients, 3, SaOptions(inner_loops=10, max_outer_loops=10, seed=1)
         )
-        _, _, costs[incremental] = annealer.run()
+        with _annealer_state(incremental):
+            _, _, costs[incremental] = annealer.run()
     assert costs[True] == pytest.approx(costs[False], rel=1e-9)
 
 

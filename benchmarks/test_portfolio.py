@@ -8,8 +8,8 @@ benchmarks already use):
   as the single-run incumbent (guaranteed: restart 0 reuses the master
   seed) in comparable wall-clock — well under the 8x a serial rerun of
   every restart would cost;
-* the vectorised balance-aware (``lambda = 0.5``) sub-solves are >= 3x
-  faster than the reference loop path with bitwise-equal layouts;
+* the balance-aware (``lambda = 0.5``) sub-solves are >= 3x faster
+  than the test-only reference loops with bitwise-equal layouts;
 * assembling model (7) as arrays costs well under a tenth of solving
   it with HiGHS, so the MIP path's time goes to the solver.
 
@@ -35,7 +35,9 @@ from repro.sa.portfolio import run_portfolio
 from repro.sa.solver import SaPartitioner
 from repro.sa.state import random_transaction_placement
 from repro.sa.subsolve import SubproblemSolver
+from repro.sa.transport.socket_backend import SocketTransportBackend
 from repro.solver.scipy_backend import solve_mip_scipy
+from tests.reference_subsolve import LoopSubproblemSolver
 
 BALANCED = CostParameters(load_balance_lambda=0.5)
 
@@ -112,9 +114,10 @@ def test_portfolio_deterministic_across_worker_counts(large_coefficients):
 
 
 def test_queue_backend_parity_and_overhead(large_coefficients):
-    """The queue backend (JSON envelopes + worker loop) returns the
-    bitwise-identical best and its serialisation overhead stays a small
-    multiple of the serial backend.
+    """The socket backend's in-driver loop (``workers=0``: JSON
+    envelopes through a ``QueueWorker``) returns the bitwise-identical
+    best and its serialisation overhead stays a small multiple of the
+    serial backend.
 
     Measured as a same-box ratio with retries (the envelope path
     re-parses the instance and rebuilds coefficients per restart — the
@@ -132,26 +135,30 @@ def test_queue_backend_parity_and_overhead(large_coefficients):
         serial = run_portfolio(large_coefficients, 4, options, backend="serial")
         serial_wall = time.perf_counter() - serial_started
 
-        queue_started = time.perf_counter()
-        queued = run_portfolio(large_coefficients, 4, options, backend="queue")
-        queue_wall = time.perf_counter() - queue_started
-        if queue_wall / serial_wall < best_ratio:
-            best_ratio = queue_wall / serial_wall
-            best_walls = (serial_wall, queue_wall)
+        envelope_started = time.perf_counter()
+        enveloped = run_portfolio(
+            large_coefficients, 4, options,
+            backend=SocketTransportBackend(workers=0),
+        )
+        envelope_wall = time.perf_counter() - envelope_started
+        if envelope_wall / serial_wall < best_ratio:
+            best_ratio = envelope_wall / serial_wall
+            best_walls = (serial_wall, envelope_wall)
         if best_ratio <= threshold:
             break
 
     print(
         f"\nrndAt64x100, |S|=4, 3 restarts: serial {best_walls[0]:.2f}s, "
-        f"queue {best_walls[1]:.2f}s (envelope overhead {best_ratio:.2f}x)"
+        f"in-driver envelopes {best_walls[1]:.2f}s "
+        f"(envelope overhead {best_ratio:.2f}x)"
     )
-    assert queued.objective6 == serial.objective6
-    assert queued.best_restart == serial.best_restart
-    assert queued.restart_objectives == serial.restart_objectives
-    np.testing.assert_array_equal(queued.x, serial.x)
-    np.testing.assert_array_equal(queued.y, serial.y)
+    assert enveloped.objective6 == serial.objective6
+    assert enveloped.best_restart == serial.best_restart
+    assert enveloped.restart_objectives == serial.restart_objectives
+    np.testing.assert_array_equal(enveloped.x, serial.x)
+    np.testing.assert_array_equal(enveloped.y, serial.y)
     assert best_ratio <= threshold, (
-        f"queue envelope overhead {best_ratio:.1f}x > {threshold:.0f}x serial"
+        f"envelope overhead {best_ratio:.1f}x > {threshold:.0f}x serial"
     )
 
 
@@ -165,7 +172,7 @@ def _bench(function, rounds: int = 15) -> float:
 
 
 def test_balance_aware_subsolve_speedup(large_coefficients):
-    """Fast lambda=0.5 placement >= 3x the loop path, bitwise equal.
+    """Lambda=0.5 placement >= 3x the reference loops, bitwise equal.
 
     Measures the placement stage on the precomputed-input path (what the
     annealer feeds from the incremental evaluator), so the shared dense
@@ -173,7 +180,7 @@ def test_balance_aware_subsolve_speedup(large_coefficients):
     """
     num_sites = 4
     fast = SubproblemSolver(large_coefficients, num_sites)
-    loop = SubproblemSolver(large_coefficients, num_sites, vectorized=False)
+    loop = LoopSubproblemSolver(large_coefficients, num_sites)
     rng = np.random.default_rng(0)
     x = random_transaction_placement(
         large_coefficients.num_transactions, num_sites, rng

@@ -207,7 +207,7 @@ class SolveRequest:
         The layout fields are emitted only when set: a layout-free
         request serialises exactly as it did before they existed, so
         canonical JSON (and with it the service's coalescing/cache
-        keys and the queue envelopes) stays byte-stable for legacy
+        keys and the task envelopes) stays byte-stable for legacy
         payloads.
         """
         payload = {

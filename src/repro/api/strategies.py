@@ -135,9 +135,10 @@ def sa_portfolio_strategy(
     """Best-of-N multi-start annealing (``restarts`` defaults to 4; set
     ``restarts``/``jobs`` in the options, plus ``backend`` to pick an
     execution backend from :mod:`repro.sa.backends` — "serial",
-    "process", "thread", "queue", "socket" (the fault-tolerant
-    multi-box transport; tune it with ``workers``, ``max_retries`` and
-    the heartbeat/backoff options) — and ``prune`` to early-skip
+    "process", "thread", "socket" (the fault-tolerant multi-box
+    transport; tune it with ``workers``, ``0`` running it in-driver,
+    ``max_retries`` and the heartbeat/backoff options) — and ``prune``
+    to early-skip
     restarts the shared incumbent proves unable to win; results are
     identical whatever the backend, fault history or prune setting)."""
     _check_options(request, _SA_OPTION_KEYS, "sa-portfolio")

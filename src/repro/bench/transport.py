@@ -5,12 +5,12 @@ machine noise; the ratios are what the transport design controls):
 
 * **envelope round-trip overhead** — encoding a restart task envelope
   into a length-prefixed frame and decoding it back, relative to the
-  bare envelope encode/decode the in-process queue backend does.  This
-  is the per-task price of the wire;
+  bare envelope encode/decode the socket backend's in-driver loop does.
+  This is the per-task price of the wire;
 * **retry-storm throughput** — wall-clock of a socket portfolio under
   a deterministic fault storm (dropped results, a killed worker, a
   stalled heartbeat) relative to the same portfolio on a clean socket
-  pool and on the in-process queue backend.  Every variant returns the
+  pool and in the driver alone (``workers=0``).  Every variant returns the
   bitwise-identical best (asserted), so the ratio isolates the cost of
   fault *recovery*, not of different work.
 
@@ -133,7 +133,9 @@ def transport(profile: BenchProfile | None = None) -> BenchTable:
 
     overhead = _envelope_roundtrip_ratio(coefficients, options)
 
-    queue_result, queue_wall = _timed_portfolio(coefficients, options, "queue")
+    in_driver_result, in_driver_wall = _timed_portfolio(
+        coefficients, options, SocketTransportBackend(workers=0)
+    )
     clean_backend = SocketTransportBackend(workers=2, spawn="thread")
     clean_result, clean_wall = _timed_portfolio(
         coefficients, options, clean_backend
@@ -147,8 +149,8 @@ def transport(profile: BenchProfile | None = None) -> BenchTable:
 
     # The whole point of the transport: identical results, any weather.
     for other in (clean_result, storm_result):
-        assert other.objective6 == queue_result.objective6
-        assert other.best_restart == queue_result.best_restart
+        assert other.objective6 == in_driver_result.objective6
+        assert other.best_restart == in_driver_result.best_restart
 
     rows = [
         {
@@ -157,8 +159,10 @@ def transport(profile: BenchProfile | None = None) -> BenchTable:
             "detail": f"{ENVELOPE_REPEATS} encode+decode repetitions",
         },
         {
-            "metric": "socket (clean) vs in-process queue",
-            "ratio": round(clean_wall / queue_wall, 3) if queue_wall else 1.0,
+            "metric": "socket (clean) vs socket in-driver (workers=0)",
+            "ratio": (
+                round(clean_wall / in_driver_wall, 3) if in_driver_wall else 1.0
+            ),
             "detail": "2 thread workers, 6 restarts",
         },
         {
@@ -170,8 +174,10 @@ def transport(profile: BenchProfile | None = None) -> BenchTable:
             ),
         },
         {
-            "metric": "socket (retry storm) vs in-process queue",
-            "ratio": round(storm_wall / queue_wall, 3) if queue_wall else 1.0,
+            "metric": "socket (retry storm) vs socket in-driver (workers=0)",
+            "ratio": (
+                round(storm_wall / in_driver_wall, 3) if in_driver_wall else 1.0
+            ),
             "detail": "end-to-end price of faults + recovery",
         },
     ]

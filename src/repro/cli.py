@@ -398,13 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "wall-clock changes)")
         sub.add_argument("--backend", default=None,
                             help="portfolio execution backend: serial, "
-                            "process, thread, queue or socket (default: "
+                            "process, thread or socket (default: "
                             "serial for one worker slot, process otherwise; "
                             "results are identical whatever the backend — "
                             "socket drives spawned "
                             "'python -m repro.sa.worker' processes over "
                             "loopback TCP with heartbeat liveness and "
-                            "bounded retries)")
+                            "bounded retries, or runs the task envelopes "
+                            "in-driver with --workers 0)")
         sub.add_argument("--workers", type=int, default=None,
                             help="worker processes for --backend socket "
                             "(default: the --jobs slots; 0 = degraded "

@@ -52,8 +52,9 @@ The incremental evaluator covers objective (4)/(6) and the greedy
 sub-problem inputs.  The dense evaluator remains the single source of
 truth and is still used for: the final collapsed-layout guard, the
 ``subsolver="exact"`` MIP sub-solves, the Appendix-A latency estimate,
-cost breakdowns and all reporting.  ``SaOptions(incremental=False)``
-forces the annealer onto the dense path end to end.
+cost breakdowns and all reporting.  The tests also run the annealer on
+a dense stand-in for this class (``tests/reference_subsolve.py``) and
+require the same results.
 """
 
 from __future__ import annotations

@@ -11,11 +11,11 @@ probability in the first iterations.
 
 ``SaOptions(restarts=N)`` runs a best-of-N multi-start portfolio
 (:mod:`repro.sa.portfolio`) over a pluggable execution backend
-(:mod:`repro.sa.backends`: serial, process pool, a JSON task queue, or
-the fault-tolerant multi-box socket transport of
-:mod:`repro.sa.transport` with its remote ``python -m repro.sa.worker``
-processes), deterministic per master seed whatever runs where — and,
-for the queue/socket backends, whatever faults the transport suffers.
+(:mod:`repro.sa.backends`: serial, a process or thread pool, or the
+fault-tolerant multi-box socket transport of :mod:`repro.sa.transport`
+with its remote ``python -m repro.sa.worker`` processes), deterministic
+per master seed whatever runs where — and, for the socket backend,
+whatever faults the transport suffers.
 Library callers normally reach all of this through
 :func:`repro.api.advise` with strategy ``"sa"`` / ``"sa-portfolio"``;
 :func:`solve_sa` remains as a thin shim over that entry point.
@@ -27,7 +27,6 @@ from repro.sa.portfolio import PortfolioResult, RestartOutcome, derive_restart_s
 from repro.sa.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
-    QueueBackend,
     SerialBackend,
     SharedIncumbent,
     backend_names,
@@ -48,7 +47,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "QueueBackend",
     "SharedIncumbent",
     "backend_names",
     "get_backend",

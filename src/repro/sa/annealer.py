@@ -1,12 +1,14 @@
 """Algorithm 1: the simulated-annealing loop.
 
-The inner loop evaluates one candidate per iteration.  By default the
-cost of the incumbent is kept as mutable state in an
+The inner loop evaluates one candidate per iteration.  The cost of the
+incumbent is kept as mutable state in an
 :class:`~repro.costmodel.incremental.IncrementalEvaluator`: a candidate
 is probed inside a ``begin_trial`` / ``commit``-or-``rollback`` bracket,
 so its objective (6) and the greedy sub-problem inputs are produced from
-delta updates instead of dense ``(|A|, |T|, |S|)`` products.
-``SaOptions(incremental=False)`` forces the dense evaluator everywhere.
+delta updates instead of dense ``(|A|, |T|, |S|)`` products.  The dense
+:class:`~repro.costmodel.evaluator.SolutionEvaluator` prices the
+collapsed-layout guard and is the oracle the tests check the state
+against.
 """
 
 from __future__ import annotations
@@ -100,10 +102,7 @@ class SimulatedAnnealer:
             )
             y = self._optimize_y(x)
         incremental = self._make_incremental(x, y)
-        if incremental is not None:
-            current_cost = incremental.objective6()
-        else:
-            current_cost = self.evaluator.objective6(x, y)
+        current_cost = incremental.objective6()
         best_x, best_y, best_cost = x, y, current_cost
 
         # Section 5.1 temperature rule.
@@ -128,32 +127,22 @@ class SimulatedAnnealer:
                 else:
                     candidate_x = move_transactions(x, rng, options.move_fraction)
                 candidate_y = extend_replication(y, rng, options.move_fraction)
-                if incremental is not None:
-                    incremental.begin_trial()
-                    if fix == "x":
-                        new_x = candidate_x
-                        incremental.assign_x(new_x)
-                        new_y = self._optimize_y(new_x, incremental)
-                        incremental.assign_y(new_y)
-                    else:
-                        incremental.assign_y(candidate_y)
-                        new_x = self._optimize_x(candidate_y, incremental)
-                        incremental.assign_x(new_x)
-                        new_y = candidate_y | incremental.forced_y()
-                        incremental.assign_y(new_y)
-                    new_cost = incremental.objective6()
-                elif fix == "x":
+                incremental.begin_trial()
+                if fix == "x":
                     new_x = candidate_x
-                    new_y = self._optimize_y(new_x)
-                    new_cost = self.evaluator.objective6(new_x, new_y)
+                    incremental.assign_x(new_x)
+                    new_y = self._optimize_y(new_x, incremental)
+                    incremental.assign_y(new_y)
                 else:
-                    new_x = self._optimize_x(candidate_y)
-                    new_y = self.subsolver.repair_y(new_x, candidate_y)
-                    new_cost = self.evaluator.objective6(new_x, new_y)
+                    incremental.assign_y(candidate_y)
+                    new_x = self._optimize_x(candidate_y, incremental)
+                    incremental.assign_x(new_x)
+                    new_y = candidate_y | incremental.forced_y()
+                    incremental.assign_y(new_y)
+                new_cost = incremental.objective6()
                 delta = new_cost - current_cost
                 if delta <= 0 or rng.random() < math.exp(-delta / tau):
-                    if incremental is not None:
-                        incremental.commit()
+                    incremental.commit()
                     self.trace.accepted += 1
                     if delta > 0:
                         self.trace.accepted_worse += 1
@@ -161,7 +150,7 @@ class SimulatedAnnealer:
                     if current_cost < best_cost:
                         best_x, best_y, best_cost = x, y, current_cost
                         improved = True
-                elif incremental is not None:
+                else:
                     incremental.rollback()
                 fix = "y" if fix == "x" else "x"
             tau *= options.cooling_rate
@@ -199,10 +188,7 @@ class SimulatedAnnealer:
         x = component_placement_to_x(labels, assignment, self.num_sites)
         y = self.subsolver.optimize_y_greedy(x, disjoint=True)
         incremental = self._make_incremental(x, y)
-        if incremental is not None:
-            current_cost = incremental.objective6()
-        else:
-            current_cost = self.evaluator.objective6(x, y)
+        current_cost = incremental.objective6()
         best = (x, y, current_cost)
 
         tau = initial_temperature(current_cost)
@@ -222,26 +208,17 @@ class SimulatedAnnealer:
                     assignment, self.num_sites, rng, options.move_fraction
                 )
                 new_x = component_placement_to_x(labels, candidate, self.num_sites)
-                if incremental is not None:
-                    incremental.begin_trial()
-                    incremental.assign_x(new_x)
-                    k, load_weight, forced = incremental.y_subproblem_inputs()
-                    new_y = self.subsolver.optimize_y_greedy(
-                        new_x,
-                        disjoint=True,
-                        k=k,
-                        load_weight=load_weight,
-                        forced=forced,
-                    )
-                    incremental.assign_y(new_y)
-                    new_cost = incremental.objective6()
-                else:
-                    new_y = self.subsolver.optimize_y_greedy(new_x, disjoint=True)
-                    new_cost = self.evaluator.objective6(new_x, new_y)
+                incremental.begin_trial()
+                incremental.assign_x(new_x)
+                k, load_weight, forced = incremental.y_subproblem_inputs()
+                new_y = self.subsolver.optimize_y_greedy(
+                    new_x, disjoint=True, k=k, load_weight=load_weight, forced=forced
+                )
+                incremental.assign_y(new_y)
+                new_cost = incremental.objective6()
                 delta = new_cost - current_cost
                 if delta <= 0 or rng.random() < math.exp(-delta / tau):
-                    if incremental is not None:
-                        incremental.commit()
+                    incremental.commit()
                     self.trace.accepted += 1
                     if delta > 0:
                         self.trace.accepted_worse += 1
@@ -249,7 +226,7 @@ class SimulatedAnnealer:
                     if current_cost < best[2]:
                         best = (x, y, current_cost)
                         improved = True
-                elif incremental is not None:
+                else:
                     incremental.rollback()
             tau *= options.cooling_rate
             self.trace.outer_loops = outer + 1
@@ -293,9 +270,7 @@ class SimulatedAnnealer:
 
     def _make_incremental(
         self, x: np.ndarray, y: np.ndarray
-    ) -> IncrementalEvaluator | None:
-        if not self.options.incremental:
-            return None
+    ) -> IncrementalEvaluator:
         incremental = IncrementalEvaluator(self.coefficients, self.num_sites)
         incremental.reset(x, y)
         return incremental
@@ -303,34 +278,35 @@ class SimulatedAnnealer:
     def _optimize_y(
         self, x: np.ndarray, incremental: IncrementalEvaluator | None = None
     ) -> np.ndarray:
+        """``findSolution`` for ``y``; the greedy takes its inputs from
+        ``incremental``, or computes them densely for the initial
+        solution, before any state exists."""
         if self.options.subsolver == "exact":
             return self.subsolver.optimize_y_exact(
                 x, time_limit=self.options.exact_time_limit
             )
-        if incremental is not None:
-            k, load_weight, forced = incremental.y_subproblem_inputs()
-            return self.subsolver.optimize_y_greedy(
-                x, k=k, load_weight=load_weight, forced=forced
-            )
-        return self.subsolver.optimize_y_greedy(x)
+        if incremental is None:
+            return self.subsolver.optimize_y_greedy(x)
+        k, load_weight, forced = incremental.y_subproblem_inputs()
+        return self.subsolver.optimize_y_greedy(
+            x, k=k, load_weight=load_weight, forced=forced
+        )
 
     def _optimize_x(
-        self, y: np.ndarray, incremental: IncrementalEvaluator | None = None
+        self, y: np.ndarray, incremental: IncrementalEvaluator
     ) -> np.ndarray:
         if self.options.subsolver == "exact":
             return self.subsolver.optimize_x_exact(
                 y, time_limit=self.options.exact_time_limit
             )
-        if incremental is not None:
-            cost, read_load, missing, static_load = incremental.x_subproblem_inputs()
-            return self.subsolver.optimize_x_greedy(
-                y,
-                cost=cost,
-                read_load=read_load,
-                missing=missing,
-                static_load=static_load,
-            )
-        return self.subsolver.optimize_x_greedy(y)
+        cost, read_load, missing, static_load = incremental.x_subproblem_inputs()
+        return self.subsolver.optimize_x_greedy(
+            y,
+            cost=cost,
+            read_load=read_load,
+            missing=missing,
+            static_load=static_load,
+        )
 
     def _finish(self, outer_loops: int) -> None:
         self.trace.outer_loops = outer_loops

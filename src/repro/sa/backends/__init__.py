@@ -12,15 +12,13 @@ under a name selectable via ``SaOptions(backend=...)``:
   ``jobs>1``), falling back to threads where the platform cannot
   fork/pickle;
 * ``"thread"`` — the GIL-bound thread pool, forced;
-* ``"queue"`` — restarts serialised as JSON task envelopes (built on
-  ``SolveRequest``'s round-trip format) and served by a worker loop:
-  the wire format for moving the portfolio beyond one box, driven
-  in-process here so it is fully testable locally;
-* ``"socket"`` — those same envelopes over length-prefixed JSON frames
-  on loopback TCP to spawned ``python -m repro.sa.worker`` processes,
-  with heartbeat liveness monitoring, bounded deterministic retries and
-  graceful degradation to in-driver execution
-  (:mod:`repro.sa.transport`).
+* ``"socket"`` — restarts serialised as JSON task envelopes (built on
+  ``SolveRequest``'s round-trip format, :mod:`repro.sa.backends.queue`)
+  over length-prefixed JSON frames on loopback TCP to spawned
+  ``python -m repro.sa.worker`` processes, with heartbeat liveness
+  monitoring, bounded deterministic retries and graceful degradation to
+  in-driver execution (:mod:`repro.sa.transport`); ``workers=0`` runs
+  the envelopes through that in-driver loop alone.
 
 All backends share one :class:`~repro.sa.backends.incumbent.SharedIncumbent`
 per portfolio run (best objective + a provable lower bound) and, with
@@ -51,7 +49,6 @@ from repro.sa.backends.base import (
 from repro.sa.backends.incumbent import SharedIncumbent
 from repro.sa.backends.pool import ProcessPoolBackend
 from repro.sa.backends.queue import (
-    QueueBackend,
     QueueWorker,
     decode_restart_result,
     decode_restart_task,
@@ -71,7 +68,6 @@ def _socket_backend_factory():
 register_backend(SerialBackend.name, SerialBackend)
 register_backend("process", ProcessPoolBackend)
 register_backend("thread", lambda: ProcessPoolBackend(use_threads=True))
-register_backend(QueueBackend.name, QueueBackend)
 register_backend("socket", _socket_backend_factory)
 
 __all__ = [
@@ -79,7 +75,6 @@ __all__ = [
     "ExecutionBackend",
     "PortfolioPlan",
     "ProcessPoolBackend",
-    "QueueBackend",
     "QueueWorker",
     "RestartOutcome",
     "RestartTask",

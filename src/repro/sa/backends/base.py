@@ -5,7 +5,7 @@ A portfolio run is a list of :class:`RestartTask`\\ s — pure
 shared budget and incumbent state bundled into a :class:`PortfolioPlan`.
 An :class:`ExecutionBackend` consumes the plan and returns a
 :class:`BackendRun`; *how* the restarts execute (in-process, across a
-worker pool, or popped off a serialised task queue) is the backend's
+worker pool, or shipped as serialised task envelopes) is the backend's
 business, but every backend must preserve the portfolio contract:
 
 * restarts it runs are executed with exactly the single-run options

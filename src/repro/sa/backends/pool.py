@@ -113,7 +113,7 @@ class ProcessPoolBackend:
                     except Exception as error:
                         # A worker process that dies mid-restart (OOM
                         # kill, segfault, os._exit) breaks the whole
-                        # pool; unlike the queue/socket backends there
+                        # pool; unlike the socket backend there
                         # is no envelope to requeue, so fail loudly with
                         # the restart index instead of returning a
                         # silently incomplete best-of-N.

@@ -1,14 +1,15 @@
-"""Queue execution: restarts as JSON task envelopes, workers as loops.
+"""The restart envelope codec: one SA restart as a JSON document.
 
-This is the wire format for moving the portfolio beyond one box.  Each
-restart is serialised into a *task envelope* — a JSON document built on
-:class:`~repro.api.request.SolveRequest`'s exact round-trip format, so a
-task carries everything a remote worker needs (instance, parameters,
-single-run options, seed) and nothing it doesn't (no pickled arrays, no
-process state).  A worker decodes the envelope, rebuilds the
-coefficients, runs the anneal and returns a *result envelope*; both
-sides are plain JSON strings, so any transport (an in-memory deque here,
-a real message queue on a sharded deployment) can carry them.
+Each restart is serialised into a *task envelope* — a JSON document
+built on :class:`~repro.api.request.SolveRequest`'s exact round-trip
+format, so a task carries everything a worker needs (instance,
+parameters, single-run options, seed) and nothing it doesn't (no pickled
+arrays, no process state).  :class:`QueueWorker` decodes the envelope,
+rebuilds the coefficients, runs the anneal and returns a *result
+envelope*.  Both sides are plain JSON strings; the ``"socket"`` backend
+(:mod:`repro.sa.transport`) carries them to remote workers and runs
+them through a :class:`QueueWorker` loop in the driver when it has no
+workers.
 
 Determinism contract:
 
@@ -18,25 +19,13 @@ Determinism contract:
   (absent a running portfolio deadline, which is folded into the
   per-run ``time_limit`` at dispatch time);
 * result envelopes exclude wall-clock measurements, so *replaying* a
-  task envelope returns a byte-identical result envelope — the
-  at-least-once delivery of a real queue (retries, duplicate
-  deliveries) cannot change the portfolio's best;
-* a worker that raises mid-restart is retried: the task is requeued
-  (bounded by ``max_retries`` attempts per restart) and, because the
-  task is a pure function of the envelope, the retry reproduces exactly
-  the outcome the failed attempt would have returned.
-
-The :class:`QueueBackend` here drives an in-process worker loop so the
-whole protocol is testable locally; ``jobs`` does not parallelise it
-(that is what the ``"process"`` backend is for) — the queue backend's
-value is the envelope protocol itself.
+  task envelope returns a byte-identical result envelope — retries and
+  duplicate deliveries cannot change the portfolio's best.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from collections import deque
 from dataclasses import asdict
 from typing import Any
 
@@ -44,14 +33,7 @@ import numpy as np
 
 from repro.costmodel.coefficients import CostCoefficients, build_coefficients
 from repro.exceptions import OptionsError
-from repro.sa.backends.base import (
-    BackendRun,
-    PortfolioPlan,
-    RestartOutcome,
-    RestartTask,
-    restart_options,
-)
-from repro.sa.backends.retry import RetryTracker, validate_max_retries
+from repro.sa.backends.base import RestartOutcome, RestartTask, restart_options
 from repro.sa.options import SaOptions
 
 #: Version stamp of both envelope documents.  Version 2 extended the
@@ -63,9 +45,10 @@ from repro.sa.options import SaOptions
 #: ``warm_start`` options keyword (a new ``SaOptions`` constructor
 #: argument present in every options document) and, when a migration
 #: block is attached, the request's ``current_layout``/
-#: ``migration_cost`` members.  The socket transport negotiates this
-#: version at connect.
-ENVELOPE_FORMAT_VERSION = 3
+#: ``migration_cost`` members.  Version 4 dropped the ``incremental``
+#: options keyword.  The socket transport negotiates this version at
+#: connect.
+ENVELOPE_FORMAT_VERSION = 4
 TASK_KIND = "sa-restart"
 RESULT_KIND = "sa-restart-result"
 
@@ -88,9 +71,9 @@ def encode_restart_task(
     round-trips through the same format a service front end would
     accept.  ``remaining`` folds what is left of a portfolio budget into
     the run's ``time_limit`` at dispatch time.  Retry bookkeeping stays
-    driver-side (:attr:`QueueBackend.failures`) so a retried task
-    re-encodes to the exact same bytes — transports can use the
-    envelope itself as a dedup/idempotency key.
+    driver-side (:class:`~repro.sa.backends.retry.RetryTracker`) so a
+    retried task re-encodes to the exact same bytes — transports can use
+    the envelope itself as a dedup/idempotency key.
     """
     from repro.api.request import SolveRequest
 
@@ -208,10 +191,11 @@ def _check_wire_safe(coefficients: CostCoefficients) -> None:
     A task envelope carries only ``(instance, parameters)`` — the
     worker *rebuilds* the coefficient arrays canonically.  Coefficients
     built non-canonically (custom indicators, hand-tweaked weights)
-    would silently anneal a different problem on the queue than on the
-    serial/process backends, breaking the cross-backend bitwise
-    contract, so they are refused up front.  One canonical rebuild per
-    portfolio run — the same work every queue worker does per task.
+    would silently anneal a different problem on the socket backend
+    than on the serial/process backends, breaking the cross-backend
+    bitwise contract, so they are refused up front.  One canonical
+    rebuild per portfolio run — the same work every worker does per
+    task.
     """
     rebuilt = build_coefficients(coefficients.instance, coefficients.parameters)
     shipped_arrays = (
@@ -232,7 +216,7 @@ def _check_wire_safe(coefficients: CostCoefficients) -> None:
             shipped, canonical
         ):
             raise OptionsError(
-                "the queue backend ships (instance, parameters) and "
+                "the socket backend ships (instance, parameters) and "
                 "rebuilds coefficients canonically, but these "
                 "coefficients differ from build_coefficients(instance, "
                 "parameters) — non-canonical coefficients (custom "
@@ -242,7 +226,7 @@ def _check_wire_safe(coefficients: CostCoefficients) -> None:
 
 
 class QueueWorker:
-    """The worker side of the queue protocol: one envelope in, one out.
+    """The worker side of the envelope codec: one envelope in, one out.
 
     Stateless and pure: the returned result envelope is a function of
     the task envelope alone, which is what makes retries and duplicate
@@ -282,77 +266,3 @@ class QueueWorker:
             accepted_worse=annealer.trace.accepted_worse,
             outer_loops=annealer.trace.outer_loops,
         )
-
-
-class QueueBackend:
-    """Drive the restart queue with an in-process worker loop.
-
-    Tasks are enqueued in restart order and popped FIFO; a task whose
-    worker raises is requeued at the back until it has been attempted
-    ``max_retries + 1`` times, after which the portfolio fails with
-    :class:`~repro.exceptions.SolverError` (a lost restart would
-    silently change the best-of-N result, which the determinism
-    contract forbids).
-    """
-
-    name = "queue"
-
-    def __init__(
-        self, worker: QueueWorker | None = None, max_retries: int | None = None
-    ):
-        self.worker = worker or QueueWorker()
-        # Validated eagerly: a negative budget is a misconfiguration,
-        # not "never retry" (that is what 0 means).
-        self.max_retries = (
-            None if max_retries is None else validate_max_retries(max_retries)
-        )
-        #: Per-restart *failed* attempt counts of the last run (for
-        #: tests/metrics); fault-free restarts never appear here.
-        self.failures: dict[int, int] = {}
-
-    def run(self, plan: PortfolioPlan) -> BackendRun:
-        _check_wire_safe(plan.coefficients)
-        max_retries = (
-            plan.options.max_retries
-            if self.max_retries is None
-            else self.max_retries
-        )
-        # No backoff for the in-process loop: there is no remote worker
-        # to give breathing room to, and sleeping would only slow tests.
-        tracker = RetryTracker(max_retries, label="queue worker")
-        self.failures = tracker.failures
-        run = BackendRun(outcomes=[], kind=self.name)
-        queue: deque[RestartTask] = deque(plan.tasks())
-        while queue:
-            task = queue.popleft()
-            if task.restart > 0 and plan.expired():
-                run.cancelled += 1
-                continue
-            if plan.should_prune(task.restart):
-                run.pruned += 1
-                continue
-            envelope = encode_restart_task(
-                plan.coefficients,
-                plan.num_sites,
-                plan.options,
-                task,
-                remaining=plan.remaining(),
-            )
-            started = time.perf_counter()
-            try:
-                result = self.worker.run(envelope)
-            except Exception as error:
-                # Raises SolverError once the restart's budget is spent.
-                tracker.record_failure(task.restart, task.seed, error)
-                queue.append(task)
-                continue
-            outcome = decode_restart_result(
-                result, wall_time=time.perf_counter() - started
-            )
-            plan.publish(outcome)
-            run.outcomes.append(outcome)
-        run.outcomes.sort(key=lambda outcome: outcome.restart)
-        run.retried_restarts = tracker.retried_restarts
-        run.requeue_count = tracker.requeues
-        run.worker_failures = tracker.total_failures
-        return run

@@ -1,13 +1,13 @@
-"""The shared retry/requeue core of the fault-tolerant backends.
+"""The retry/requeue core of the fault-tolerant socket backend.
 
-Both the in-process :class:`~repro.sa.backends.queue.QueueBackend` and
-the :class:`~repro.sa.transport.socket_backend.SocketTransportBackend`
-obey the same contract when a worker fails mid-restart: the restart is
-requeued and retried — safely, because a task envelope is a pure
-function of ``(restart, seed, single-run options)`` so the retry
-reproduces exactly the outcome the failed attempt would have returned —
-until the per-restart attempt budget (``max_retries`` failed attempts)
-is spent, at which point the portfolio fails with
+:class:`~repro.sa.transport.socket_backend.SocketTransportBackend`
+obeys this contract when a worker fails mid-restart, on a remote worker
+and in its in-driver loop alike: the restart is requeued and retried —
+safely, because a task envelope is a pure function of ``(restart, seed,
+single-run options)`` so the retry reproduces exactly the outcome the
+failed attempt would have returned — until the per-restart attempt
+budget (``max_retries`` failed attempts) is spent, at which point the
+portfolio fails with
 :class:`~repro.exceptions.SolverError`.  A silently lost restart would
 change the best-of-N result, which the determinism contract forbids.
 

@@ -48,11 +48,6 @@ class SaOptions:
     exact_time_limit: float = 30.0
     #: Disallow attribute replication (disjoint partitioning).
     disjoint: bool = False
-    #: Maintain objective (6) incrementally across inner-loop moves
-    #: (:class:`repro.costmodel.incremental.IncrementalEvaluator`).
-    #: ``False`` forces the dense evaluator on every iteration — slower,
-    #: but a useful cross-check and the reference semantics.
-    incremental: bool = True
     #: Probability that an x-move merges a whole site into another
     #: instead of relocating a random 10% (escapes plateaus on
     #: instances where every query touches most attributes).
@@ -72,7 +67,7 @@ class SaOptions:
     portfolio_time_limit: float | None = None
     #: Execution backend for the restart portfolio: a name registered in
     #: :mod:`repro.sa.backends` ("serial", "process", "thread",
-    #: "queue"), or ``None`` for the historical default (serial for one
+    #: "socket"), or ``None`` for the historical default (serial for one
     #: worker slot, the process pool otherwise).  The returned best is
     #: bitwise identical per master seed whatever the backend.
     backend: str | None = None
@@ -87,7 +82,8 @@ class SaOptions:
     #: mode — the same code path a drained worker pool falls back to.
     workers: int | None = None
     #: Failed attempts allowed *per restart* on the fault-tolerant
-    #: backends ("queue", "socket") before the portfolio fails with
+    #: "socket" backend (remote workers and its in-driver loop alike)
+    #: before the portfolio fails with
     #: :class:`~repro.exceptions.SolverError`; a lost restart would
     #: silently change the best-of-N result, which the determinism
     #: contract forbids.
@@ -101,11 +97,12 @@ class SaOptions:
     #: Base of the exponential retry backoff in seconds: attempt ``k``
     #: of a restart waits ``~ backoff_base * 2**(k-1)`` scaled by a
     #: deterministic jitter derived from the restart seed.  ``0``
-    #: disables backoff (the in-process queue backend's setting).
+    #: disables backoff (the socket backend's in-driver loop never
+    #: waits).
     backoff_base: float = 0.05
     #: Incumbent layout to warm-start from, as the JSON dictionary form
     #: of :class:`~repro.partition.current_layout.CurrentLayout`
-    #: (``layout.to_dict()``) so it rides the queue/socket envelopes
+    #: (``layout.to_dict()``) so it rides the socket task envelopes
     #: unchanged.  ``None`` (the default) keeps the historical random
     #: initial solution.  The warm start replaces the *initial*
     #: solution of every restart with the repaired incumbent, so the
@@ -153,11 +150,10 @@ class SaOptions:
             )
         if self.workers is not None and self.workers < 0:
             raise OptionsError(f"workers must be >= 0, got {self.workers}")
-        if self.max_retries < 0:
-            raise OptionsError(
-                f"max_retries must be >= 0, got {self.max_retries} "
-                f"(0 means failed restarts are never retried)"
-            )
+        # Imported lazily: the backends package imports this module.
+        from repro.sa.backends.retry import validate_max_retries
+
+        validate_max_retries(self.max_retries)
         if self.heartbeat_interval <= 0:
             raise OptionsError(
                 f"heartbeat_interval must be positive seconds, got "
@@ -185,7 +181,6 @@ class SaOptions:
                     "warm_start layout dictionary misses 'placements'"
                 )
         if self.backend is not None:
-            # Imported lazily: the backends package imports this module.
             from repro.sa.backends import backend_names
 
             if self.backend not in backend_names():

@@ -7,7 +7,8 @@ a portfolio of ``restarts`` annealing runs is the cheapest way to buy
 solution quality on the Table 1/3 experiment sweeps.  This module plans
 the restarts and picks the winner; *executing* them is delegated to a
 pluggable :mod:`repro.sa.backends` backend (in-process serial, a
-process/thread pool, or a JSON task queue), selected via
+process/thread pool, or JSON task envelopes over the socket
+transport), selected via
 ``SaOptions(backend=...)``:
 
 * restart 0 reuses the master seed itself, so ``restarts=1`` reproduces
@@ -71,7 +72,7 @@ class PortfolioResult:
     #: beat the best already found (``SaOptions(prune=True)`` only).
     pruned: int = 0
     #: Distinct restarts that needed at least one retry (fault-tolerant
-    #: backends only — queue/socket; always 0 for serial/process).
+    #: backend only — socket; always 0 for serial/process/thread).
     retried_restarts: int = 0
     #: Total restart requeues: failed or lost attempts re-dispatched,
     #: bounded per restart by ``max_retries``.
@@ -153,8 +154,8 @@ def run_portfolio(
 
     ``backend`` overrides ``options.backend`` (mainly for tests that
     inject preconfigured backends, e.g. a
-    :class:`~repro.sa.backends.queue.QueueBackend` with a faulty
-    worker).
+    :class:`~repro.sa.transport.socket_backend.SocketTransportBackend`
+    with a fault plan).
     """
     options = options or SaOptions()
     options.validate()

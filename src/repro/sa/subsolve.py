@@ -16,17 +16,14 @@ attributes they read.
 The balance-aware (``lambda < 1``) placements are greedy scans whose
 every decision depends on the loads left by the previous one, so they
 cannot be collapsed into one matrix expression without changing the
-result.  They ship in two pinned-identical flavours instead:
-
-* the *loop* path (``vectorized=False``): the reference — one numpy
-  argmin per item, exactly the historical semantics;
-* the *fast* path (default): candidate masks, orderings and gathers are
-  built vectorised up front, and the sequential scan itself runs over
-  plain C-double scalars with an incrementally maintained running max
-  (exact, because loads only grow), touching numpy once more for the
-  final scatter.  Same IEEE operations in the same order — layouts are
-  bitwise equal (pinned in ``tests/test_sa_subsolve.py``), only the
-  per-iteration interpreter and allocator overhead is gone.
+result.  Candidate masks, orderings and gathers are built vectorised up
+front, and the sequential scan itself runs over plain C-double scalars
+with an incrementally maintained running max (exact, because loads only
+grow), touching numpy once more for the final scatter.  The historical
+semantics — one numpy argmin per item — live on as a test-only reference
+(``tests/reference_subsolve.py``); the two perform the same IEEE
+operations in the same order and give bitwise-equal layouts (pinned in
+``tests/test_sa_subsolve.py``).
 """
 
 from __future__ import annotations
@@ -39,23 +36,11 @@ from repro.solver.model import MipModel, RowBlock
 
 
 class SubproblemSolver:
-    """Shared precomputation for the two sub-problems.
+    """Shared precomputation for the two sub-problems."""
 
-    ``vectorized=False`` selects the reference loop implementations of
-    the balance-aware placements (useful as a cross-check and for
-    benchmarking the fast path against it).
-    """
-
-    def __init__(
-        self,
-        coefficients: CostCoefficients,
-        num_sites: int,
-        *,
-        vectorized: bool = True,
-    ):
+    def __init__(self, coefficients: CostCoefficients, num_sites: int):
         self.coefficients = coefficients
         self.num_sites = num_sites
-        self.vectorized = vectorized
         self.lam = coefficients.parameters.load_balance_lambda
         self.phi = coefficients.phi_bool.astype(float)  # (|A|, |T|)
         self.c1 = coefficients.c1
@@ -114,40 +99,23 @@ class SubproblemSolver:
                 order = uncovered[
                     np.argsort(-load_weight[uncovered].max(axis=1))
                 ]
-                if self.vectorized:
-                    self._cover_balance_fast(y, k, load_weight, order)
-                else:
-                    self._cover_balance_loop(y, k, load_weight, order)
+                self._cover_balance(y, k, load_weight, order)
 
         candidates = np.argwhere((k < 0) & ~y)
         if candidates.size:
             if self.lam >= 1.0:
                 y[candidates[:, 0], candidates[:, 1]] = True
-            elif self.vectorized:
-                self._negative_balance_fast(y, k, load_weight, candidates)
             else:
-                self._negative_balance_loop(y, k, load_weight, candidates)
+                self._negative_balance(y, k, load_weight, candidates)
         return y
 
     # -- balance-aware covering (lambda < 1) ---------------------------
-    def _cover_balance_loop(
+    def _cover_balance(
         self, y: np.ndarray, k: np.ndarray, load_weight: np.ndarray, order: np.ndarray
     ) -> None:
-        """Reference loop: one numpy argmin per uncovered attribute."""
-        loads = (load_weight * y).sum(axis=0)
-        for a in order:
-            current_max = loads.max()
-            delta = np.maximum(loads + load_weight[a], current_max)
-            delta -= current_max
-            score = self.lam * k[a] + (1.0 - self.lam) * delta
-            site = int(np.argmin(score))
-            y[a, site] = True
-            loads[site] += load_weight[a, site]
-
-    def _cover_balance_fast(
-        self, y: np.ndarray, k: np.ndarray, load_weight: np.ndarray, order: np.ndarray
-    ) -> None:
-        """Scalar scan over pregathered rows; bitwise equal to the loop."""
+        """Place each attribute of ``order`` at the site minimising
+        ``lam * k + (1 - lam) * (increase of the max load)``; a scalar
+        scan over pregathered rows."""
         loads = (load_weight * y).sum(axis=0).tolist()
         current_max = max(loads)
         lam = self.lam
@@ -175,34 +143,16 @@ class SubproblemSolver:
         y[order, chosen] = True
 
     # -- cost-negative replicas (lambda < 1) ---------------------------
-    def _negative_balance_loop(
+    def _negative_balance(
         self,
         y: np.ndarray,
         k: np.ndarray,
         load_weight: np.ndarray,
         candidates: np.ndarray,
     ) -> None:
-        """Reference loop over candidates in increasing-k order."""
-        loads = (load_weight * y).sum(axis=0)
-        order = np.argsort(k[candidates[:, 0], candidates[:, 1]])
-        for idx in order:
-            a, s = candidates[idx]
-            gain = k[a, s]
-            current_max = loads.max()
-            new_max = max(current_max, loads[s] + load_weight[a, s])
-            delta = gain + (1.0 - self.lam) * (new_max - current_max)
-            if delta < 0:
-                y[a, s] = True
-                loads[s] += load_weight[a, s]
-
-    def _negative_balance_fast(
-        self,
-        y: np.ndarray,
-        k: np.ndarray,
-        load_weight: np.ndarray,
-        candidates: np.ndarray,
-    ) -> None:
-        """Scalar scan over pregathered candidates; bitwise equal."""
+        """Add the cost-negative replicas, in increasing-``k`` order,
+        that still improve the blended objective; a scalar scan over
+        pregathered candidates."""
         loads = (load_weight * y).sum(axis=0).tolist()
         current_max = max(loads)
         balance = 1.0 - self.lam
@@ -248,24 +198,9 @@ class SubproblemSolver:
         y[has_force] = forced[has_force]
         free = np.flatnonzero(~has_force)
         if free.size:
-            if self.vectorized:
-                self._disjoint_free_fast(y, k, load_weight, free)
-            else:
-                self._disjoint_free_loop(y, k, load_weight, free)
+            # Same scores as balance-aware covering, over the free set.
+            self._cover_balance(y, k, load_weight, free)
         return y
-
-    def _disjoint_free_loop(
-        self, y: np.ndarray, k: np.ndarray, load_weight: np.ndarray, free: np.ndarray
-    ) -> None:
-        # Same scores as balance-aware covering, over the free set.
-        self._cover_balance_loop(y, k, load_weight, free)
-
-    def _disjoint_free_fast(
-        self, y: np.ndarray, k: np.ndarray, load_weight: np.ndarray, free: np.ndarray
-    ) -> None:
-        # Identical scalar scan: the disjoint free placement computes the
-        # same scores as balance-aware covering, just over the free set.
-        self._cover_balance_fast(y, k, load_weight, free)
 
     def optimize_y_exact(
         self, x: np.ndarray, disjoint: bool = False, time_limit: float = 30.0
@@ -347,15 +282,11 @@ class SubproblemSolver:
             return x
 
         order = np.argsort(-read_load.max(axis=1))
-        if self.vectorized:
-            return self._place_x_balance_fast(
-                cost, read_load, missing, allowed, static_load, order
-            )
-        return self._place_x_balance_loop(
+        return self._place_x_balance(
             cost, read_load, missing, allowed, static_load, order
         )
 
-    def _place_x_balance_loop(
+    def _place_x_balance(
         self,
         cost: np.ndarray,
         read_load: np.ndarray,
@@ -364,37 +295,9 @@ class SubproblemSolver:
         static_load: np.ndarray,
         order: np.ndarray,
     ) -> np.ndarray:
-        """Reference LPT loop: one numpy argmin per transaction."""
-        num_transactions = cost.shape[0]
-        x = np.zeros((num_transactions, self.num_sites), dtype=bool)
-        loads = static_load.copy()
-        for t in order:
-            if allowed[t].any():
-                candidate_sites = np.flatnonzero(allowed[t])
-            else:
-                min_missing = missing[t].min()
-                candidate_sites = np.flatnonzero(missing[t] == min_missing)
-            current_max = loads.max()
-            delta = np.maximum(
-                loads[candidate_sites] + read_load[t, candidate_sites],
-                current_max,
-            ) - current_max
-            score = cost[t, candidate_sites] + (1.0 - self.lam) * delta
-            best = candidate_sites[np.argmin(score)]
-            x[t, best] = True
-            loads[best] += read_load[t, best]
-        return x
-
-    def _place_x_balance_fast(
-        self,
-        cost: np.ndarray,
-        read_load: np.ndarray,
-        missing: np.ndarray,
-        allowed: np.ndarray,
-        static_load: np.ndarray,
-        order: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorised candidate masks + scalar LPT scan; bitwise equal."""
+        """LPT placement in ``order``: vectorised candidate masks, then a
+        scalar scan charging each allowed site its cost plus the
+        ``(1 - lam)``-weighted increase of the max load."""
         num_transactions = cost.shape[0]
         x = np.zeros((num_transactions, self.num_sites), dtype=bool)
         candidate_mask = allowed

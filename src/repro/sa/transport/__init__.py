@@ -1,9 +1,9 @@
 """The socket transport of the multi-box restart portfolio.
 
-PR 5's :class:`~repro.sa.backends.queue.QueueBackend` defined the wire
-format — versioned JSON task/result envelopes that are pure functions of
-``(restart, seed, single-run options, instance, parameters)`` — and this
-package carries those envelopes over a real transport:
+:mod:`repro.sa.backends.queue` defines the wire format — versioned JSON
+task/result envelopes that are pure functions of ``(restart, seed,
+single-run options, instance, parameters)`` — and this package carries
+those envelopes over a real transport:
 
 * :mod:`~repro.sa.transport.protocol` — length-prefixed JSON frames
   over a TCP socket, with protocol/envelope version negotiation at
@@ -14,7 +14,8 @@ package carries those envelopes over a real transport:
   heartbeats, requeues restarts lost to dead/stalled workers (bounded
   retries, deterministic exponential backoff), broadcasts the shared
   incumbent so ``objective6_lower_bound`` pruning works across boxes,
-  and degrades to in-driver execution when the worker pool drains;
+  and degrades to in-driver execution when the worker pool drains
+  (``workers=0`` asks for that in-driver loop from the start);
 * :mod:`~repro.sa.transport.faults` — a deterministic, seedable
   :class:`FaultPlan` (drop / delay / duplicate / corrupt frames, kill a
   worker mid-restart, stall its heartbeat) injected at the protocol

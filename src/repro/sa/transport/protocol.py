@@ -16,11 +16,13 @@ are identical bytes — which is what lets the fault harness target, say,
 "the third RESULT frame" deterministically, and lets the driver treat a
 re-sent task envelope as an idempotency key.
 
-The task/result *envelopes* themselves (the JSON documents defined by
-:mod:`repro.sa.backends.queue`) ride inside TASK/RESULT frames as
-strings, not as inlined objects: the envelope bytes on the socket are
-exactly the bytes :func:`~repro.sa.backends.queue.encode_restart_task`
-produced, so the cross-backend bitwise contract needs no re-proof here.
+The task/result *envelopes* themselves (the JSON documents of the
+envelope codec in :mod:`repro.sa.backends.queue`) ride inside
+TASK/RESULT frames as strings, not as inlined objects: the envelope
+bytes on the socket are exactly the bytes
+:func:`~repro.sa.backends.queue.encode_restart_task` produced — the
+same bytes the driver's own in-driver loop decodes — so the
+cross-backend bitwise contract needs no re-proof here.
 
 Version negotiation happens once per connection, before anything else:
 the worker opens with a HELLO listing every protocol version it speaks

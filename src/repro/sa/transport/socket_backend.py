@@ -2,8 +2,8 @@
 
 The driver listens on a loopback port, spawns ``workers`` remote worker
 processes (``python -m repro.sa.worker --connect ...``), and schedules
-the portfolio's restart tasks over the connections with the same
-at-least-once discipline the queue backend rehearses in-process:
+the portfolio's restart tasks over the connections with an
+at-least-once discipline:
 
 * every dispatched TASK frame must be ACKed; a task that is neither
   acknowledged nor resolved within the heartbeat timeout is presumed
@@ -414,7 +414,7 @@ class _Driver:
     # ------------------------------------------------------------------
     def _next_task(self, now: float) -> RestartTask | None:
         """Pop the first dispatchable pending task, applying the same
-        cancel/prune discipline as the queue backend on the way."""
+        cancel/prune discipline as the serial backend on the way."""
         keep: list[list] = []
         chosen: RestartTask | None = None
         for entry in self.pending:
@@ -608,11 +608,13 @@ class _Driver:
     # Degraded mode
     # ------------------------------------------------------------------
     def _drain_in_driver(self) -> None:
-        """Run everything still owed through the queue-worker loop.
+        """Run everything still owed through an in-driver
+        :class:`QueueWorker` loop (all of it when ``workers=0``).
 
         Same envelope encode/decode path as the remote workers, so the
         outcomes — and hence the portfolio best — stay bitwise
-        identical; retry bookkeeping keeps running so a poisoned
+        identical.  A worker that raises is requeued at the back with
+        no backoff; retry bookkeeping keeps running so a poisoned
         restart still fails loudly instead of looping.
         """
         worker = QueueWorker()

@@ -4,7 +4,7 @@ A worker is one box of the multi-box portfolio.  It dials the driver
 (``--connect HOST:PORT``), negotiates protocol and envelope versions,
 and then loops: receive a TASK frame, acknowledge it, run the task
 envelope through the same :class:`~repro.sa.backends.queue.QueueWorker`
-the in-process queue backend uses — so a result computed remotely is
+the driver's in-driver loop uses — so a result computed remotely is
 byte-identical to one computed locally — and send the RESULT frame
 back.  A daemon ticker thread heartbeats throughout (carrying the id of
 the task currently running, so the driver can tell "lost the result"

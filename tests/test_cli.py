@@ -44,18 +44,18 @@ def test_advise_portfolio_backend_and_prune(capsys):
     exit_code = main([
         "advise", "--instance", "rndBt4x15", "--sites", "2",
         "--solver", "sa-portfolio", "--seed", "0", "--restarts", "2",
-        "--backend", "queue", "--prune",
+        "--backend", "socket", "--workers", "0", "--prune",
     ])
     assert exit_code == 0
     output = capsys.readouterr().out
     assert "best-of-2" in output
-    assert "queue executor" in output
+    assert "socket executor" in output
 
 
 def test_backend_requires_sa_family_solver(capsys):
     exit_code = main([
         "advise", "--instance", "rndBt4x15", "--sites", "2",
-        "--solver", "greedy", "--backend", "queue",
+        "--solver", "greedy", "--backend", "socket",
     ])
     assert exit_code == 1
     assert "--backend" in capsys.readouterr().err

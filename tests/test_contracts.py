@@ -4,7 +4,8 @@
   the QP stage keeps a strictly better warm start, and returns it when
   the time limit leaves HiGHS with no integer solution.
 * A ``time_limit`` bounds the wall time of a request, up to a bounded
-  overshoot for model assembly and solver shutdown.
+  overshoot for model assembly and solver shutdown, for every SA
+  execution backend as well.
 
 The chain assertions do not depend on machine speed: whatever HiGHS
 finds within its budget, the answer may only improve on the stage.
@@ -36,6 +37,12 @@ BUDGET_OVERSHOOT = 1.5
 @pytest.fixture(scope="module")
 def instance():
     return named_instance("rndAt16x15", seed=20)
+
+
+@pytest.fixture(scope="module")
+def large_instance():
+    """Large enough that eight unbudgeted restarts take several budgets."""
+    return named_instance("rndAt64x100", seed=20)
 
 
 def _warm_start_stages() -> list[str]:
@@ -86,4 +93,20 @@ def test_time_limit_bounds_wall_time(instance, strategy):
     ratio = report.wall_time / time_limit
     assert ratio < BUDGET_OVERSHOOT, (
         f"{strategy} took {ratio:.2f}x its time limit"
+    )
+
+
+@pytest.mark.parametrize("backend", ["serial", "process", "thread", "socket"])
+def test_time_limit_bounds_sa_backends(large_instance, backend):
+    time_limit = 2.0
+    report = advise(SolveRequest(
+        large_instance, NUM_SITES, strategy="sa-portfolio", seed=3,
+        time_limit=time_limit,
+        options={"backend": backend, "restarts": 8, "jobs": 2},
+    ))
+    assert report.metadata["executor"] == backend
+    assert report.metadata["cancelled_restarts"] >= 1, "the budget must bind"
+    ratio = report.wall_time / time_limit
+    assert ratio < BUDGET_OVERSHOOT, (
+        f"sa-portfolio on {backend} took {ratio:.2f}x its time limit"
     )

@@ -7,8 +7,9 @@ The laws pinned here (see ``costmodel/incremental.py``):
   all three write-accounting modes, lambda in {1.0, 0.5} and
   replication on/off,
 * trials restore the state bitwise on rollback,
-* full SA runs produce the same result with and without the
-  incremental path for fixed seeds.
+* full SA runs produce the same result with the incremental evaluator
+  and with the dense reference state (``tests/reference_subsolve.py``)
+  for fixed seeds.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.exceptions import InstanceError, SolverError
 from repro.sa.annealer import SimulatedAnnealer
 from repro.sa.options import SaOptions
 from tests.conftest import random_feasible_solution, small_random_instance
+from tests.reference_subsolve import DenseState
 
 ALL_MODES = tuple(WriteAccounting)
 TOLERANCE = 1e-9
@@ -228,9 +230,9 @@ class TestAnnealerEquivalence:
     @pytest.mark.parametrize("mode", ALL_MODES)
     @pytest.mark.parametrize("lam", [1.0, 0.5])
     @pytest.mark.parametrize("disjoint", [False, True])
-    def test_sa_results_match_dense_path(self, mode, lam, disjoint):
+    def test_sa_results_match_dense_path(self, mode, lam, disjoint, monkeypatch):
         """Fixed seeds: the annealer returns the same best cost with
-        the incremental evaluator and with the dense path."""
+        the incremental evaluator and with the dense reference state."""
         for seed in range(3):
             instance = small_random_instance(seed)
             coefficients = build_coefficients(
@@ -238,7 +240,10 @@ class TestAnnealerEquivalence:
                 CostParameters(write_accounting=mode, load_balance_lambda=lam),
             )
             costs = {}
-            for incremental in (True, False):
+            for state in (IncrementalEvaluator, DenseState):
+                monkeypatch.setattr(
+                    "repro.sa.annealer.IncrementalEvaluator", state
+                )
                 annealer = SimulatedAnnealer(
                     coefficients,
                     3,
@@ -247,10 +252,11 @@ class TestAnnealerEquivalence:
                         max_outer_loops=6,
                         seed=seed,
                         disjoint=disjoint,
-                        incremental=incremental,
                     ),
                 )
                 x, y, cost = annealer.run()
                 assert check_solution_feasible(coefficients, x, y)
-                costs[incremental] = cost
-            assert costs[True] == pytest.approx(costs[False], rel=1e-9, abs=1e-6)
+                costs[state] = cost
+            assert costs[IncrementalEvaluator] == pytest.approx(
+                costs[DenseState], rel=1e-9, abs=1e-6
+            )

@@ -17,7 +17,7 @@ The contracts pinned here:
   with ``current_layout`` + ``migration_cost=0`` to the layout-free
   solve, and SA's warm start makes the migrated best never lose to the
   deterministic stay-put solution (replicated and disjoint, serial and
-  queue backends),
+  socket backends),
 * :meth:`~repro.api.advisor.Advisor.readvise` produces a consistent
   :class:`~repro.api.report.MigrationReport` from every trace form,
 * the streaming decayed collector and the estimator edge cases
@@ -417,26 +417,31 @@ class TestSaWarmStart:
             assert best <= stay + 1e-9 * max(1.0, abs(stay))
 
     def test_queue_backend_matches_serial_with_layout(self):
-        """The portfolio envelope (format v3) carries the layout to
-        workers: queue execution replays bit-identically to serial."""
+        """The task envelope carries the layout to workers: the socket
+        backend's in-driver envelope loop replays bit-identically to
+        serial."""
         instance = small_random_instance(3)
         layout = layout_for(instance, 2, seed=30)
         advisor = Advisor()
         results = {}
-        for backend in ("serial", "queue"):
+        for backend in ("serial", "socket"):
             request = SolveRequest(
                 instance, num_sites=2, strategy="sa-portfolio",
-                options={**SA_OPTIONS, "restarts": 2, "backend": backend},
+                options={
+                    **SA_OPTIONS, "restarts": 2, "backend": backend,
+                    "workers": 0,
+                },
                 seed=7, current_layout=layout, migration_cost=1.0,
             )
             results[backend] = advisor.advise(request).result
+        assert results["socket"].metadata["executor"] == "socket"
         np.testing.assert_array_equal(
-            results["serial"].x, results["queue"].x
+            results["serial"].x, results["socket"].x
         )
         np.testing.assert_array_equal(
-            results["serial"].y, results["queue"].y
+            results["serial"].y, results["socket"].y
         )
-        assert results["serial"].objective == results["queue"].objective
+        assert results["serial"].objective == results["socket"].objective
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.sa.state import (
     read_sharing_components,
 )
 from tests.conftest import brute_force_optimum, small_random_instance
+from tests.reference_subsolve import DenseState
 
 
 class TestInitialTemperature:
@@ -208,31 +209,40 @@ def _collapsed_cost(coefficients, num_sites, disjoint=False):
 class TestExitPaths:
     """Every exit — including wall-clock timeouts — runs through the
     collapsed one-site guard (regression for the unguarded time-limit
-    early returns)."""
+    early returns), with the incremental evaluator and with the dense
+    reference state."""
 
     @pytest.mark.parametrize("incremental", [True, False])
-    def test_timeout_blended_never_worse_than_collapsed(self, incremental):
+    def test_timeout_blended_never_worse_than_collapsed(
+        self, incremental, monkeypatch
+    ):
+        if not incremental:
+            monkeypatch.setattr("repro.sa.annealer.IncrementalEvaluator", DenseState)
         for seed in range(5):
             instance = small_random_instance(seed, num_transactions=8, num_tables=6)
             coefficients = build_coefficients(instance, CostParameters())
             annealer = SimulatedAnnealer(
                 coefficients, 3,
                 SaOptions(inner_loops=50, max_outer_loops=50, seed=seed,
-                          time_limit=0.0, incremental=incremental),
+                          time_limit=0.0),
             )
             x, y, cost = annealer.run()
             assert check_solution_feasible(coefficients, x, y)
             assert cost <= _collapsed_cost(coefficients, 3) + 1e-9
 
     @pytest.mark.parametrize("incremental", [True, False])
-    def test_timeout_disjoint_never_worse_than_collapsed(self, incremental):
+    def test_timeout_disjoint_never_worse_than_collapsed(
+        self, incremental, monkeypatch
+    ):
+        if not incremental:
+            monkeypatch.setattr("repro.sa.annealer.IncrementalEvaluator", DenseState)
         for seed in range(5):
             instance = small_random_instance(seed, num_transactions=8, num_tables=6)
             coefficients = build_coefficients(instance, CostParameters())
             annealer = SimulatedAnnealer(
                 coefficients, 3,
                 SaOptions(inner_loops=50, max_outer_loops=50, seed=seed,
-                          time_limit=0.0, disjoint=True, incremental=incremental),
+                          time_limit=0.0, disjoint=True),
             )
             x, y, cost = annealer.run()
             assert check_solution_feasible(coefficients, x, y)

@@ -1,9 +1,9 @@
 """Pluggable portfolio execution backends and the shared incumbent.
 
 Pins the PR-5 acceptance contract: all backends return bitwise-identical
-best results per master seed, queue envelopes round-trip and replay
-byte-identically, worker faults are retried without losing determinism,
-and pruning only ever skips restarts that cannot win.
+best results per master seed, task envelopes round-trip and replay
+byte-identically, and pruning only ever skips restarts that cannot win.
+Envelope-level worker faults are pinned in ``tests/test_transport.py``.
 """
 
 import json
@@ -28,7 +28,6 @@ from repro.model.workload import Query, Transaction, Workload
 from repro.sa.backends import (
     BackendRun,
     PortfolioPlan,
-    QueueBackend,
     QueueWorker,
     SerialBackend,
     SharedIncumbent,
@@ -47,6 +46,9 @@ from repro.sa.solver import SaPartitioner
 from tests.conftest import random_feasible_solution, small_random_instance
 
 FAST = dict(inner_loops=6, max_outer_loops=6)
+#: The socket backend's in-driver loop: task envelopes through a
+#: ``QueueWorker`` in this process, no worker processes spawned.
+IN_DRIVER = dict(backend="socket", workers=0)
 
 
 @pytest.fixture(scope="module")
@@ -86,9 +88,7 @@ def read_only_instance() -> ProblemInstance:
 # ----------------------------------------------------------------------
 class TestBackendRegistry:
     def test_builtins_registered(self):
-        assert {
-            "serial", "process", "thread", "queue", "socket"
-        } <= set(backend_names())
+        assert backend_names() == ["process", "serial", "socket", "thread"]
 
     def test_get_backend_unknown_raises(self):
         with pytest.raises(OptionsError, match="unknown execution backend"):
@@ -97,7 +97,20 @@ class TestBackendRegistry:
     def test_options_validate_backend_name(self):
         with pytest.raises(OptionsError, match="unknown execution backend"):
             SaOptions(backend="carrier-pigeon")
-        assert SaOptions(backend="queue").backend == "queue"
+        with pytest.raises(OptionsError, match="unknown execution backend"):
+            SaOptions(backend="queue")
+        assert SaOptions(backend="socket").backend == "socket"
+
+    def test_retired_options_rejected_by_requests(self):
+        instance = small_random_instance(5)
+        for options in ({"backend": "queue"}, {"incremental": False}):
+            with pytest.raises(OptionsError, match="queue|incremental"):
+                advise(
+                    SolveRequest(
+                        instance, 2, strategy="sa-portfolio", seed=1,
+                        options=options,
+                    )
+                )
 
     def test_register_backend_and_run(self, coefficients):
         class CountingSerial(SerialBackend):
@@ -133,16 +146,19 @@ class TestBackendParity:
     @pytest.fixture(scope="class")
     def per_backend(self, coefficients):
         results = {}
-        for backend, jobs in (("serial", 1), ("process", 2), ("queue", 1)):
+        for backend, jobs in (("serial", 1), ("process", 2), ("socket", 1)):
             results[backend] = run_portfolio(
                 coefficients, 3,
-                SaOptions(seed=11, restarts=4, jobs=jobs, backend=backend, **FAST),
+                SaOptions(
+                    seed=11, restarts=4, jobs=jobs, backend=backend,
+                    workers=0, **FAST,
+                ),
             )
         return results
 
     def test_bitwise_identical_best(self, per_backend):
         serial = per_backend["serial"]
-        for backend in ("process", "queue"):
+        for backend in ("process", "socket"):
             other = per_backend[backend]
             assert other.objective6 == serial.objective6
             assert other.best_restart == serial.best_restart
@@ -151,7 +167,7 @@ class TestBackendParity:
 
     def test_identical_per_restart_records(self, per_backend):
         serial = per_backend["serial"]
-        for backend in ("process", "queue"):
+        for backend in ("process", "socket"):
             other = per_backend[backend]
             assert other.restart_objectives == serial.restart_objectives
             assert other.restart_seeds == serial.restart_seeds
@@ -161,7 +177,7 @@ class TestBackendParity:
 
     def test_executor_label(self, per_backend):
         assert per_backend["serial"].executor == "serial"
-        assert per_backend["queue"].executor == "queue"
+        assert per_backend["socket"].executor == "socket"
         # the pool may legitimately fall back to threads on exotic
         # platforms; on CI/linux it is the process pool.
         assert per_backend["process"].executor in ("process", "thread")
@@ -169,9 +185,9 @@ class TestBackendParity:
     def test_backend_routes_through_sa_partitioner(self, coefficients):
         result = SaPartitioner(
             coefficients, 3,
-            options=SaOptions(seed=11, restarts=2, backend="queue", **FAST),
+            options=SaOptions(seed=11, restarts=2, **IN_DRIVER, **FAST),
         ).solve()
-        assert result.metadata["executor"] == "queue"
+        assert result.metadata["executor"] == "socket"
         assert result.metadata["pruned_restarts"] == 0
 
     def test_explicit_backend_with_single_restart(self, coefficients):
@@ -179,14 +195,14 @@ class TestBackendParity:
         single = SaPartitioner(
             coefficients, 3, options=SaOptions(seed=11, **FAST)
         ).solve()
-        queued = SaPartitioner(
+        socket = SaPartitioner(
             coefficients, 3,
-            options=SaOptions(seed=11, backend="queue", **FAST),
+            options=SaOptions(seed=11, **IN_DRIVER, **FAST),
         ).solve()
-        assert queued.metadata["executor"] == "queue"
-        assert queued.objective == single.objective
-        np.testing.assert_array_equal(queued.x, single.x)
-        np.testing.assert_array_equal(queued.y, single.y)
+        assert socket.metadata["executor"] == "socket"
+        assert socket.objective == single.objective
+        np.testing.assert_array_equal(socket.x, single.x)
+        np.testing.assert_array_equal(socket.y, single.y)
 
     def test_advise_accepts_backend_option(self):
         instance = small_random_instance(5, num_tables=4, max_attributes_per_table=8)
@@ -194,15 +210,17 @@ class TestBackendParity:
             backend: advise(
                 SolveRequest(
                     instance, 3, strategy="sa-portfolio", seed=11,
-                    options={"restarts": 3, "backend": backend, **FAST},
+                    options={
+                        "restarts": 3, "backend": backend, "workers": 0, **FAST
+                    },
                 )
             )
-            for backend in ("serial", "queue")
+            for backend in ("serial", "socket")
         }
-        serial, queue = reports["serial"].result, reports["queue"].result
-        assert queue.objective == serial.objective
-        np.testing.assert_array_equal(queue.x, serial.x)
-        assert queue.metadata["executor"] == "queue"
+        serial, socket = reports["serial"].result, reports["socket"].result
+        assert socket.objective == serial.objective
+        np.testing.assert_array_equal(socket.x, serial.x)
+        assert socket.metadata["executor"] == "socket"
 
 
 class TestAutoBackendDisambiguation:
@@ -215,7 +233,7 @@ class TestAutoBackendDisambiguation:
         report = advise(
             SolveRequest(
                 instance, 2, strategy="auto", seed=1,
-                options={"backend": "queue", "restarts": 2},
+                options={**IN_DRIVER, "restarts": 2},
             )
         )
         assert report.result.metadata["auto_pick"] == "qp"
@@ -237,11 +255,11 @@ class TestAutoBackendDisambiguation:
         report = advise(
             SolveRequest(
                 instance, 2, strategy="auto", seed=1,
-                options={"backend": "queue", "auto_cutoff": 1, **FAST},
+                options={**IN_DRIVER, "auto_cutoff": 1, **FAST},
             )
         )
         assert report.result.metadata["auto_pick"] == "sa"
-        assert report.result.metadata["executor"] == "queue"
+        assert report.result.metadata["executor"] == "socket"
 
     def test_auto_sa_pick_rejects_unknown_backend(self):
         """A typo'd backend must raise, not silently fall back."""
@@ -268,7 +286,7 @@ class TestAutoBackendDisambiguation:
 
 
 # ----------------------------------------------------------------------
-# Queue envelopes
+# Task envelopes
 # ----------------------------------------------------------------------
 class TestQueueEnvelopes:
     def test_task_envelope_round_trips(self, coefficients):
@@ -307,7 +325,7 @@ class TestQueueEnvelopes:
         assert "wall_time" not in payload  # transport-dependent, not wire
 
     def test_result_matches_direct_run(self, coefficients):
-        """Decoded queue outcomes equal the in-process annealer's."""
+        """Decoded envelope outcomes equal the in-process annealer's."""
         options = SaOptions(seed=11, **FAST)
         direct = SaPartitioner(coefficients, 3, options=options).solve()
         envelope = encode_restart_task(
@@ -328,7 +346,7 @@ class TestQueueEnvelopes:
         with pytest.raises(OptionsError, match="non-canonical"):
             run_portfolio(
                 doctored, 3,
-                SaOptions(seed=1, restarts=2, backend="queue", **FAST),
+                SaOptions(seed=1, restarts=2, **IN_DRIVER, **FAST),
             )
 
     def test_task_version_and_kind_checked(self, coefficients):
@@ -355,64 +373,20 @@ class TestQueueEnvelopes:
 
 
 # ----------------------------------------------------------------------
-# Queue fault paths
+# Retry budget
 # ----------------------------------------------------------------------
-class FlakyWorker(QueueWorker):
-    """Raises the first ``failures_per_restart`` times a restart runs."""
-
-    def __init__(self, failures_per_restart: dict[int, int]):
-        self.failures_per_restart = dict(failures_per_restart)
-        self.seen: list[int] = []
-
-    def run(self, envelope: str) -> str:
-        restart = json.loads(envelope)["restart"]
-        self.seen.append(restart)
-        if self.failures_per_restart.get(restart, 0) > 0:
-            self.failures_per_restart[restart] -= 1
-            raise RuntimeError(f"injected fault on restart {restart}")
-        return super().run(envelope)
-
-
 class TestQueueFaults:
-    def test_failed_restart_is_requeued_and_deterministic(self, coefficients):
-        options = SaOptions(seed=11, restarts=4, **FAST)
-        reference = run_portfolio(coefficients, 3, options, backend="serial")
-
-        worker = FlakyWorker({1: 1, 2: 2})
-        backend = QueueBackend(worker=worker, max_retries=2)
-        portfolio = run_portfolio(coefficients, 3, options, backend=backend)
-
-        # every restart completed despite the mid-restart faults ...
-        assert len(portfolio.outcomes) == 4
-        assert backend.failures == {1: 1, 2: 2}
-        # ... the failed tasks went to the back of the queue ...
-        assert worker.seen == [0, 1, 2, 3, 1, 2, 2]
-        # ... and the best is bitwise identical to the serial reference.
-        assert portfolio.objective6 == reference.objective6
-        assert portfolio.best_restart == reference.best_restart
-        np.testing.assert_array_equal(portfolio.x, reference.x)
-        np.testing.assert_array_equal(portfolio.y, reference.y)
-        assert portfolio.restart_objectives == reference.restart_objectives
-
-    def test_exhausted_retries_raise(self, coefficients):
-        worker = FlakyWorker({0: 99})
-        backend = QueueBackend(worker=worker, max_retries=1)
-        with pytest.raises(SolverError, match="restart 0"):
-            run_portfolio(
-                coefficients, 3,
-                SaOptions(seed=11, restarts=2, **FAST),
-                backend=backend,
-            )
+    """The retry budget of the envelope backends; the fault paths
+    themselves are pinned in ``tests/test_transport.py``."""
 
     def test_negative_max_retries_rejected_at_construction(self):
-        """A negative budget is a misconfiguration, not 'never retry' —
-        it fails eagerly, before any solve starts."""
-        with pytest.raises(OptionsError, match="max_retries"):
-            QueueBackend(max_retries=-1)
-        with pytest.raises(OptionsError, match="max_retries"):
-            SaOptions(max_retries=-1)
+        """A negative or non-integer budget is a misconfiguration, not
+        'never retry' — it fails eagerly, before any solve starts."""
+        for bad in (-1, True, 1.5):
+            with pytest.raises(OptionsError, match="max_retries"):
+                SaOptions(max_retries=bad)
         # 0 is legal and means: failed restarts are never retried.
-        assert QueueBackend(max_retries=0).max_retries == 0
+        assert SaOptions(max_retries=0).max_retries == 0
 
 
 # ----------------------------------------------------------------------
@@ -563,11 +537,11 @@ class TestPruning:
             read_only_instance(), CostParameters(load_balance_lambda=1.0)
         )
 
-    @pytest.mark.parametrize("backend", ["serial", "queue"])
+    @pytest.mark.parametrize("backend", ["serial", "socket"])
     def test_prune_skips_doomed_restarts_bitwise_identically(
         self, flat_coefficients, backend
     ):
-        options = dict(seed=3, restarts=5, backend=backend, **FAST)
+        options = dict(seed=3, restarts=5, backend=backend, workers=0, **FAST)
         pruned = run_portfolio(
             flat_coefficients, 3, SaOptions(prune=True, **options)
         )

@@ -10,6 +10,7 @@ from repro.exceptions import SolverError
 from repro.sa.state import random_transaction_placement
 from repro.sa.subsolve import SubproblemSolver
 from tests.conftest import small_random_instance
+from tests.reference_subsolve import LoopSubproblemSolver
 
 
 @pytest.fixture
@@ -159,8 +160,8 @@ class TestOptimizeX:
 
 
 class TestFastMatchesLoop:
-    """The default fast balance-aware placements must be *bitwise* equal
-    to the reference loop path (``vectorized=False``) — same IEEE
+    """The balance-aware placements must be *bitwise* equal to the
+    reference loops of :class:`LoopSubproblemSolver` — same IEEE
     operations in the same order, only the per-iteration overhead gone."""
 
     @pytest.mark.parametrize("lam", [0.3, 0.5, 0.9])
@@ -172,7 +173,7 @@ class TestFastMatchesLoop:
                 instance, CostParameters(load_balance_lambda=lam)
             )
             fast = SubproblemSolver(coefficients, num_sites)
-            loop = SubproblemSolver(coefficients, num_sites, vectorized=False)
+            loop = LoopSubproblemSolver(coefficients, num_sites)
             rng = np.random.default_rng(seed)
             x = random_transaction_placement(
                 coefficients.num_transactions, num_sites, rng
@@ -190,7 +191,7 @@ class TestFastMatchesLoop:
                 instance, CostParameters(load_balance_lambda=lam)
             )
             fast = SubproblemSolver(coefficients, num_sites)
-            loop = SubproblemSolver(coefficients, num_sites, vectorized=False)
+            loop = LoopSubproblemSolver(coefficients, num_sites)
             rng = np.random.default_rng(seed + 20)
             x0 = random_transaction_placement(
                 coefficients.num_transactions, num_sites, rng
@@ -208,7 +209,7 @@ class TestFastMatchesLoop:
                 instance, CostParameters(load_balance_lambda=lam)
             )
             fast = SubproblemSolver(coefficients, 3)
-            loop = SubproblemSolver(coefficients, 3, vectorized=False)
+            loop = LoopSubproblemSolver(coefficients, 3)
             x = np.zeros((coefficients.num_transactions, 3), dtype=bool)
             x[:, seed % 3] = True  # co-located -> disjoint feasible
             np.testing.assert_array_equal(
@@ -218,32 +219,39 @@ class TestFastMatchesLoop:
 
     def test_negative_candidate_branch_bitwise_equal(self):
         """Synthetic ``k`` with many negative entries exercises the
-        cost-negative replica scan (real instances often have none)."""
+        cost-negative replica scan (real instances often have none).
+        On the collapsed layout the forced replicas make site 0 the
+        max-load site, so its candidates also pay a load overflow."""
         instance = small_random_instance(1)
         coefficients = build_coefficients(
             instance, CostParameters(load_balance_lambda=0.5)
         )
         num_sites = 3
         fast = SubproblemSolver(coefficients, num_sites)
-        loop = SubproblemSolver(coefficients, num_sites, vectorized=False)
+        loop = LoopSubproblemSolver(coefficients, num_sites)
         rng = np.random.default_rng(0)
         num_attributes = coefficients.num_attributes
-        x = random_transaction_placement(
+        spread = random_transaction_placement(
             coefficients.num_transactions, num_sites, rng
         )
-        forced = fast.forced_y(x)
-        for trial in range(5):
-            k = rng.normal(scale=50.0, size=(num_attributes, num_sites))
-            load_weight = rng.uniform(0.0, 30.0, size=(num_attributes, num_sites))
-            assert (k < 0).sum() > 0
-            np.testing.assert_array_equal(
-                fast.optimize_y_greedy(
-                    x, k=k, load_weight=load_weight, forced=forced
-                ),
-                loop.optimize_y_greedy(
-                    x, k=k, load_weight=load_weight, forced=forced
-                ),
-            )
+        collapsed = np.zeros_like(spread)
+        collapsed[:, 0] = True
+        for x in (spread, collapsed):
+            forced = fast.forced_y(x)
+            for trial in range(5):
+                k = rng.normal(scale=50.0, size=(num_attributes, num_sites))
+                load_weight = rng.uniform(
+                    0.0, 30.0, size=(num_attributes, num_sites)
+                )
+                assert (k < 0).sum() > 0
+                np.testing.assert_array_equal(
+                    fast.optimize_y_greedy(
+                        x, k=k, load_weight=load_weight, forced=forced
+                    ),
+                    loop.optimize_y_greedy(
+                        x, k=k, load_weight=load_weight, forced=forced
+                    ),
+                )
 
     def test_tie_break_prefers_first_site(self):
         """Equal scores must resolve to the lowest site index on both
@@ -254,7 +262,7 @@ class TestFastMatchesLoop:
         )
         num_sites = 4
         fast = SubproblemSolver(coefficients, num_sites)
-        loop = SubproblemSolver(coefficients, num_sites, vectorized=False)
+        loop = LoopSubproblemSolver(coefficients, num_sites)
         num_attributes = coefficients.num_attributes
         x = np.zeros((coefficients.num_transactions, num_sites), dtype=bool)
         x[:, 0] = True

@@ -8,6 +8,7 @@ bitwise identical to :class:`~repro.sa.backends.serial.SerialBackend`
 under *every* fault schedule, with incumbent pruning on and off.
 """
 
+import json
 import os
 import socket as socket_module
 import threading
@@ -25,7 +26,7 @@ from repro.exceptions import (
     SolverError,
     TransportError,
 )
-from repro.sa.backends import backend_names, get_backend
+from repro.sa.backends import QueueWorker, backend_names, get_backend
 from repro.sa.backends.queue import ENVELOPE_FORMAT_VERSION
 from repro.sa.options import SaOptions
 from repro.sa.portfolio import run_portfolio
@@ -623,6 +624,67 @@ class TestFailurePaths:
 
 
 # ----------------------------------------------------------------------
+# Worker failures in the in-driver loop (workers=0)
+# ----------------------------------------------------------------------
+class FlakyWorker(QueueWorker):
+    """Raises the first ``failures_per_restart`` times a restart runs."""
+
+    def __init__(self, failures_per_restart: dict[int, int]):
+        self.failures_per_restart = dict(failures_per_restart)
+        self.seen: list[int] = []
+
+    def run(self, envelope: str) -> str:
+        restart = json.loads(envelope)["restart"]
+        self.seen.append(restart)
+        if self.failures_per_restart.get(restart, 0) > 0:
+            self.failures_per_restart[restart] -= 1
+            raise RuntimeError(f"injected fault on restart {restart}")
+        return super().run(envelope)
+
+
+@pytest.mark.chaos
+class TestInDriverFaults:
+    """A worker that raises mid-restart in the driver's own envelope
+    loop: the restart goes to the back of the queue, bounded by
+    ``max_retries``, and the result stays bitwise equal to serial."""
+
+    def test_failed_restart_is_requeued_and_deterministic(
+        self, coefficients, serial_baselines, monkeypatch
+    ):
+        worker = FlakyWorker({1: 1, 2: 2})
+        monkeypatch.setattr(socket_backend, "QueueWorker", lambda: worker)
+        portfolio = run_portfolio(
+            coefficients, NUM_SITES,
+            SaOptions(**dict(CHAOS_OPTIONS, max_retries=2)),
+            backend=SocketTransportBackend(workers=0),
+        )
+
+        # every restart completed despite the mid-restart faults ...
+        assert len(portfolio.outcomes) == 4
+        assert portfolio.retried_restarts == 2
+        assert portfolio.requeue_count == 3
+        assert portfolio.worker_failures == 3
+        # ... the failed tasks went to the back of the queue ...
+        assert worker.seen == [0, 1, 2, 3, 1, 2, 2]
+        # ... and the best is bitwise identical to the serial reference.
+        reference = serial_baselines[False]
+        assert_bitwise_identical(portfolio, reference)
+        assert portfolio.restart_objectives == reference.restart_objectives
+
+    def test_exhausted_retries_raise(self, coefficients, monkeypatch):
+        worker = FlakyWorker({0: 99})
+        monkeypatch.setattr(socket_backend, "QueueWorker", lambda: worker)
+        with pytest.raises(
+            SolverError, match="socket worker failed restart 0 2 times"
+        ):
+            run_portfolio(
+                coefficients, NUM_SITES,
+                SaOptions(**dict(CHAOS_OPTIONS, max_retries=1, restarts=2)),
+                backend=SocketTransportBackend(workers=0),
+            )
+
+
+# ----------------------------------------------------------------------
 # Telemetry surfacing (satellite: SolveReport metadata + resilience)
 # ----------------------------------------------------------------------
 class TestTelemetrySurfacing:
@@ -635,7 +697,8 @@ class TestTelemetrySurfacing:
                 strategy="sa-portfolio",
                 seed=7,
                 options=dict(
-                    restarts=2, inner_loops=3, max_outer_loops=6, backend="queue"
+                    restarts=2, inner_loops=3, max_outer_loops=6,
+                    backend="socket", workers=0,
                 ),
             )
         )
