@@ -120,7 +120,6 @@ class SolveReport:
     def resilience(self) -> dict[str, int]:
         """Fault/skip telemetry of the solve's restart portfolio.
 
-        ``pruned_restarts`` (skipped by the shared-incumbent proof),
         ``retried_restarts`` (distinct restarts that needed a retry),
         ``requeue_count`` (total failed/lost attempts re-dispatched) and
         ``worker_failures`` (faulted runs, dead connections, stalled
@@ -131,7 +130,6 @@ class SolveReport:
         return {
             key: int(metadata.get(key, 0))
             for key in (
-                "pruned_restarts",
                 "retried_restarts",
                 "requeue_count",
                 "worker_failures",

@@ -70,8 +70,7 @@ class SolveRequest:
         Per-strategy options (JSON-compatible values only). For ``"sa"``
         / ``"sa-portfolio"`` these mirror
         :class:`~repro.sa.options.SaOptions` fields (including the
-        portfolio's execution ``backend`` and incumbent ``prune``
-        knobs); for ``"qp"`` they are ``gap``, ``latency``,
+        portfolio's execution ``backend``); for ``"qp"`` they are ``gap``, ``latency``,
         ``symmetry_breaking`` and ``time_limit``; ``"auto"``
         additionally honours ``auto_cutoff``.
     seed:

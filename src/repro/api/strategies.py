@@ -137,10 +137,8 @@ def sa_portfolio_strategy(
     execution backend from :mod:`repro.sa.backends` — "serial",
     "process", "thread", "socket" (the fault-tolerant multi-box
     transport; tune it with ``workers``, ``0`` running it in-driver,
-    ``max_retries`` and the heartbeat/backoff options) — and ``prune``
-    to early-skip
-    restarts the shared incumbent proves unable to win; results are
-    identical whatever the backend, fault history or prune setting)."""
+    ``max_retries`` and the heartbeat/backoff options); results are
+    identical whatever the backend or fault history)."""
     _check_options(request, _SA_OPTION_KEYS, "sa-portfolio")
     options = _sa_options_from(request, restarts_default=DEFAULT_PORTFOLIO_RESTARTS)
     return SaPartitioner(

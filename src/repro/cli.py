@@ -89,8 +89,6 @@ def _advise_request(
         portfolio["backend"] = args.backend
     if args.workers is not None:
         portfolio["workers"] = args.workers
-    if args.prune:
-        portfolio["prune"] = True
 
     if "restarts" in portfolio and not any(
         stage in _PORTFOLIO_STRATEGIES or stage == "hillclimb"
@@ -104,7 +102,6 @@ def _advise_request(
         ("--jobs", "jobs"),
         ("--backend", "backend"),
         ("--workers", "workers"),
-        ("--prune", "prune"),
     ):
         if key in portfolio and not any(
             stage in _PORTFOLIO_STRATEGIES for stage in stages
@@ -189,14 +186,12 @@ def _print_report(args: argparse.Namespace, instance, report, baseline) -> None:
               f"{result.metadata.get('auto_calibration_observations', 0)} "
               f"recorded observations")
     if result.metadata.get("restarts", 1) > 1:
-        pruned = result.metadata.get("pruned_restarts", 0)
         requeued = result.metadata.get("requeue_count", 0)
         print(
             f"portfolio     : best-of-{result.metadata['restarts']} "
             f"(restart {result.metadata['best_restart']} won, "
             f"jobs={result.metadata['jobs']}, "
             f"{result.metadata['executor']} executor"
-            + (f", {pruned} pruned" if pruned else "")
             + (f", {requeued} requeued after faults" if requeued else "")
             + ")"
         )
@@ -288,20 +283,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Delegate to ``python -m repro.service`` (same flags)."""
-    from repro.service.__main__ import main as service_main
+    """Run the advisor service (the flags of ``python -m repro.service``)."""
+    from repro.service.__main__ import run
 
-    argv = ["--host", args.host, "--port", str(args.port),
-            "--max-pending", str(args.max_pending),
-            "--rate", str(args.rate), "--burst", str(args.burst),
-            "--result-cache", str(args.result_cache),
-            "--shed-threshold", str(args.shed_threshold),
-            "--shed-hard-threshold", str(args.shed_hard_threshold)]
-    if args.coefficient_cache is not None:
-        argv += ["--coefficient-cache", str(args.coefficient_cache)]
-    if args.shed_sa_options:
-        argv += ["--shed-sa-options", args.shed_sa_options]
-    return service_main(argv)
+    return run(args)
 
 
 def _cmd_request(args: argparse.Namespace) -> int:
@@ -345,6 +330,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.service.__main__ import add_service_arguments
+
     parser = argparse.ArgumentParser(
         prog="repro-partition",
         description="Vertical partitioning advisor (Amossen, ICDE 2010 "
@@ -410,10 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="worker processes for --backend socket "
                             "(default: the --jobs slots; 0 = degraded "
                             "in-driver mode; results identical either way)")
-        sub.add_argument("--prune", action="store_true",
-                            help="early-prune portfolio restarts the shared "
-                            "incumbent proves unable to beat the best found "
-                            "(skips work only — never changes the result)")
         sub.add_argument("--compress", choices=("off", "lossless", "lossy"),
                             default="off",
                             help="compress the workload before solving: "
@@ -493,30 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the async advisor service (request coalescing, "
         "admission control, load shedding) on loopback TCP",
     )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="port to bind (default: 0 = pick a free one; "
-                       "the bound address is printed once listening)")
-    serve.add_argument("--max-pending", type=int, default=64,
-                       help="bounded pending-solve queue depth")
-    serve.add_argument("--rate", type=float, default=0.0,
-                       help="per-client requests/second (0 disables)")
-    serve.add_argument("--burst", type=int, default=8,
-                       help="per-client token-bucket burst size")
-    serve.add_argument("--result-cache", type=int, default=128,
-                       help="result-cache capacity (0 disables)")
-    serve.add_argument("--coefficient-cache", type=int, default=None,
-                       help="advisor coefficient-cache capacity "
-                       "(default: unbounded)")
-    serve.add_argument("--shed-threshold", type=int, default=0,
-                       help="queue depth that starts light shedding "
-                       "(qp-family requests served by sa-portfolio; "
-                       "0 disables shedding)")
-    serve.add_argument("--shed-hard-threshold", type=int, default=0,
-                       help="queue depth that starts hard shedding "
-                       "(degradable requests served by greedy)")
-    serve.add_argument("--shed-sa-options", default=None, metavar="JSON",
-                       help="options for shed sa/sa-portfolio runs")
+    add_service_arguments(serve)
     serve.set_defaults(func=_cmd_serve)
 
     request = subparsers.add_parser(

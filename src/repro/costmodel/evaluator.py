@@ -241,118 +241,6 @@ class SolutionEvaluator:
         return x, y
 
 
-def objective6_lower_bound(coefficients: CostCoefficients, num_sites: int) -> float:
-    """A cheap, sound lower bound on objective (6) over *all* feasible
-    solutions of model (4) with ``num_sites`` sites.
-
-    Used by the portfolio's shared incumbent
-    (:mod:`repro.sa.backends.incumbent`): once a restart's objective
-    reaches this bound, no later restart can return anything strictly
-    better, so pending restarts may be pruned without changing the
-    best-of-N result.
-
-    The bound sums three floors, each implied by the constraints alone:
-
-    * **reads** — read co-location forces ``y[a, home(t)] = 1`` wherever
-      ``phi[a, t] = 1``, so every read coefficient ``c3[a, t]`` with
-      ``phi[a, t] = 1`` is paid by any feasible solution (attributes
-      with table-only ``beta`` access and no ``phi`` can legally cost
-      nothing);
-    * **writes** — every attribute needs at least one replica, so the
-      per-replica write coefficients ``c4`` are paid at least once
-      (``ALL_ATTRIBUTES``); under ``RELEVANT_ATTRIBUTES`` the site
-      hosting the heaviest updated attribute of each (table group,
-      write query) pair pays at least that attribute's bytes;
-    * **load** — ``p * B >= 0`` and the summed site loads are at least
-      the read + write floors above, so the max load is at least their
-      mean over ``num_sites``.
-
-    The floors use the same coefficient arrays the evaluator sums, but
-    not the same summation *order*, and the evaluator's own objective
-    carries rounding of its einsums — so where the arithmetic is not
-    provably exact (non-integral coefficients, or a ``lambda < 1``
-    blend) the returned bound retreats by a conservative accumulated-
-    rounding margin.  That keeps the prune proof sound in floats: a
-    retreated bound can only make pruning fire less often, never skip a
-    restart that could win.  On integral pure-cost instances (integer
-    widths, frequencies and row counts, ``lambda = 1``) every sum is
-    exact and the bound is returned untouched, so reaching the floor is
-    an exact float equality.
-    """
-    coeff = coefficients
-    parameters = coeff.parameters
-    forced_read = float((coeff.c3 * coeff.phi_bool).sum())
-    if parameters.write_accounting is WriteAccounting.RELEVANT_ATTRIBUTES:
-        write_floor = 0.0
-        masked = coeff.write_updates * coeff.write_weights  # (|A|, |Qw|)
-        if masked.size:
-            group = coeff.attribute_group
-            for g_index in range(int(group.max()) + 1):
-                rows = masked[group == g_index]
-                if rows.size:
-                    write_floor += float(rows.max(axis=0).sum())
-    else:
-        # c4 is already zeroed under NO_ATTRIBUTES accounting.
-        write_floor = float(coeff.c4.sum())
-    cost_floor = forced_read + write_floor  # + p * B, and B >= 0
-    lam = parameters.load_balance_lambda
-    if lam == 1.0:
-        bound = cost_floor
-    else:
-        # Equation (5) loads always use c4, whatever the write accounting.
-        load_floor = (forced_read + float(coeff.c4.sum())) / num_sites
-        bound = lam * cost_floor + (1.0 - lam) * load_floor
-
-    # Exact case: integral addends whose totals fit double-integer range
-    # sum without rounding, and lambda = 1 adds no blend products.  The
-    # check must cover the *evaluator's* arithmetic too: objectives are
-    # computed through c1/c2, which embed network_penalty — a fractional
-    # penalty (whose p*B terms cancel inexactly) makes reported
-    # objectives land ulps off even when c3/c4 are integral, so c1/c2
-    # integrality is part of the condition.
-    # The migration term is >= 0 for every feasible y (the incumbent
-    # covers each attribute somewhere, so min-per-attribute c5 is 0),
-    # hence the floors above remain sound with a block attached; it
-    # does enter the evaluator's arithmetic, so it joins the
-    # integrality/magnitude accounting below.
-    c5_total = 0.0 if coeff.migration is None else float(
-        np.abs(coeff.migration.c5).sum()
-    )
-    magnitude = abs(forced_read) + abs(write_floor) + c5_total + float(
-        np.abs(coeff.c1).sum() + np.abs(coeff.c2).sum() + np.abs(coeff.c4).sum()
-    )
-    integral = (
-        lam == 1.0
-        # the evaluator's replication terms (c2/c4 against y.sum) can
-        # accumulate up to num_sites times these totals, so the
-        # exact-integer-range check scales by num_sites.
-        and magnitude * max(num_sites, 1) < 2.0**52
-        and bool(np.all(coeff.c1 == np.rint(coeff.c1)))
-        and bool(np.all(coeff.c2 == np.rint(coeff.c2)))
-        and bool(np.all(coeff.c3 == np.rint(coeff.c3)))
-        and bool(np.all(coeff.c4 == np.rint(coeff.c4)))
-        and (
-            parameters.write_accounting is not WriteAccounting.RELEVANT_ATTRIBUTES
-            or bool(np.all(coeff.write_weights == np.rint(coeff.write_weights)))
-        )
-        and (
-            coeff.migration is None
-            or bool(
-                np.all(coeff.migration.c5 == np.rint(coeff.migration.c5))
-            )
-        )
-    )
-    if integral:
-        return bound
-    # Accumulated-rounding retreat: both this bound and any evaluated
-    # objective are sums of O(|A| * |T| * |S|) products, each step
-    # rounding at most eps relative to the running magnitude.
-    migration_terms = 0 if coeff.migration is None else coeff.migration.c5.size
-    terms = (coeff.c3.size + coeff.c4.size + migration_terms + 4) * max(num_sites, 1)
-    slack = terms * np.finfo(np.float64).eps * max(magnitude, 1.0)
-    return bound - slack
-
-
 def feasibility_violations(
     coefficients: CostCoefficients, x: np.ndarray, y: np.ndarray
 ) -> list[str]:

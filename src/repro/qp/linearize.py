@@ -146,7 +146,7 @@ def build_linearized_model(
         any effect on the objective).
     symmetry_breaking:
         Sites are homogeneous, so transaction ``t`` may be restricted to
-        sites ``0..t`` without losing any solution; prunes the search
+        sites ``0..t`` without losing any solution; shrinks the search
         considerably.
     """
     if num_sites < 1:

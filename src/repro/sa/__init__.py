@@ -28,7 +28,6 @@ from repro.sa.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    SharedIncumbent,
     backend_names,
     get_backend,
     register_backend,
@@ -47,7 +46,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "SharedIncumbent",
     "backend_names",
     "get_backend",
     "register_backend",

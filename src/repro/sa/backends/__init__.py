@@ -20,12 +20,9 @@ under a name selectable via ``SaOptions(backend=...)``:
   in-driver execution (:mod:`repro.sa.transport`); ``workers=0`` runs
   the envelopes through that in-driver loop alone.
 
-All backends share one :class:`~repro.sa.backends.incumbent.SharedIncumbent`
-per portfolio run (best objective + a provable lower bound) and, with
-``SaOptions(prune=True)``, early-prune restarts the incumbent proves
-unable to win.  Whatever the backend, jobs count or prune setting, the
-returned best is bitwise identical per master seed — backends may only
-*skip* work, never change results.
+Whatever the backend or jobs count, the returned best is bitwise
+identical per master seed — backends may only *skip* work (restarts the
+deadline cancels), never change results.
 
 User backends register with :func:`register_backend`::
 
@@ -46,7 +43,6 @@ from repro.sa.backends.base import (
     restart_options,
     run_restart,
 )
-from repro.sa.backends.incumbent import SharedIncumbent
 from repro.sa.backends.pool import ProcessPoolBackend
 from repro.sa.backends.queue import (
     QueueWorker,
@@ -79,7 +75,6 @@ __all__ = [
     "RestartOutcome",
     "RestartTask",
     "SerialBackend",
-    "SharedIncumbent",
     "backend_names",
     "decode_restart_result",
     "decode_restart_task",

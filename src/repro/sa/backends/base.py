@@ -2,7 +2,7 @@
 
 A portfolio run is a list of :class:`RestartTask`\\ s — pure
 ``(index, seed)`` functions of the shipped coefficients — plus the
-shared budget and incumbent state bundled into a :class:`PortfolioPlan`.
+shared budget bundled into a :class:`PortfolioPlan`.
 An :class:`ExecutionBackend` consumes the plan and returns a
 :class:`BackendRun`; *how* the restarts execute (in-process, across a
 worker pool, or shipped as serialised task envelopes) is the backend's
@@ -15,9 +15,8 @@ business, but every backend must preserve the portfolio contract:
   (:func:`repro.sa.portfolio.run_portfolio`) as the minimum of
   ``(objective6, restart_index)`` over the completed outcomes, so
   completion order never matters;
-* a backend may *skip* work — restarts cancelled by the deadline, or
-  pruned because the shared incumbent proves they cannot win — but it
-  must never return a different outcome for work it does run.
+* a backend may *skip* work — restarts cancelled by the deadline — but
+  it must never return a different outcome for work it does run.
 
 Backends register under a name (:func:`register_backend`) and are
 selected through ``SaOptions(backend=...)``; see
@@ -27,14 +26,13 @@ selected through ``SaOptions(backend=...)``; see
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.costmodel.coefficients import CostCoefficients
 from repro.exceptions import OptionsError
-from repro.sa.backends.incumbent import SharedIncumbent
 from repro.sa.options import SaOptions
 
 
@@ -66,10 +64,8 @@ class RestartOutcome:
 class PortfolioPlan:
     """Everything a backend needs to execute one portfolio.
 
-    The plan owns the shared state: the wall-clock ``deadline``
-    (``time.monotonic`` based, ``None`` = unlimited) and the
-    :class:`~repro.sa.backends.incumbent.SharedIncumbent` through which
-    backends publish finished restarts and query prune decisions.
+    The plan owns the shared wall-clock ``deadline``
+    (``time.monotonic`` based, ``None`` = unlimited).
     """
 
     coefficients: CostCoefficients
@@ -77,9 +73,6 @@ class PortfolioPlan:
     options: SaOptions
     seeds: list[int | None]
     deadline: float | None = None
-    incumbent: SharedIncumbent = field(default_factory=SharedIncumbent)
-    #: Early-prune restarts the incumbent proves unable to win.
-    prune: bool = False
 
     @property
     def jobs(self) -> int:
@@ -102,14 +95,6 @@ class PortfolioPlan:
             return None
         return max(self.deadline - time.monotonic(), 0.0)
 
-    def should_prune(self, restart: int) -> bool:
-        """True iff pruning is on and ``restart`` provably cannot win."""
-        return self.prune and self.incumbent.proves_unbeatable(restart)
-
-    def publish(self, outcome: RestartOutcome) -> None:
-        """Record a finished restart on the shared incumbent."""
-        self.incumbent.publish(outcome.objective6, outcome.restart)
-
 
 @dataclass
 class BackendRun:
@@ -118,8 +103,6 @@ class BackendRun:
     outcomes: list[RestartOutcome]
     #: Restarts skipped because the deadline expired before they started.
     cancelled: int = 0
-    #: Restarts skipped because the incumbent proved they cannot win.
-    pruned: int = 0
     #: Executor label for result metadata ("serial", "process", ...).
     kind: str = "serial"
     #: Distinct restarts that needed at least one retry (fault-tolerant
@@ -138,7 +121,7 @@ class ExecutionBackend(Protocol):
     """The pluggable portfolio executor.
 
     Implementations run (a subset of) ``plan.tasks()`` and return a
-    :class:`BackendRun`.  Restart 0 must never be pruned or cancelled
+    :class:`BackendRun`.  Restart 0 must never be cancelled
     outright by a backend — the caller guarantees a solution by running
     it inline if a degenerate budget cancelled everything, but a
     well-behaved backend runs it itself whenever the budget allows.
@@ -161,7 +144,6 @@ _PORTFOLIO_LEVEL_FIELDS = (
     "jobs",
     "portfolio_time_limit",
     "backend",
-    "prune",
     "workers",
     "max_retries",
     "heartbeat_interval",
@@ -186,7 +168,7 @@ def restart_options(
     """Single-run options for one restart under the portfolio budget.
 
     Strips every portfolio-level knob (``restarts``, ``jobs``,
-    ``portfolio_time_limit``, ``backend``, ``prune``, and the transport
+    ``portfolio_time_limit``, ``backend``, and the transport
     tuning — ``workers``, ``max_retries``, heartbeat/backoff settings)
     so the task is a plain single anneal, and folds the remaining
     portfolio budget into the per-run ``time_limit``.

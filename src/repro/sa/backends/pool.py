@@ -5,10 +5,10 @@ so threads cannot scale it) with the coefficients shipped once per
 worker; environments that cannot fork/pickle fall back to threads, and
 an explicit ``backend="thread"`` forces the fallback.
 
-The shared incumbent lives in the submitting process: outcomes are
-published as their futures complete, and pruning cancels futures that
-have not started yet (``Future.cancel`` is a no-op on running work, so
-pruning can only ever skip restarts, exactly like the deadline).
+Outcomes are collected in the submitting process as their futures
+complete; once the deadline passes, futures that have not started are
+cancelled (``Future.cancel`` is a no-op on running work, so the deadline
+can only ever skip restarts).
 """
 
 from __future__ import annotations
@@ -122,13 +122,7 @@ class ProcessPoolBackend:
                             f"{futures[future]}: "
                             f"{type(error).__name__}: {error}"
                         ) from error
-                    plan.publish(outcome)
                     run.outcomes.append(outcome)
-                if plan.prune:
-                    for future in list(pending):
-                        if plan.should_prune(futures[future]) and future.cancel():
-                            pending.discard(future)
-                            run.pruned += 1
                 if deadline is not None and plan.expired():
                     # Budget spent: cancel restarts that have not started;
                     # already-running stragglers stop through their own

@@ -46,9 +46,9 @@ from repro.sa.options import SaOptions
 #: argument present in every options document) and, when a migration
 #: block is attached, the request's ``current_layout``/
 #: ``migration_cost`` members.  Version 4 dropped the ``incremental``
-#: options keyword.  The socket transport negotiates this version at
-#: connect.
-ENVELOPE_FORMAT_VERSION = 4
+#: options keyword, and version 5 the restart-pruning one.  The socket
+#: transport negotiates this version at connect.
+ENVELOPE_FORMAT_VERSION = 5
 TASK_KIND = "sa-restart"
 RESULT_KIND = "sa-restart-result"
 

@@ -10,9 +10,7 @@ class SerialBackend:
 
     This is the default for ``jobs=1`` and the reference semantics the
     other backends are pinned against: restarts execute in index order,
-    each publishing to the shared incumbent before the next prune check,
-    so with pruning enabled the serial backend skips the longest
-    possible suffix of doomed restarts.
+    and those the deadline has passed before they start are cancelled.
     """
 
     name = "serial"
@@ -23,9 +21,6 @@ class SerialBackend:
             if task.restart > 0 and plan.expired():
                 run.cancelled += 1
                 continue
-            if plan.should_prune(task.restart):
-                run.pruned += 1
-                continue
             outcome = run_restart(
                 plan.coefficients,
                 plan.num_sites,
@@ -34,6 +29,5 @@ class SerialBackend:
                 task.seed,
                 plan.deadline,
             )
-            plan.publish(outcome)
             run.outcomes.append(outcome)
         return run

@@ -71,11 +71,6 @@ class SaOptions:
     #: worker slot, the process pool otherwise).  The returned best is
     #: bitwise identical per master seed whatever the backend.
     backend: str | None = None
-    #: Publish the best objective between restarts on a shared incumbent
-    #: and skip restarts provably unable to beat it (the incumbent has
-    #: reached the objective's lower bound with an earlier index).
-    #: Pruning only skips work — it never changes the returned best.
-    prune: bool = False
     #: Worker processes the ``"socket"`` transport backend spawns
     #: (``None`` = one per usable job slot).  ``0`` is legal and runs
     #: the whole portfolio through the transport's in-driver degraded

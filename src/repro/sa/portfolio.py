@@ -25,13 +25,7 @@ transport), selected via
   started when the budget runs out are cancelled, and running stragglers
   are cut short through the annealer's own wall-clock guard (every such
   exit still routes through the collapsed one-site guard, so truncated
-  restarts return valid solutions);
-* with ``SaOptions(prune=True)`` a :class:`~repro.sa.backends.incumbent.
-  SharedIncumbent` publishes the best objective between restarts and
-  backends skip restarts provably unable to win (the incumbent reached
-  :func:`~repro.costmodel.evaluator.objective6_lower_bound` with an
-  earlier index).  Pruning only ever skips work — the returned best is
-  bitwise identical with pruning on or off.
+  restarts return valid solutions).
 """
 
 from __future__ import annotations
@@ -42,14 +36,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.costmodel.coefficients import CostCoefficients
-from repro.costmodel.evaluator import objective6_lower_bound
 from repro.exceptions import SolverError
 from repro.sa import backends as execution_backends
 from repro.sa.backends import (
     ExecutionBackend,
     PortfolioPlan,
     RestartOutcome,
-    SharedIncumbent,
     run_restart as _run_restart,
 )
 from repro.sa.options import SaOptions
@@ -68,9 +60,6 @@ class PortfolioResult:
     outcomes: list[RestartOutcome] = field(default_factory=list)
     #: Restarts cancelled by ``portfolio_time_limit`` before starting.
     cancelled: int = 0
-    #: Restarts skipped because the shared incumbent proved they cannot
-    #: beat the best already found (``SaOptions(prune=True)`` only).
-    pruned: int = 0
     #: Distinct restarts that needed at least one retry (fault-tolerant
     #: backend only — socket; always 0 for serial/process/thread).
     retried_restarts: int = 0
@@ -80,6 +69,15 @@ class PortfolioResult:
     #: Worker failures observed: faulted task runs, dead connections,
     #: stalled heartbeats.
     worker_failures: int = 0
+
+    @property
+    def pruned(self) -> int:
+        """Always 0: restarts are never skipped except by the deadline.
+
+        Kept read-only because the benchmark's tracer reads it; remove it
+        with that tracer's ``portfolio.pruned`` counter.
+        """
+        return 0
 
     @property
     def restart_seeds(self) -> list[int | None]:
@@ -165,17 +163,12 @@ def run_portfolio(
     if options.portfolio_time_limit is not None:
         deadline = time.monotonic() + options.portfolio_time_limit
 
-    incumbent = SharedIncumbent()
-    if options.prune:
-        incumbent.lower_bound = objective6_lower_bound(coefficients, num_sites)
     plan = PortfolioPlan(
         coefficients=coefficients,
         num_sites=num_sites,
         options=options,
         seeds=seeds,
         deadline=deadline,
-        incumbent=incumbent,
-        prune=options.prune,
     )
     executor = resolve_backend(options, backend)
     run = executor.run(plan)
@@ -204,7 +197,6 @@ def run_portfolio(
         wall_time=time.perf_counter() - started,
         outcomes=outcomes,
         cancelled=cancelled,
-        pruned=run.pruned,
         retried_restarts=run.retried_restarts,
         requeue_count=run.requeue_count,
         worker_failures=run.worker_failures,

@@ -115,7 +115,6 @@ class SaPartitioner:
                 "restart_seeds": portfolio.restart_seeds,
                 "restart_objectives": portfolio.restart_objectives,
                 "cancelled_restarts": portfolio.cancelled,
-                "pruned_restarts": portfolio.pruned,
                 "retried_restarts": portfolio.retried_restarts,
                 "requeue_count": portfolio.requeue_count,
                 "worker_failures": portfolio.worker_failures,

@@ -12,10 +12,9 @@ those envelopes over a real transport:
   execution backend: a driver that spawns (or accepts) remote
   ``python -m repro.sa.worker`` processes, monitors their liveness via
   heartbeats, requeues restarts lost to dead/stalled workers (bounded
-  retries, deterministic exponential backoff), broadcasts the shared
-  incumbent so ``objective6_lower_bound`` pruning works across boxes,
-  and degrades to in-driver execution when the worker pool drains
-  (``workers=0`` asks for that in-driver loop from the start);
+  retries, deterministic exponential backoff), and degrades to
+  in-driver execution when the worker pool drains (``workers=0`` asks
+  for that in-driver loop from the start);
 * :mod:`~repro.sa.transport.faults` — a deterministic, seedable
   :class:`FaultPlan` (drop / delay / duplicate / corrupt frames, kill a
   worker mid-restart, stall its heartbeat) injected at the protocol
@@ -25,8 +24,7 @@ those envelopes over a real transport:
 Whatever the faults, the returned best is bitwise identical to
 :class:`~repro.sa.backends.serial.SerialBackend` for the same master
 seed — task envelopes are pure functions, results are deduplicated by
-restart index, lost restarts are retried (never dropped), and pruning
-keeps the PR 5 proof (bound reached *and* earlier restart index).
+restart index, and lost restarts are retried (never dropped).
 Pinned by ``tests/test_transport.py``.
 """
 

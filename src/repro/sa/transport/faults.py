@@ -14,7 +14,7 @@ Fault sites:
 * **endpoint faults** (``drop`` / ``delay`` / ``duplicate`` /
   ``corrupt``) are applied on the *driver's* side of a connection by
   wrapping it in a :class:`FaultyEndpoint` — ``direction="send"``
-  mangles driver→worker frames (tasks, incumbent broadcasts),
+  mangles driver→worker frames (tasks),
   ``direction="recv"`` mangles worker→driver frames (results, acks,
   heartbeats) as they are popped off the buffer;
 * **worker faults** (``kill-worker`` / ``stall-heartbeat``) ship to the
@@ -46,6 +46,7 @@ from repro.sa.transport.protocol import (
     Endpoint,
     KIND_HEARTBEAT,
     KIND_RESULT,
+    KIND_TASK,
     encode_frame,
 )
 
@@ -147,12 +148,11 @@ class FaultPlan:
 
         Every action class can appear; kinds are drawn to match the
         direction traffic actually flows (results/acks/heartbeats
-        driver-bound, tasks/incumbent broadcasts worker-bound), so a
-        random plan always targets frames that exist.
+        driver-bound, tasks worker-bound), so a random plan always
+        targets frames that exist.
         """
         rng = np.random.default_rng(seed)
-        recv_kinds = ("result", "ack", "heartbeat", "pruned")
-        send_kinds = ("task", "incumbent")
+        recv_kinds = ("result", "ack", "heartbeat")
         drawn = []
         actions = sorted(ACTIONS)
         for _ in range(faults):
@@ -167,8 +167,7 @@ class FaultPlan:
                 kind = recv_kinds[int(rng.integers(len(recv_kinds)))]
                 direction = "recv"
             else:
-                kind = send_kinds[int(rng.integers(len(send_kinds)))]
-                direction = "send"
+                kind, direction = KIND_TASK, "send"
             delay = round(float(rng.uniform(0.0, 0.05)), 4)
             drawn.append(
                 Fault(

@@ -28,11 +28,10 @@ Version negotiation happens once per connection, before anything else:
 the worker opens with a HELLO listing every protocol version it speaks
 plus the envelope format version it was built with; the driver picks
 the highest protocol version both sides share and echoes it in a
-HELLO-ACK (along with the portfolio's heartbeat interval and the
-current incumbent snapshot), or answers with an ERROR frame and drops
-the connection when there is no overlap.  Envelope versions must match
-exactly — a worker that would re-encode options differently cannot be
-trusted with bitwise determinism.
+HELLO-ACK (along with the portfolio's heartbeat interval), or answers
+with an ERROR frame and drops the connection when there is no overlap.
+Envelope versions must match exactly — a worker that would re-encode
+options differently cannot be trusted with bitwise determinism.
 """
 
 from __future__ import annotations
@@ -64,9 +63,7 @@ KIND_HELLO_ACK = "hello-ack"    # driver -> worker: chosen version + config
 KIND_TASK = "task"              # driver -> worker: one task envelope
 KIND_ACK = "ack"                # worker -> driver: task frame received
 KIND_RESULT = "result"          # worker -> driver: one result envelope
-KIND_PRUNED = "pruned"          # worker -> driver: task pruned worker-side
 KIND_HEARTBEAT = "heartbeat"    # worker -> driver: liveness + current task
-KIND_INCUMBENT = "incumbent"    # driver -> worker: incumbent broadcast
 KIND_ERROR = "error"            # either way: structured failure report
 KIND_SHUTDOWN = "shutdown"      # driver -> worker: drain and exit
 
@@ -217,10 +214,9 @@ def negotiate_client(
 ) -> dict[str, Any]:
     """Worker-side handshake: offer versions, await the driver's pick.
 
-    Returns the HELLO-ACK payload (carrying ``protocol_version``,
-    ``heartbeat_interval``, the ``prune`` flag and the current incumbent
-    snapshot).  Raises TransportError if the driver rejects us or the
-    handshake times out.
+    Returns the HELLO-ACK payload (carrying ``protocol_version`` and
+    ``heartbeat_interval``).  Raises TransportError if the driver rejects
+    us or the handshake times out.
     """
     endpoint.send(
         KIND_HELLO,
@@ -257,7 +253,7 @@ def negotiate_server(
 
     Picks the highest protocol version both sides share and answers
     with a HELLO-ACK carrying the chosen version plus ``ack_fields``
-    (heartbeat interval, prune flag, incumbent snapshot).  On a version
+    (the heartbeat interval).  On a version
     mismatch the worker gets a structured ERROR frame *before* the
     TransportError is raised driver-side, so a newer/older worker fails
     with a message instead of a dead socket.

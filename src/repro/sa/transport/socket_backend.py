@@ -10,7 +10,7 @@ at-least-once discipline:
   lost and requeued;
 * workers heartbeat continuously, carrying the id of the task they are
   running — so when a heartbeat says *idle* after the task was ACKed,
-  the terminal RESULT/PRUNED/ERROR frame is known lost (TCP preserves
+  the terminal RESULT/ERROR frame is known lost (TCP preserves
   per-connection order and the worker goes idle only after sending it)
   and the restart is requeued without waiting for any timeout;
 * a connection that stays silent past ``heartbeat_timeout`` is declared
@@ -26,12 +26,7 @@ at-least-once discipline:
   degrades gracefully: the remaining restarts run in-driver through the
   very same task envelopes (a
   :class:`~repro.sa.backends.queue.QueueWorker` loop), so the result is
-  still bitwise identical — only slower;
-* every recorded outcome is published to the shared incumbent and
-  broadcast to all workers (INCUMBENT frames), so
-  ``objective6_lower_bound`` pruning fires across boxes — with the PR 5
-  tie rule (bound reached *and* strictly earlier restart index) intact
-  on both sides of the wire.
+  still bitwise identical — only slower.
 
 Duplicate deliveries (retries racing late results, duplicated frames)
 are harmless by construction: a result envelope is a pure function of
@@ -46,7 +41,6 @@ whole fault matrix by ``tests/test_transport.py``.
 
 from __future__ import annotations
 
-import math
 import os
 import selectors
 import socket
@@ -82,8 +76,6 @@ from repro.sa.transport.protocol import (
     KIND_ACK,
     KIND_ERROR,
     KIND_HEARTBEAT,
-    KIND_INCUMBENT,
-    KIND_PRUNED,
     KIND_RESULT,
     KIND_SHUTDOWN,
     KIND_TASK,
@@ -282,20 +274,7 @@ class _Driver:
             self.selector.register(endpoint.sock, selectors.EVENT_READ, connection)
 
     def _ack_fields(self) -> dict:
-        best_objective, best_restart = self.plan.incumbent.snapshot()
-        lower_bound = self.plan.incumbent.lower_bound
-        return {
-            "heartbeat_interval": self.options.heartbeat_interval,
-            "prune": bool(self.plan.prune),
-            "lower_bound": (
-                None if lower_bound == -math.inf else float(lower_bound)
-            ),
-            "incumbent": (
-                None
-                if best_restart is None
-                else [float(best_objective), int(best_restart)]
-            ),
-        }
+        return {"heartbeat_interval": self.options.heartbeat_interval}
 
     def _service(self, connection: _Connection) -> None:
         try:
@@ -318,12 +297,6 @@ class _Driver:
                 inflight.acked = True
         elif kind == KIND_RESULT:
             self._handle_result(connection, frame)
-        elif kind == KIND_PRUNED:
-            restart = int(frame.get("restart", -1))
-            self._clear_inflight(connection, frame)
-            if 0 <= restart < self.total and restart not in self.done:
-                self.done.add(restart)
-                self.record.pruned += 1
         elif kind == KIND_ERROR:
             self._handle_worker_error(connection, frame)
         elif kind == KIND_HEARTBEAT:
@@ -363,9 +336,6 @@ class _Driver:
     def _record_outcome(self, outcome: RestartOutcome) -> None:
         self.done.add(outcome.restart)
         self.record.outcomes.append(outcome)
-        self.plan.publish(outcome)
-        if self.plan.prune:
-            self._broadcast_incumbent()
 
     def _handle_worker_error(self, connection: _Connection, frame: dict) -> None:
         restart = frame.get("restart")
@@ -395,26 +365,12 @@ class _Driver:
                 inflight.task, "result frame lost (worker idle after ack)"
             )
 
-    def _broadcast_incumbent(self) -> None:
-        best_objective, best_restart = self.plan.incumbent.snapshot()
-        if best_restart is None:
-            return
-        for connection in list(self.connections.values()):
-            try:
-                connection.endpoint.send(
-                    KIND_INCUMBENT,
-                    objective6=float(best_objective),
-                    restart=int(best_restart),
-                )
-            except (ConnectionClosedError, TransportError) as error:
-                self._fail_connection(connection, str(error))
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
     def _next_task(self, now: float) -> RestartTask | None:
         """Pop the first dispatchable pending task, applying the same
-        cancel/prune discipline as the serial backend on the way."""
+        deadline discipline as the serial backend on the way."""
         keep: list[list] = []
         chosen: RestartTask | None = None
         for entry in self.pending:
@@ -427,10 +383,6 @@ class _Driver:
             if task.restart > 0 and self.plan.expired():
                 self.done.add(task.restart)
                 self.record.cancelled += 1
-                continue
-            if self.plan.should_prune(task.restart):
-                self.done.add(task.restart)
-                self.record.pruned += 1
                 continue
             if not_before > now:
                 keep.append(entry)
@@ -622,7 +574,7 @@ class _Driver:
         while len(self.done) < self.total:
             task = self._next_task(time.monotonic())
             if task is None:
-                break  # everything left was cancelled or pruned
+                break  # everything left was cancelled
             envelope = encode_restart_task(
                 self.plan.coefficients,
                 self.plan.num_sites,

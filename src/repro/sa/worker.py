@@ -8,13 +8,11 @@ the driver's in-driver loop uses — so a result computed remotely is
 byte-identical to one computed locally — and send the RESULT frame
 back.  A daemon ticker thread heartbeats throughout (carrying the id of
 the task currently running, so the driver can tell "lost the result"
-from "still computing"), and INCUMBENT broadcasts from the driver feed
-a local :class:`~repro.sa.backends.incumbent.SharedIncumbent` so the
-worker can prune tasks that provably cannot win without a round trip.
+from "still computing").
 
 Frame-ordering invariant the driver's liveness reconciliation relies
 on: the worker marks itself busy *before* sending the ACK and idle only
-*after* sending the RESULT/PRUNED/ERROR frame, and all sends share one
+*after* sending the RESULT/ERROR frame, and all sends share one
 lock — so on the (ordered) TCP stream, any heartbeat claiming idleness
 after an ACK proves the task's terminal frame was already sent.  If the
 driver saw the ACK but no terminal frame, that frame was lost, and the
@@ -35,7 +33,6 @@ import sys
 import threading
 
 from repro.exceptions import ConnectionClosedError, TransportError
-from repro.sa.backends.incumbent import SharedIncumbent
 from repro.sa.backends.queue import ENVELOPE_FORMAT_VERSION, QueueWorker
 from repro.sa.transport.faults import (
     WORKER_ACTIONS,
@@ -48,8 +45,6 @@ from repro.sa.transport.protocol import (
     KIND_ACK,
     KIND_ERROR,
     KIND_HEARTBEAT,
-    KIND_INCUMBENT,
-    KIND_PRUNED,
     KIND_RESULT,
     KIND_SHUTDOWN,
     KIND_TASK,
@@ -64,14 +59,6 @@ class WorkerSession:
     def __init__(self, endpoint: Endpoint, ack: dict):
         self.endpoint = endpoint
         self.heartbeat_interval = float(ack.get("heartbeat_interval", 0.5))
-        self.prune = bool(ack.get("prune", False))
-        lower_bound = ack.get("lower_bound")
-        self.incumbent = SharedIncumbent()
-        if lower_bound is not None:
-            self.incumbent.lower_bound = float(lower_bound)
-        best = ack.get("incumbent")
-        if best is not None:
-            self.incumbent.publish(float(best[0]), int(best[1]))
         self.worker = QueueWorker()
         #: task_id currently being run (read by the ticker thread; a
         #: plain attribute is enough — torn reads are impossible for an
@@ -105,11 +92,7 @@ class WorkerSession:
                 kind = frame["kind"]
                 if kind == KIND_SHUTDOWN:
                     return
-                if kind == KIND_INCUMBENT:
-                    self.incumbent.publish(
-                        float(frame["objective6"]), int(frame["restart"])
-                    )
-                elif kind == KIND_TASK:
+                if kind == KIND_TASK:
                     self._handle_task(frame)
                 # Anything else (late ERROR, stray frames) is ignored —
                 # robustness beats strictness once the handshake is done.
@@ -128,10 +111,6 @@ class WorkerSession:
         # see the module docstring for the reconciliation proof.
         self.current = task_id
         self.endpoint.send(KIND_ACK, task_id=task_id)
-        if self.prune and self.incumbent.proves_unbeatable(restart):
-            self.endpoint.send(KIND_PRUNED, task_id=task_id, restart=restart)
-            self.current = None
-            return
         try:
             result = self.worker.run(frame["envelope"])
         except Exception as error:

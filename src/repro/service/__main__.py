@@ -16,15 +16,18 @@ from repro.service.config import ServiceConfig
 from repro.service.server import serve
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service",
-        description="Serve the partitioning advisor over loopback TCP.",
-    )
+def add_service_arguments(parser: argparse.ArgumentParser) -> None:
+    """Add the service flags to ``parser``.
+
+    Shared by ``python -m repro.service`` and ``repro-partition serve``,
+    so both entry points accept the same flags and build the same
+    :class:`ServiceConfig` from them (see :func:`run`).
+    """
     parser.add_argument("--host", default="127.0.0.1",
                         help="interface to bind (default: loopback)")
     parser.add_argument("--port", type=int, default=0,
-                        help="port to bind (default: 0 = pick a free one)")
+                        help="port to bind (default: 0 = pick a free one; "
+                             "the bound address is printed once listening)")
     parser.add_argument("--max-pending", type=int, default=64,
                         help="bounded pending-solve queue depth")
     parser.add_argument("--rate", type=float, default=0.0,
@@ -40,11 +43,21 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: unbounded)")
     parser.add_argument("--shed-threshold", type=int, default=0,
                         help="queue depth that starts light shedding "
-                             "(0 disables shedding)")
+                             "(qp-family requests served by sa-portfolio; "
+                             "0 disables shedding)")
     parser.add_argument("--shed-hard-threshold", type=int, default=0,
-                        help="queue depth that starts hard shedding")
-    parser.add_argument("--shed-sa-options", default=None,
+                        help="queue depth that starts hard shedding "
+                             "(degradable requests served by greedy)")
+    parser.add_argument("--shed-sa-options", default=None, metavar="JSON",
                         help="JSON options for shed sa/sa-portfolio runs")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.service",
+        description="Serve the partitioning advisor over loopback TCP.",
+    )
+    add_service_arguments(parser)
     return parser
 
 
@@ -64,8 +77,8 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
     )
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
+    """Serve with the flags of :func:`add_service_arguments` until shut down."""
     from repro.api.advisor import Advisor
 
     advisor = Advisor(coefficient_capacity=args.coefficient_cache)
@@ -82,6 +95,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except KeyboardInterrupt:
         pass
     return 0
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

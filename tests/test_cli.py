@@ -40,16 +40,21 @@ def test_advise_qp_with_layout(capsys):
     assert "Site 1" in output
 
 
-def test_advise_portfolio_backend_and_prune(capsys):
-    exit_code = main([
+def test_advise_portfolio_backend(capsys):
+    argv = [
         "advise", "--instance", "rndBt4x15", "--sites", "2",
         "--solver", "sa-portfolio", "--seed", "0", "--restarts", "2",
-        "--backend", "socket", "--workers", "0", "--prune",
-    ])
-    assert exit_code == 0
+        "--backend", "socket", "--workers", "0",
+    ]
+    assert main(argv) == 0
     output = capsys.readouterr().out
     assert "best-of-2" in output
     assert "socket executor" in output
+    # The retired restart-pruning flag is an argparse error now.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--prune"])
+    assert excinfo.value.code == 2
+    assert "--prune" in capsys.readouterr().err
 
 
 def test_backend_requires_sa_family_solver(capsys):
@@ -102,6 +107,35 @@ def test_parser_has_all_subcommands():
     text = parser.format_help()
     for command in ("info", "advise", "bench"):
         assert command in text
+
+
+def test_serve_entry_points_share_flags(monkeypatch):
+    """``repro-partition serve`` and ``python -m repro.service`` turn the
+    same flags into the same service configuration and advisor."""
+    from repro.service import __main__ as service_main
+
+    served = []
+
+    async def fake_serve(**kwargs):
+        served.append(
+            (kwargs["config"], kwargs["advisor"].coefficient_capacity)
+        )
+
+    monkeypatch.setattr(service_main, "serve", fake_serve)
+    flags = [
+        "--max-pending", "9", "--rate", "2.5", "--burst", "3",
+        "--max-clients", "7", "--result-cache", "5",
+        "--coefficient-cache", "4", "--shed-threshold", "6",
+        "--shed-hard-threshold", "8", "--shed-sa-options", '{"restarts": 2}',
+    ]
+    assert main(["serve", *flags]) == 0
+    assert service_main.main(flags) == 0
+    assert len(served) == 2
+    assert served[0] == served[1]
+    config, coefficient_capacity = served[0]
+    assert config.max_clients == 7
+    assert config.shed_sa_options == {"restarts": 2}
+    assert coefficient_capacity == 4
 
 
 def test_bench_rejects_unknown_target():

@@ -38,7 +38,7 @@ from hypothesis import given, settings, strategies as st
 from repro.api import Advisor, SolveRequest
 from repro.costmodel.coefficients import attach_migration, build_coefficients
 from repro.costmodel.config import CostParameters
-from repro.costmodel.evaluator import SolutionEvaluator, objective6_lower_bound
+from repro.costmodel.evaluator import SolutionEvaluator
 from repro.costmodel.incremental import IncrementalEvaluator
 from repro.exceptions import OptionsError, WorkloadError
 from repro.partition import CurrentLayout
@@ -265,15 +265,6 @@ class TestEvaluatorMigration:
             assert dense.objective6(x, y) == pytest.approx(
                 plain.objective6(x, y) + lam * move, rel=1e-12
             )
-
-    def test_lower_bound_stays_sound_with_migration(self):
-        for seed in range(3):
-            _, _, coefficients = self._setup(seed=seed, cost=3.0, lam=0.5)
-            bound = objective6_lower_bound(coefficients, 3)
-            dense = SolutionEvaluator(coefficients)
-            for sol_seed in range(5):
-                x, y = random_feasible_solution(coefficients, 3, sol_seed)
-                assert dense.objective6(x, y) >= bound
 
 
 # ----------------------------------------------------------------------

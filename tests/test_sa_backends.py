@@ -1,13 +1,12 @@
-"""Pluggable portfolio execution backends and the shared incumbent.
+"""Pluggable portfolio execution backends.
 
 Pins the PR-5 acceptance contract: all backends return bitwise-identical
-best results per master seed, task envelopes round-trip and replay
-byte-identically, and pruning only ever skips restarts that cannot win.
+best results per master seed, and task envelopes round-trip and replay
+byte-identically.
 Envelope-level worker faults are pinned in ``tests/test_transport.py``.
 """
 
 import json
-import math
 import os
 
 import numpy as np
@@ -17,20 +16,12 @@ from repro.api.advisor import advise
 from repro.api.request import SolveRequest
 from repro.costmodel.coefficients import build_coefficients
 from repro.costmodel.config import CostParameters
-from repro.costmodel.evaluator import (
-    SolutionEvaluator,
-    objective6_lower_bound,
-)
 from repro.exceptions import OptionsError, SolverError
-from repro.model.instance import ProblemInstance
-from repro.model.schema import SchemaBuilder
-from repro.model.workload import Query, Transaction, Workload
 from repro.sa.backends import (
     BackendRun,
     PortfolioPlan,
     QueueWorker,
     SerialBackend,
-    SharedIncumbent,
     backend_names,
     decode_restart_result,
     decode_restart_task,
@@ -43,7 +34,7 @@ from repro.sa.backends.queue import ENVELOPE_FORMAT_VERSION
 from repro.sa.options import SaOptions
 from repro.sa.portfolio import derive_restart_seeds, run_portfolio
 from repro.sa.solver import SaPartitioner
-from tests.conftest import random_feasible_solution, small_random_instance
+from tests.conftest import small_random_instance
 
 FAST = dict(inner_loops=6, max_outer_loops=6)
 #: The socket backend's in-driver loop: task envelopes through a
@@ -55,32 +46,6 @@ IN_DRIVER = dict(backend="socket", workers=0)
 def coefficients():
     instance = small_random_instance(5, num_tables=4, max_attributes_per_table=8)
     return build_coefficients(instance, CostParameters())
-
-
-def read_only_instance() -> ProblemInstance:
-    """Read-only, every attribute of a touched table accessed directly.
-
-    Under pure cost weighting (``lambda = 1``) every feasible solution
-    pays exactly the forced read floor (all widths/frequencies integral,
-    so the arithmetic is exact): objective (6) equals
-    :func:`objective6_lower_bound` for *any* placement, which makes the
-    incumbent's prune proof fire after the first restart.
-    """
-    schema = (
-        SchemaBuilder("flat")
-        .table("U", id=4, name=16)
-        .table("V", key=4, val=8)
-        .build()
-    )
-    workload = Workload(
-        [
-            Transaction("A", (Query.read("A.q", ["U.id", "U.name"]),)),
-            Transaction("B", (Query.read("B.q", ["V.key", "V.val"]),)),
-            Transaction("C", (Query.read("C.q", ["U.id", "U.name"]),)),
-        ],
-        name="flat-load",
-    )
-    return ProblemInstance(schema, workload, name="flat")
 
 
 # ----------------------------------------------------------------------
@@ -103,8 +68,10 @@ class TestBackendRegistry:
 
     def test_retired_options_rejected_by_requests(self):
         instance = small_random_instance(5)
-        for options in ({"backend": "queue"}, {"incremental": False}):
-            with pytest.raises(OptionsError, match="queue|incremental"):
+        for options in (
+            {"backend": "queue"}, {"incremental": False}, {"prune": True}
+        ):
+            with pytest.raises(OptionsError, match="queue|incremental|prune"):
                 advise(
                     SolveRequest(
                         instance, 2, strategy="sa-portfolio", seed=1,
@@ -188,7 +155,6 @@ class TestBackendParity:
             options=SaOptions(seed=11, restarts=2, **IN_DRIVER, **FAST),
         ).solve()
         assert result.metadata["executor"] == "socket"
-        assert result.metadata["pruned_restarts"] == 0
 
     def test_explicit_backend_with_single_restart(self, coefficients):
         """backend= routes restarts=1 through the portfolio machinery."""
@@ -355,10 +321,16 @@ class TestQueueEnvelopes:
             coefficients, 2, options, RestartTask(0, 1)
         )
         payload = json.loads(envelope)
-        payload["format_version"] = 99
-        with pytest.raises(OptionsError, match="format_version"):
-            decode_restart_task(json.dumps(payload))
-        payload["format_version"] = ENVELOPE_FORMAT_VERSION
+        # Version 4 is the last format whose options still carry
+        # ``prune``: it must be refused by its stamp, not reach the
+        # SaOptions constructor inside a worker.
+        for version in (99, 4):
+            stale = json.loads(envelope)
+            stale["format_version"] = version
+            stale["request"]["options"]["prune"] = False
+            for decode in (decode_restart_task, QueueWorker().run):
+                with pytest.raises(OptionsError, match="format_version"):
+                    decode(json.dumps(stale))
         payload["kind"] = "sa-restart-result"
         with pytest.raises(OptionsError, match="kind"):
             decode_restart_task(json.dumps(payload))
@@ -444,152 +416,6 @@ class TestPoolWorkerDeath:
 
 
 # ----------------------------------------------------------------------
-# Shared incumbent + pruning
-# ----------------------------------------------------------------------
-class TestSharedIncumbent:
-    def test_publish_keeps_objective_restart_minimum(self):
-        incumbent = SharedIncumbent()
-        incumbent.publish(10.0, 3)
-        incumbent.publish(10.0, 1)  # same objective, earlier restart wins
-        incumbent.publish(12.0, 0)  # worse objective loses
-        assert incumbent.snapshot() == (10.0, 1)
-        assert incumbent.published == 3
-
-    def test_proof_requires_bound_and_earlier_index(self):
-        incumbent = SharedIncumbent(lower_bound=10.0)
-        assert not incumbent.proves_unbeatable(5)  # nothing published
-        incumbent.publish(11.0, 1)
-        assert not incumbent.proves_unbeatable(5)  # bound not reached
-        incumbent.publish(10.0, 2)
-        assert incumbent.proves_unbeatable(5)
-        assert not incumbent.proves_unbeatable(2)  # itself
-        assert not incumbent.proves_unbeatable(0)  # earlier index may tie-win
-
-    def test_default_bound_never_proves(self):
-        incumbent = SharedIncumbent()
-        incumbent.publish(0.0, 0)
-        assert incumbent.lower_bound == -math.inf
-        assert not incumbent.proves_unbeatable(1)
-
-
-class TestLowerBound:
-    def test_bound_sound_on_random_instances(self):
-        """The bound never exceeds any feasible solution's objective."""
-        for seed in range(6):
-            instance = small_random_instance(seed)
-            for lam in (1.0, 0.5):
-                coefficients = build_coefficients(
-                    instance, CostParameters(load_balance_lambda=lam)
-                )
-                bound = objective6_lower_bound(coefficients, 3)
-                evaluator = SolutionEvaluator(coefficients)
-                for solution_seed in range(4):
-                    x, y = random_feasible_solution(coefficients, 3, solution_seed)
-                    assert bound <= evaluator.objective6(x, y) + 1e-9
-
-    def test_bound_retreats_under_fractional_penalty(self):
-        """Fractional network penalties make the evaluator's c1/c2
-        einsums inexact (the p*B cancellation rounds), so the bound must
-        leave its exact fast-path and retreat below every *reported*
-        objective — strictly, no epsilon slop."""
-        for penalty in (0.1, 7.9):
-            for seed in range(4):
-                instance = small_random_instance(seed)
-                coefficients = build_coefficients(
-                    instance,
-                    CostParameters(
-                        network_penalty=penalty, load_balance_lambda=1.0
-                    ),
-                )
-                bound = objective6_lower_bound(coefficients, 3)
-                evaluator = SolutionEvaluator(coefficients)
-                for solution_seed in range(4):
-                    x, y = random_feasible_solution(coefficients, 3, solution_seed)
-                    assert bound <= evaluator.objective6(x, y)
-
-    def test_bound_sound_on_single_site(self, coefficients):
-        """|S| = 1 admits exactly one solution; the bound stays below it
-        (strictly, when the instance has table-fraction-only reads that
-        co-location never forces)."""
-        evaluator = SolutionEvaluator(coefficients)
-        x = np.ones((coefficients.num_transactions, 1), dtype=bool)
-        y = np.ones((coefficients.num_attributes, 1), dtype=bool)
-        assert objective6_lower_bound(coefficients, 1) <= evaluator.objective6(x, y)
-
-    def test_bound_tight_when_all_reads_forced(self):
-        """With alpha == beta (every attribute of a touched table is
-        read directly) and pure cost weighting, every feasible solution
-        pays exactly the floor — the bound is an equality."""
-        coefficients = build_coefficients(
-            read_only_instance(), CostParameters(load_balance_lambda=1.0)
-        )
-        bound = objective6_lower_bound(coefficients, 3)
-        evaluator = SolutionEvaluator(coefficients)
-        for solution_seed in range(4):
-            x, y = random_feasible_solution(coefficients, 3, solution_seed)
-            assert evaluator.objective6(x, y) == bound
-
-
-class TestPruning:
-    @pytest.fixture(scope="class")
-    def flat_coefficients(self):
-        return build_coefficients(
-            read_only_instance(), CostParameters(load_balance_lambda=1.0)
-        )
-
-    @pytest.mark.parametrize("backend", ["serial", "socket"])
-    def test_prune_skips_doomed_restarts_bitwise_identically(
-        self, flat_coefficients, backend
-    ):
-        options = dict(seed=3, restarts=5, backend=backend, workers=0, **FAST)
-        pruned = run_portfolio(
-            flat_coefficients, 3, SaOptions(prune=True, **options)
-        )
-        full = run_portfolio(flat_coefficients, 3, SaOptions(**options))
-        # restart 0 reaches the provable floor, so 1..4 are skipped ...
-        assert pruned.pruned == 4
-        assert len(pruned.outcomes) == 1
-        assert len(pruned.outcomes) + pruned.pruned + pruned.cancelled == 5
-        # ... without changing anything about the returned best.
-        assert pruned.objective6 == full.objective6
-        assert pruned.best_restart == full.best_restart == 0
-        np.testing.assert_array_equal(pruned.x, full.x)
-        np.testing.assert_array_equal(pruned.y, full.y)
-        assert pruned.objective6 == objective6_lower_bound(flat_coefficients, 3)
-
-    def test_pool_prune_is_best_effort_but_identical(self, flat_coefficients):
-        """The pool cancels unstarted futures only; results still match."""
-        options = dict(seed=3, restarts=5, jobs=2, backend="process", **FAST)
-        pruned = run_portfolio(
-            flat_coefficients, 3, SaOptions(prune=True, **options)
-        )
-        full = run_portfolio(flat_coefficients, 3, SaOptions(**options))
-        assert pruned.objective6 == full.objective6
-        assert pruned.best_restart == full.best_restart
-        np.testing.assert_array_equal(pruned.x, full.x)
-        assert 0 <= pruned.pruned <= 4
-        assert len(pruned.outcomes) + pruned.pruned == 5
-
-    def test_prune_noop_when_bound_unreachable(self, coefficients):
-        """On ordinary instances the proof never fires: zero skips and
-        the exact same portfolio as prune=False."""
-        options = dict(seed=11, restarts=4, **FAST)
-        pruned = run_portfolio(coefficients, 3, SaOptions(prune=True, **options))
-        full = run_portfolio(coefficients, 3, SaOptions(**options))
-        assert pruned.pruned == 0
-        assert pruned.restart_objectives == full.restart_objectives
-        np.testing.assert_array_equal(pruned.x, full.x)
-
-    def test_prune_metadata_exposed(self, flat_coefficients):
-        result = SaPartitioner(
-            flat_coefficients, 3,
-            options=SaOptions(seed=3, restarts=5, prune=True, **FAST),
-        ).solve()
-        assert result.metadata["pruned_restarts"] == 4
-        assert result.metadata["executor"] == "serial"
-
-
-# ----------------------------------------------------------------------
 # Plan plumbing
 # ----------------------------------------------------------------------
 class TestPortfolioPlan:
@@ -608,4 +434,4 @@ class TestPortfolioPlan:
 
     def test_backend_run_defaults(self):
         run = BackendRun(outcomes=[])
-        assert (run.cancelled, run.pruned, run.kind) == (0, 0, "serial")
+        assert (run.cancelled, run.kind) == (0, "serial")

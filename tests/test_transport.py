@@ -5,7 +5,7 @@ reject garbage, the connect-time version handshake fails loudly on
 mismatch, the deterministic fault harness replays its schedule exactly,
 and — the headline — the socket portfolio returns a best that is
 bitwise identical to :class:`~repro.sa.backends.serial.SerialBackend`
-under *every* fault schedule, with incumbent pruning on and off.
+under *every* fault schedule.
 """
 
 import json
@@ -77,17 +77,11 @@ def coefficients():
 
 
 @pytest.fixture(scope="module")
-def serial_baselines(coefficients):
+def serial_baseline(coefficients):
     """The ground truth the whole fault matrix must reproduce bitwise."""
-    return {
-        prune: run_portfolio(
-            coefficients,
-            NUM_SITES,
-            SaOptions(prune=prune, **CHAOS_OPTIONS),
-            backend="serial",
-        )
-        for prune in (False, True)
-    }
+    return run_portfolio(
+        coefficients, NUM_SITES, SaOptions(**CHAOS_OPTIONS), backend="serial"
+    )
 
 
 def assert_bitwise_identical(result, baseline):
@@ -215,9 +209,6 @@ class TestNegotiation:
                 ENVELOPE_FORMAT_VERSION,
                 timeout=5.0,
                 heartbeat_interval=0.25,
-                prune=True,
-                lower_bound=12.5,
-                incumbent=[99.0, 1],
             )
             thread.join(timeout=5.0)
             assert chosen == protocol.PROTOCOL_VERSION
@@ -225,8 +216,6 @@ class TestNegotiation:
             assert ack["kind"] == KIND_HELLO_ACK
             assert ack["protocol_version"] == chosen
             assert ack["heartbeat_interval"] == 0.25
-            assert ack["prune"] is True
-            assert ack["incumbent"] == [99.0, 1]
         finally:
             driver.close()
             worker.close()
@@ -430,19 +419,19 @@ class TestSocketBackendConfig:
 # Clean-weather parity (every spawn mode, no faults)
 # ----------------------------------------------------------------------
 class TestCleanParity:
-    def test_thread_spawn_matches_serial(self, coefficients, serial_baselines):
+    def test_thread_spawn_matches_serial(self, coefficients, serial_baseline):
         result = run_portfolio(
             coefficients,
             NUM_SITES,
             SaOptions(**CHAOS_OPTIONS),
             backend=SocketTransportBackend(workers=2, spawn="thread"),
         )
-        assert_bitwise_identical(result, serial_baselines[False])
+        assert_bitwise_identical(result, serial_baseline)
         assert result.executor == "socket"
         assert result.requeue_count == 0
         assert result.worker_failures == 0
 
-    def test_process_spawn_matches_serial(self, coefficients, serial_baselines):
+    def test_process_spawn_matches_serial(self, coefficients, serial_baseline):
         """One real ``python -m repro.sa.worker`` subprocess round trip."""
         result = run_portfolio(
             coefficients,
@@ -450,10 +439,10 @@ class TestCleanParity:
             SaOptions(**CHAOS_OPTIONS),
             backend=SocketTransportBackend(workers=2, spawn="process"),
         )
-        assert_bitwise_identical(result, serial_baselines[False])
+        assert_bitwise_identical(result, serial_baseline)
 
     def test_workers_zero_is_explicit_degraded_mode(
-        self, coefficients, serial_baselines
+        self, coefficients, serial_baseline
     ):
         result = run_portfolio(
             coefficients,
@@ -461,10 +450,10 @@ class TestCleanParity:
             SaOptions(**CHAOS_OPTIONS),
             backend=SocketTransportBackend(workers=0),
         )
-        assert_bitwise_identical(result, serial_baselines[False])
+        assert_bitwise_identical(result, serial_baseline)
 
     def test_workers_option_flows_from_sa_options(
-        self, coefficients, serial_baselines
+        self, coefficients, serial_baseline
     ):
         """``SaOptions(workers=...)`` reaches the registry-constructed
         backend (the CLI's ``--workers`` path)."""
@@ -473,11 +462,11 @@ class TestCleanParity:
             NUM_SITES,
             SaOptions(workers=0, backend="socket", **CHAOS_OPTIONS),
         )
-        assert_bitwise_identical(result, serial_baselines[False])
+        assert_bitwise_identical(result, serial_baseline)
 
 
 # ----------------------------------------------------------------------
-# The chaos matrix: every fault schedule, prune on and off
+# The chaos matrix: every fault schedule
 # ----------------------------------------------------------------------
 CHAOS_PLANS = {
     # One fault per failure family the recovery machinery handles ...
@@ -542,10 +531,9 @@ if _EXTRA_CHAOS_SEED is not None:
 
 @pytest.mark.chaos
 class TestChaosParity:
-    @pytest.mark.parametrize("prune", [False, True], ids=["noprune", "prune"])
     @pytest.mark.parametrize("name", sorted(CHAOS_PLANS))
     def test_fault_schedule_preserves_bitwise_result(
-        self, coefficients, serial_baselines, name, prune
+        self, coefficients, serial_baseline, name
     ):
         backend = SocketTransportBackend(
             workers=2,
@@ -556,10 +544,10 @@ class TestChaosParity:
         result = run_portfolio(
             coefficients,
             NUM_SITES,
-            SaOptions(prune=prune, **CHAOS_OPTIONS),
+            SaOptions(**CHAOS_OPTIONS),
             backend=backend,
         )
-        assert_bitwise_identical(result, serial_baselines[prune])
+        assert_bitwise_identical(result, serial_baseline)
 
     def test_storm_telemetry_counts_recoveries(self, coefficients):
         """The storm must exercise the machinery it claims to: requeues
@@ -602,7 +590,7 @@ class TestFailurePaths:
             )
 
     def test_drained_pool_degrades_to_in_driver_execution(
-        self, coefficients, serial_baselines, monkeypatch
+        self, coefficients, serial_baseline, monkeypatch
     ):
         """When no worker ever connects and the spawn budget is spent,
         the driver warns and finishes the portfolio itself — bitwise
@@ -620,7 +608,7 @@ class TestFailurePaths:
             result = run_portfolio(
                 coefficients, NUM_SITES, SaOptions(**options), backend=backend
             )
-        assert_bitwise_identical(result, serial_baselines[False])
+        assert_bitwise_identical(result, serial_baseline)
 
 
 # ----------------------------------------------------------------------
@@ -649,7 +637,7 @@ class TestInDriverFaults:
     ``max_retries``, and the result stays bitwise equal to serial."""
 
     def test_failed_restart_is_requeued_and_deterministic(
-        self, coefficients, serial_baselines, monkeypatch
+        self, coefficients, serial_baseline, monkeypatch
     ):
         worker = FlakyWorker({1: 1, 2: 2})
         monkeypatch.setattr(socket_backend, "QueueWorker", lambda: worker)
@@ -667,7 +655,7 @@ class TestInDriverFaults:
         # ... the failed tasks went to the back of the queue ...
         assert worker.seen == [0, 1, 2, 3, 1, 2, 2]
         # ... and the best is bitwise identical to the serial reference.
-        reference = serial_baselines[False]
+        reference = serial_baseline
         assert_bitwise_identical(portfolio, reference)
         assert portfolio.restart_objectives == reference.restart_objectives
 
@@ -703,14 +691,12 @@ class TestTelemetrySurfacing:
             )
         )
         for key in (
-            "pruned_restarts",
             "retried_restarts",
             "requeue_count",
             "worker_failures",
         ):
             assert key in report.metadata
         assert report.resilience == {
-            "pruned_restarts": 0,
             "retried_restarts": 0,
             "requeue_count": 0,
             "worker_failures": 0,
