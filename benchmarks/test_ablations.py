@@ -32,7 +32,7 @@ def test_ablation_write_accounting(benchmark, profile):
 def test_ablation_reduction(benchmark, profile):
     table = run_and_print(benchmark, ablations.ablation_reduction, profile)
     for row in table.rows:
-        # Grouping is lossless and shrinks the model.
+        # The exact classes keep the optimum and shrink the model.
         assert row["cost grouped"] == row["cost full"]
         assert row["QP vars grouped"] < row["QP vars full"]
         assert row["groups"] < row["|A|"]

@@ -34,16 +34,19 @@ def observation_from_report(report: "SolveReport") -> Observation:
 
     ``quality`` is ``objective / single-site objective`` on the report's
     own coefficients (the baseline every bench table already prints);
-    ``variables`` comes from the result metadata when a stage estimated
-    or built the linearised model (``auto``'s cutoff probe, the QP's
-    model-size stamp), else ``None``.
+    ``variables`` is the size of the unreduced linearised model, the one
+    ``auto``'s cutoff compares, when a stage estimated it (``auto``'s
+    cutoff probe, the QP's ``unreduced_variables`` stamp), else
+    ``None``.
     """
     from repro.partition.assignment import single_site_partitioning
 
     request = report.request
     result = report.result
     metadata = result.metadata
-    variables = metadata.get("auto_model_variables", metadata.get("variables"))
+    variables = metadata.get(
+        "auto_model_variables", metadata.get("unreduced_variables")
+    )
     quality = None
     try:
         baseline = single_site_partitioning(result.coefficients).objective

@@ -13,6 +13,7 @@ from repro.exceptions import SolverError, SolverLimitError
 from repro.model.instance import ProblemInstance
 from repro.partition.assignment import PartitioningResult
 from repro.qp.linearize import build_linearized_model, linearization_pattern
+from repro.qp.reduce import attribute_classes, reduce_coefficients
 from repro.solver.solution import SolutionStatus
 
 #: The paper's MIP tolerance gap (Section 5: 0.1%).
@@ -21,6 +22,10 @@ PAPER_GAP = 1e-3
 
 class QpPartitioner:
     """Optimal (to within a MIP gap) vertical partitioning via model (7).
+
+    The model is built over exact attribute classes
+    (:mod:`repro.qp.reduce`); answers are expanded back to attributes
+    and evaluated on the caller's coefficients.
 
     >>> from repro.instances import tpcc_instance
     >>> partitioner = QpPartitioner(tpcc_instance(), num_sites=2)
@@ -49,8 +54,11 @@ class QpPartitioner:
         self.allow_replication = allow_replication
         self.latency = latency
         self.symmetry_breaking = symmetry_breaking
+        #: Class per attribute, or ``None`` when nothing merges.
+        self.classes = attribute_classes(self.coefficients, allow_replication)
         self.linearized = build_linearized_model(
-            self.coefficients,
+            self.coefficients if self.classes is None
+            else reduce_coefficients(self.coefficients, self.classes),
             num_sites,
             allow_replication=allow_replication,
             latency=latency,
@@ -59,7 +67,8 @@ class QpPartitioner:
 
     @property
     def model_size(self) -> dict[str, int]:
-        """Variable/constraint counts of the linearised model."""
+        """Variable/constraint counts of the linearised model HiGHS
+        solves (over attribute classes)."""
         model = self.linearized.model
         return {
             "variables": model.num_variables,
@@ -143,6 +152,8 @@ class QpPartitioner:
         wall_time = time.perf_counter() - started
         if solution.status.has_solution:
             x, y = linearized.extract(solution.values)
+            if self.classes is not None:
+                y = y[self.classes]
             objective = evaluator.objective4(x, y)
             keep_warm = warm_objective is not None and warm_objective < objective
         elif solution.status is not SolutionStatus.NO_SOLUTION:
@@ -166,10 +177,14 @@ class QpPartitioner:
                 # against the bound HiGHS proved.  Under lambda < 1 a
                 # warm start can buy its lower cost (4) with worse
                 # balance, so this gap can exceed the requested one.
-                value = float(
-                    linearized.model.objective
-                    @ linearized.incumbent_vector(x, y)
-                )
+                # It is priced on the attributes, because a warm start
+                # may give the members of a class different sites.
+                value = evaluator.objective6(x, y)
+                if linearized.psi_queries.size:
+                    value += (
+                        self.coefficients.parameters.load_balance_lambda
+                        * evaluator.latency(x, y)
+                    )
                 mip_gap = abs(value - solution.bound) / max(1.0, abs(value))
                 proven_optimal = proven_optimal and mip_gap <= gap
         metadata = {
@@ -178,6 +193,14 @@ class QpPartitioner:
             "mip_gap": mip_gap,
             "nodes": solution.nodes,
             **self.model_size,
+            "attribute_classes": linearized.coefficients.num_attributes,
+            "unreduced_variables": self.estimate_model_size(
+                self.coefficients,
+                self.num_sites,
+                allow_replication=self.allow_replication,
+                latency=self.latency,
+                symmetry_breaking=self.symmetry_breaking,
+            )["variables"],
         }
         if warm_start is not None:
             metadata["warm_start_objective"] = warm_objective

@@ -1,8 +1,9 @@
 """Problem-size reductions (Section 4 of the paper).
 
 * :mod:`repro.reduction.cuts` — "reasonable cuts": attributes of one
-  table accessed by exactly the same set of queries can be fused into an
-  atomic group, shrinking ``|A|`` without changing the optimum.
+  table accessed by exactly the same set of queries form one co-access
+  group (the QP solves over the exact classes of
+  :mod:`repro.qp.reduce`, which refine these groups under ``lambda < 1``).
 * :mod:`repro.reduction.heavy` — the 20/80 rule: solve the heaviest
   transactions first and extend the solution to the full workload.
 * :mod:`repro.reduction.compress` — workload compression: cluster
@@ -10,7 +11,7 @@
   (lossless or tolerance-bounded lossy) and lift solutions back.
 """
 
-from repro.reduction.cuts import attribute_groups, GroupedInstance, group_instance
+from repro.reduction.cuts import attribute_groups
 from repro.reduction.heavy import IterativeRefinement, solve_iterative
 from repro.reduction.compress import (
     compress_instance,
@@ -24,8 +25,6 @@ from repro.reduction.compress import (
 
 __all__ = [
     "attribute_groups",
-    "GroupedInstance",
-    "group_instance",
     "IterativeRefinement",
     "solve_iterative",
     "compress_instance",

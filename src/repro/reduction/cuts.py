@@ -1,160 +1,40 @@
-"""Reasonable cuts: fuse identically-accessed attributes (Section 4).
+"""Reasonable cuts: co-access groups of attributes (Section 4).
 
-If two attributes belong to the same table and every query either
-accesses both or neither, any solution can be rearranged so they share
-the same replica sites without changing its cost; it therefore suffices
-to distribute the *groups* induced by query-access overlaps. The paper
-notes this does not improve the worst case but can shrink instances
-dramatically (TPC-C's 92 attributes collapse to a few dozen groups).
+Two attributes of one table that every query either accesses both of
+or neither of form one group.  The paper notes this does not improve
+the worst case but can shrink instances dramatically (TPC-C's 92
+attributes collapse to 37 groups).
 
-The grouped problem is represented as a plain :class:`ProblemInstance`
-whose "attributes" are the groups (width = sum of member widths), so
-every solver runs on it unchanged; :meth:`GroupedInstance.expand`
-lifts a grouped solution back to the original instance with identical
-cost (property-tested).
+Solving over the groups is exact only where some optimum gives every
+member the same sites.  That holds at ``lambda = 1``, but under
+``lambda < 1`` two members may split their sites to balance load, so a
+grouped solve can miss the optimum.  The QP therefore solves over the
+finer exact classes of :mod:`repro.qp.reduce`, which share this key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.costmodel.coefficients import CostCoefficients, build_coefficients
 from repro.costmodel.constants import build_indicators
-from repro.costmodel.evaluator import SolutionEvaluator
 from repro.model.instance import ProblemInstance
-from repro.model.schema import Attribute, Schema, Table
-from repro.model.workload import Query, Transaction, Workload
-from repro.partition.assignment import PartitioningResult
+from repro.qp.reduce import class_index
 
 
 def attribute_groups(instance: ProblemInstance) -> list[list[int]]:
     """Partition attribute indices into co-access groups.
 
     Two attributes are grouped iff they belong to the same table and
-    have identical access columns ``alpha[a, :]`` (then ``beta``,
-    ``rows`` and ``phi`` agree automatically because those are
-    table-level).
+    have identical access rows ``alpha[a, :]`` (then ``beta``, ``rows``
+    and ``phi`` agree automatically, because those follow from the
+    table and ``alpha``).  Groups are ordered by their first member.
     """
-    indicators = build_indicators(instance)
-    signature_to_group: dict[tuple, list[int]] = {}
-    for a_index, attribute in enumerate(instance.attributes):
-        signature = (attribute.table, tuple(indicators.alpha[a_index].astype(bool)))
-        signature_to_group.setdefault(signature, []).append(a_index)
-    # Preserve canonical ordering by the first member of each group.
-    return sorted(signature_to_group.values(), key=lambda members: members[0])
-
-
-@dataclass
-class GroupedInstance:
-    """A reduced instance plus the bookkeeping to expand solutions."""
-
-    original: ProblemInstance
-    grouped: ProblemInstance
-    groups: list[list[int]]
-    #: original attribute index -> group index
-    group_of: np.ndarray
-
-    @property
-    def reduction_ratio(self) -> float:
-        """``#groups / |A|`` — lower is a stronger reduction."""
-        return len(self.groups) / self.original.num_attributes
-
-    def expand(
-        self,
-        result: PartitioningResult,
-        coefficients: CostCoefficients | None = None,
-    ) -> PartitioningResult:
-        """Lift a grouped solution to the original attribute space.
-
-        The expanded solution has exactly the same objective value
-        (grouping is lossless for the cost model).
-        """
-        coefficients = coefficients or build_coefficients(
-            self.original, result.coefficients.parameters
-        )
-        y = result.y[self.group_of]  # fan the group row out to members
-        evaluator = SolutionEvaluator(coefficients)
-        return PartitioningResult(
-            coefficients=coefficients,
-            x=result.x,
-            y=y,
-            objective=evaluator.objective4(result.x, y),
-            solver=f"{result.solver}+cuts",
-            wall_time=result.wall_time,
-            proven_optimal=result.proven_optimal,
-            metadata={
-                **result.metadata,
-                "groups": len(self.groups),
-                "original_attributes": self.original.num_attributes,
-            },
-        )
-
-
-def group_instance(instance: ProblemInstance) -> GroupedInstance:
-    """Build the reduced instance whose attributes are co-access groups."""
-    groups = attribute_groups(instance)
-    group_of = np.empty(instance.num_attributes, dtype=int)
-    group_names: list[str] = []
-    # Representative (grouped) attribute name per group: the first
-    # member's name with a multiplicity marker for readability.
-    for g_index, members in enumerate(groups):
-        for member in members:
-            group_of[member] = g_index
-        first = instance.attributes[members[0]]
-        if len(members) == 1:
-            group_names.append(first.name)
-        else:
-            group_names.append(f"{first.name}__g{len(members)}")
-
-    # Grouped schema: same tables, one attribute per group.
-    table_groups: dict[str, list[int]] = {}
-    for g_index, members in enumerate(groups):
-        table = instance.attributes[members[0]].table
-        table_groups.setdefault(table, []).append(g_index)
-    tables = []
-    for table in instance.schema.tables:
-        attributes = tuple(
-            Attribute(
-                table=table.name,
-                name=group_names[g_index],
-                width=sum(instance.attributes[m].width for m in groups[g_index]),
-            )
-            for g_index in table_groups[table.name]
-        )
-        tables.append(Table(table.name, attributes))
-    grouped_schema = Schema(tables, name=f"{instance.schema.name}/grouped")
-
-    def grouped_name(a_index: int) -> str:
-        g_index = group_of[a_index]
-        table = instance.attributes[groups[g_index][0]].table
-        return f"{table}.{group_names[g_index]}"
-
-    attribute_index = instance.attribute_index
-    transactions = []
-    for transaction in instance.workload:
-        queries = []
-        for query in transaction:
-            mapped = frozenset(
-                grouped_name(attribute_index[qualified])
-                for qualified in query.attributes
-            )
-            queries.append(
-                Query(
-                    name=query.name,
-                    kind=query.kind,
-                    attributes=mapped,
-                    rows=dict(query.rows),
-                    frequency=query.frequency,
-                    extra_tables=query.extra_tables,
-                )
-            )
-        transactions.append(Transaction(transaction.name, tuple(queries)))
-    grouped_workload = Workload(transactions, name=f"{instance.workload.name}/grouped")
-    grouped = ProblemInstance(
-        grouped_schema, grouped_workload, name=f"{instance.name} (grouped)"
-    )
-    return GroupedInstance(
-        original=instance, grouped=grouped, groups=groups, group_of=group_of
-    )
+    table = np.empty(instance.num_attributes)
+    for index, members in enumerate(instance.table_attributes.values()):
+        table[list(members)] = index
+    alpha = build_indicators(instance).alpha
+    classes = class_index(np.column_stack([table, alpha]))
+    return [
+        np.flatnonzero(classes == group).tolist()
+        for group in range(int(classes.max()) + 1)
+    ]

@@ -13,6 +13,7 @@ can only ever skip restarts).
 
 from __future__ import annotations
 
+import ctypes
 import os
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
@@ -29,7 +30,28 @@ _WORKER_STATE: dict = {}
 def _init_worker(
     coefficients: CostCoefficients, num_sites: int, options: SaOptions
 ) -> None:
+    _single_thread_blas()
     _WORKER_STATE["args"] = (coefficients, num_sites, options)
+
+
+def _single_thread_blas() -> None:
+    """Run this worker's OpenBLAS on one thread.
+
+    A forked worker inherits its parent's BLAS threads, so ``jobs``
+    workers would run ``jobs`` times that many on the same cores.
+    numpy's wheels export the setter from the OpenBLAS their extension
+    module links; other builds may not, and then nothing changes.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+
+        library = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return
+    setter = getattr(library, "scipy_openblas_set_num_threads64_", None)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
 
 
 def _run_restart_in_worker(

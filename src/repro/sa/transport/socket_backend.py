@@ -536,6 +536,9 @@ class _Driver:
         env["PYTHONPATH"] = (
             source_root + os.pathsep + existing if existing else source_root
         )
+        # One BLAS thread per worker, so that workers do not oversubscribe
+        # the cores they share.
+        env["OPENBLAS_NUM_THREADS"] = "1"
         self.processes.append(
             subprocess.Popen(
                 command,

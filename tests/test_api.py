@@ -24,6 +24,7 @@ from repro.costmodel.coefficients import build_coefficients
 from repro.costmodel.config import CostParameters, WriteAccounting
 from repro.exceptions import OptionsError, SolverError, UnknownStrategyError
 from repro.partition.assignment import single_site_partitioning
+from repro.qp.linearize import build_linearized_model
 from repro.qp.solver import QpPartitioner, solve_qp
 from repro.reduction.heavy import IterativeRefinement
 from repro.sa.options import SaOptions
@@ -358,22 +359,33 @@ class TestAutoStrategy:
         ],
     )
     def test_estimate_matches_built_model(self, seed, kwargs):
+        """The estimate counts the unreduced model (7), the size the
+        cutoff has always compared, not the one over attribute classes."""
         instance = small_random_instance(seed)
         coefficients = build_coefficients(instance, CostParameters())
-        partitioner = QpPartitioner(coefficients, 3, **kwargs)
         estimate = QpPartitioner.estimate_model_size(coefficients, 3, **kwargs)
-        assert estimate == partitioner.model_size
+        assert estimate == _unreduced_size(coefficients, 3, **kwargs)
 
     def test_estimate_matches_without_load_side(self):
         instance = small_random_instance(1)
         coefficients = build_coefficients(
             instance, CostParameters(load_balance_lambda=1.0)
         )
-        partitioner = QpPartitioner(coefficients, 2)
         assert (
             QpPartitioner.estimate_model_size(coefficients, 2)
-            == partitioner.model_size
+            == _unreduced_size(coefficients, 2)
         )
+
+
+def _unreduced_size(coefficients, num_sites, **kwargs) -> dict[str, int]:
+    linearized = build_linearized_model(coefficients, num_sites, **kwargs)
+    model = linearized.model
+    return {
+        "variables": model.num_variables,
+        "integer_variables": model.num_integer_variables,
+        "constraints": model.num_constraints,
+        "u_variables": linearized.u_columns.size,
+    }
 
 
 # ----------------------------------------------------------------------

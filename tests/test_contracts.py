@@ -41,7 +41,7 @@ def instance():
 
 @pytest.fixture(scope="module")
 def large_instance():
-    """Large enough that eight unbudgeted restarts take several budgets."""
+    """Large enough that sixteen unbudgeted restarts take several budgets."""
     return named_instance("rndAt64x100", seed=20)
 
 
@@ -102,7 +102,7 @@ def test_time_limit_bounds_sa_backends(large_instance, backend):
     report = advise(SolveRequest(
         large_instance, NUM_SITES, strategy="sa-portfolio", seed=3,
         time_limit=time_limit,
-        options={"backend": backend, "restarts": 8, "jobs": 2},
+        options={"backend": backend, "restarts": 16, "jobs": 2},
     ))
     assert report.metadata["executor"] == backend
     assert report.metadata["cancelled_restarts"] >= 1, "the budget must bind"

@@ -22,7 +22,7 @@ from repro import (
     solve_sa,
 )
 from repro.costmodel.evaluator import SolutionEvaluator
-from repro.reduction.cuts import group_instance
+from repro.qp.linearize import build_linearized_model
 from repro.simulator import WorkloadSimulator
 from repro.sqlio import load_instance_from_sql
 
@@ -79,14 +79,15 @@ def test_serialisation_preserves_solver_results(instance, tmp_path):
 
 
 def test_grouping_commutes_with_sql_loading(instance):
-    grouped = group_instance(instance)
+    """The QP over the attribute classes of an SQL-loaded instance finds
+    the optimum of a direct solve of the unreduced model (7)."""
     parameters = CostParameters(load_balance_lambda=1.0)
-    direct = solve_qp(instance, 2, parameters=parameters, gap=1e-9)
-    via_groups = grouped.expand(
-        solve_qp(grouped.grouped, 2, parameters=parameters, gap=1e-9),
-        build_coefficients(instance, parameters),
-    )
-    assert via_groups.objective == pytest.approx(direct.objective, rel=1e-9)
+    reference = build_linearized_model(
+        build_coefficients(instance, parameters), 2
+    ).model.solve(gap=1e-9)
+    grouped = solve_qp(instance, 2, parameters=parameters, gap=1e-9)
+    assert grouped.metadata["attribute_classes"] < instance.num_attributes
+    assert grouped.objective == pytest.approx(reference.objective, rel=1e-9)
 
 
 def test_trace_reestimation_changes_costs(instance):

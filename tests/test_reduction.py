@@ -1,14 +1,16 @@
-"""Reasonable cuts (lossless grouping) and the 20/80 refinement."""
+"""Reasonable cuts (co-access groups, exact QP classes) and the 20/80
+refinement."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.costmodel.coefficients import build_coefficients
 from repro.costmodel.config import CostParameters
 from repro.instances.tpcc import tpcc_instance
+from repro.qp.linearize import build_linearized_model
+from repro.qp.reduce import attribute_classes, reduce_coefficients
 from repro.qp.solver import QpPartitioner
-from repro.reduction.cuts import attribute_groups, group_instance
+from repro.reduction.cuts import attribute_groups
 from repro.reduction.heavy import IterativeRefinement, solve_iterative
 from tests.conftest import small_random_instance
 
@@ -43,45 +45,51 @@ class TestAttributeGroups:
             assert len(tables) == 1
 
 
+@pytest.fixture(scope="module")
+def tpcc_coefficients():
+    return build_coefficients(
+        tpcc_instance(), CostParameters(load_balance_lambda=1.0)
+    )
+
+
 class TestGroupedInstance:
-    def test_grouped_widths_sum(self, tiny_instance):
-        grouped = group_instance(tiny_instance)
-        assert grouped.grouped.schema.total_width == pytest.approx(
-            tiny_instance.schema.total_width
-        )
+    """The QP's model over exact attribute classes (the grouped model)."""
+
+    def test_grouped_widths_sum(self, tpcc_coefficients):
+        classes = attribute_classes(tpcc_coefficients, allow_replication=True)
+        reduced = reduce_coefficients(tpcc_coefficients, classes)
+        assert reduced.num_attributes < tpcc_coefficients.num_attributes
+        for name in ("weights", "c1", "c2", "c3", "c4"):
+            assert getattr(reduced, name).sum() == pytest.approx(
+                getattr(tpcc_coefficients, name).sum()
+            )
 
     @pytest.mark.parametrize("seed", [0, 2, 4])
     def test_grouping_is_lossless(self, seed):
-        """QP optimum on the grouped instance expands to the same cost
-        as solving the original directly."""
+        """The QP over attribute classes finds the optimum of a direct
+        solve of the unreduced model."""
         instance = small_random_instance(seed)
         parameters = CostParameters(load_balance_lambda=1.0)
         coefficients = build_coefficients(instance, parameters)
-        direct = QpPartitioner(coefficients, 2).solve(gap=1e-9)
-        grouped = group_instance(instance)
-        grouped_result = QpPartitioner(
-            grouped.grouped, 2, parameters=parameters
-        ).solve(gap=1e-9)
-        expanded = grouped.expand(grouped_result, coefficients)
-        assert expanded.objective == pytest.approx(direct.objective, rel=1e-9)
-        assert expanded.solver.endswith("+cuts")
+        direct = build_linearized_model(coefficients, 2).model.solve(gap=1e-9)
+        grouped = QpPartitioner(coefficients, 2).solve(gap=1e-9)
+        assert grouped.metadata["attribute_classes"] < instance.num_attributes
+        assert grouped.objective == pytest.approx(direct.objective, rel=1e-9)
 
-    def test_expand_replicates_group_placement(self, tiny_instance):
-        grouped = group_instance(tiny_instance)
-        parameters = CostParameters()
-        result = QpPartitioner(
-            grouped.grouped, 2, parameters=parameters
-        ).solve()
-        expanded = grouped.expand(result)
-        for g_index, members in enumerate(grouped.groups):
-            for member in members:
-                np.testing.assert_array_equal(
-                    expanded.y[member], result.y[g_index]
-                )
+    def test_expand_replicates_group_placement(self, tpcc_coefficients):
+        partitioner = QpPartitioner(tpcc_coefficients, 2)
+        result = partitioner.solve()
+        for k in range(int(partitioner.classes.max()) + 1):
+            rows = result.y[partitioner.classes == k]
+            assert (rows == rows[0]).all()
 
-    def test_reduction_ratio(self, tiny_instance):
-        grouped = group_instance(tiny_instance)
-        assert 0 < grouped.reduction_ratio <= 1.0
+    def test_reduction_ratio(self, tpcc_coefficients):
+        result = QpPartitioner(tpcc_coefficients, 2).solve()
+        ratio = (
+            result.metadata["attribute_classes"]
+            / tpcc_coefficients.num_attributes
+        )
+        assert 0 < ratio < 1.0
 
 
 class TestHeavyFirst:

@@ -6,6 +6,7 @@ byte-identically.
 Envelope-level worker faults are pinned in ``tests/test_transport.py``.
 """
 
+import ctypes
 import json
 import os
 
@@ -413,6 +414,36 @@ class TestPoolWorkerDeath:
                 coefficients, 3,
                 SaOptions(seed=11, restarts=2, jobs=2, backend="thread", **FAST),
             )
+
+
+def _blas_threads() -> int:
+    from numpy._core import _multiarray_umath
+
+    getter = ctypes.CDLL(
+        _multiarray_umath.__file__
+    ).scipy_openblas_get_num_threads64_
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter()
+
+
+class TestPoolWorkerBlas:
+    def test_pool_workers_run_blas_on_one_thread(self):
+        """Each pool worker pins OpenBLAS to one thread, so ``jobs``
+        workers do not oversubscribe the cores."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.sa.backends import pool
+
+        try:
+            _blas_threads()
+        except (ImportError, OSError, AttributeError):
+            pytest.skip("numpy's BLAS exports no thread-count getter")
+        with ProcessPoolExecutor(
+            max_workers=1,
+            initializer=pool._init_worker,
+            initargs=(None, 1, None),
+        ) as executor:
+            assert executor.submit(_blas_threads).result(timeout=60) == 1
 
 
 # ----------------------------------------------------------------------
