@@ -30,7 +30,7 @@ from repro.costmodel.coefficients import build_coefficients
 from repro.costmodel.config import CostParameters
 from repro.instances.library import named_instance
 from repro.qp.linearize import build_linearized_model
-from repro.sa.options import SaOptions
+from repro.sa.options import SaOptions, usable_cores
 from repro.sa.portfolio import run_portfolio
 from repro.sa.solver import SaPartitioner
 from repro.sa.state import random_transaction_placement
@@ -85,11 +85,7 @@ def test_portfolio_best_of_8_beats_single_run(large_coefficients):
     # flat allowance for pool startup (fork + shipping coefficients).
     # On a 4+-core box this demands real concurrency (~2x single + eps);
     # on a 1-core box it still caps portfolio overhead near-serial.
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        cores = os.cpu_count() or 1
-    effective_workers = max(1, min(4, cores))
+    effective_workers = max(1, min(4, usable_cores()))
     budget = (8 / effective_workers) * single_wall * 2.0 + 2.0
     assert portfolio_wall <= budget, (
         f"portfolio {portfolio_wall:.2f}s > budget {budget:.2f}s "

@@ -135,7 +135,7 @@ def sa_portfolio_strategy(
     """Best-of-N multi-start annealing (``restarts`` defaults to 4; set
     ``restarts``/``jobs`` in the options, plus ``backend`` to pick an
     execution backend from :mod:`repro.sa.backends` — "serial",
-    "process", "thread", "socket" (the fault-tolerant multi-box
+    "process", "socket" (the fault-tolerant multi-box
     transport; tune it with ``workers``, ``0`` running it in-driver,
     ``max_retries`` and the heartbeat/backoff options); results are
     identical whatever the backend or fault history)."""

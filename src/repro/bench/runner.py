@@ -64,9 +64,9 @@ def main(argv: list[str] | None = None) -> int:
     if sa_options.restarts > 1:
         portfolio = (
             f" (SA portfolio: best-of-{sa_options.restarts}, "
-            f"jobs={sa_options.jobs})"
+            f"jobs={sa_options.effective_jobs})"
         )
-    elif sa_options.jobs > 1:
+    elif sa_options.jobs is not None and sa_options.jobs > 1:
         # jobs without restarts is a no-op; say so instead of implying
         # a portfolio ran.
         portfolio = (

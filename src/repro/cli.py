@@ -381,11 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "bounds the whole portfolio)")
         sub.add_argument("--jobs", type=int, default=None,
                             help="worker processes for --restarts > 1 "
-                            "(results are identical for any value, only "
-                            "wall-clock changes)")
+                            "(default: the cores this process may use, "
+                            "capped by --restarts; results are identical "
+                            "for any value, only wall-clock changes)")
         sub.add_argument("--backend", default=None,
                             help="portfolio execution backend: serial, "
-                            "process, thread or socket (default: "
+                            "process or socket (default: "
                             "serial for one worker slot, process otherwise; "
                             "results are identical whatever the backend — "
                             "socket drives spawned "

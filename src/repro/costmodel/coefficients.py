@@ -95,12 +95,14 @@ class CostCoefficients:
     def nbytes(self) -> int:
         """Memory footprint of the held dense arrays, in bytes.
 
-        Covers the indicator tensors and ``W`` plus the four coefficient
-        arrays — the data every solver touches.  Workload compression
-        shows up here directly: the dominant arrays are ``O(|A| * |Q|)``
-        and ``O(|A| * |T|)``, both of which shrink with the transaction
-        count.  Derived ``cached_property`` products are excluded (they
-        are views of the same problem and may not have been built).
+        Covers the indicator tensors (one byte per ``bool`` entry), the
+        row counts and ``W`` plus the four coefficient arrays (eight
+        bytes per float64 entry) — the data every solver touches.
+        Workload compression shows up here directly: the dominant arrays
+        are ``O(|A| * |Q|)`` and ``O(|A| * |T|)``, both of which shrink
+        with the transaction count.  Derived ``cached_property``
+        products are excluded (they are views of the same problem and
+        may not have been built).
         """
         indicators = self.indicators
         arrays = (
@@ -162,7 +164,7 @@ class CostCoefficients:
 
     @cached_property
     def write_updates(self) -> np.ndarray:
-        """``alpha`` restricted to write queries: (|A|, |Qw|) float 0/1.
+        """``alpha`` restricted to write queries: (|A|, |Qw|) bool.
 
         Column ``j`` flags the attributes *updated* by the ``j``-th
         write query (order of :attr:`write_queries`).
@@ -254,10 +256,14 @@ def _assemble_coefficients(
     """The parameter-dependent tail of :func:`build_coefficients`."""
     penalty = parameters.network_penalty
 
-    alpha = indicators.alpha
-    beta = indicators.beta
-    gamma = indicators.gamma
-    delta = indicators.delta
+    # One float64 copy of each stored bool indicator: mixed bool/float
+    # operands would cast inside every product below.
+    alpha, beta, gamma, delta = (
+        array.astype(float)
+        for array in (
+            indicators.alpha, indicators.beta, indicators.gamma, indicators.delta
+        )
+    )
 
     read_term = weights * beta * (1.0 - delta)  # (|A|, |Q|)
     transfer_term = weights * alpha * delta

@@ -9,8 +9,12 @@ transaction set ``T`` the paper defines:
 * ``delta[q]``   — ``q`` is a write query,
 * ``phi[a,t]``   — some *read* query of ``t`` accesses ``a``.
 
-All arrays are dense numpy float64 (they multiply into weight sums) and
-are built once per instance.
+The five indicators are dense numpy ``bool`` arrays, an eighth of the
+memory of float64; in products with the float64 weights numpy reads
+them as exact 0.0/1.0.  ``bool`` arithmetic among themselves is logical
+(``+`` is *or*, ``@`` is *or* of *and*), so a count needs an explicit
+cast.  The row counts ``rows`` stay float64.  All are built once per
+instance.
 """
 
 from __future__ import annotations
@@ -53,18 +57,18 @@ def build_indicators(instance: ProblemInstance) -> IndicatorArrays:
 
     * ``alpha <= beta`` element-wise (accessing an attribute implies
       accessing its table),
-    * every column of ``gamma`` sums over transactions to exactly 1,
+    * every row of ``gamma`` (a query) flags exactly one transaction,
     * ``phi[a,t] = max over read queries q of t of alpha[a,q]``.
     """
     num_attributes = instance.num_attributes
     num_queries = instance.num_queries
     num_transactions = instance.num_transactions
 
-    alpha = np.zeros((num_attributes, num_queries))
-    beta = np.zeros((num_attributes, num_queries))
-    gamma = np.zeros((num_queries, num_transactions))
-    delta = np.zeros(num_queries)
-    phi = np.zeros((num_attributes, num_transactions))
+    alpha = np.zeros((num_attributes, num_queries), dtype=bool)
+    beta = np.zeros((num_attributes, num_queries), dtype=bool)
+    gamma = np.zeros((num_queries, num_transactions), dtype=bool)
+    delta = np.zeros(num_queries, dtype=bool)
+    phi = np.zeros((num_attributes, num_transactions), dtype=bool)
     rows = np.zeros((num_attributes, num_queries))
 
     attribute_index = instance.attribute_index
@@ -73,18 +77,18 @@ def build_indicators(instance: ProblemInstance) -> IndicatorArrays:
 
     for q_index, query in enumerate(instance.queries):
         t_index = owner[q_index]
-        gamma[q_index, t_index] = 1.0
+        gamma[q_index, t_index] = True
         if query.is_write:
-            delta[q_index] = 1.0
+            delta[q_index] = True
         for qualified in query.attributes:
             a_index = attribute_index[qualified]
-            alpha[a_index, q_index] = 1.0
+            alpha[a_index, q_index] = True
             if not query.is_write:
-                phi[a_index, t_index] = 1.0
+                phi[a_index, t_index] = True
         for table in query.tables:
             n_rows = query.rows_for(table)
             for a_index in table_attributes[table]:
-                beta[a_index, q_index] = 1.0
+                beta[a_index, q_index] = True
                 rows[a_index, q_index] = n_rows
 
     return IndicatorArrays(

@@ -95,9 +95,11 @@ def linearization_pattern(
     psi_queries = np.zeros(0, dtype=np.intp)
     if latency:
         indicators = coefficients.indicators
+        # Cast before the product: a bool matmul is a logical one and
+        # skips BLAS.
         write_alpha = (
             indicators.alpha * indicators.delta[None, :]
-        ) @ indicators.gamma  # (|A|, |T|)
+        ).astype(float) @ indicators.gamma  # (|A|, |T|) update counts
         need_pair = need_pair | (write_alpha > 0)
         if parameters.latency_penalty > 0:
             psi_queries = np.flatnonzero(

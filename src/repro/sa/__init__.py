@@ -11,7 +11,7 @@ probability in the first iterations.
 
 ``SaOptions(restarts=N)`` runs a best-of-N multi-start portfolio
 (:mod:`repro.sa.portfolio`) over a pluggable execution backend
-(:mod:`repro.sa.backends`: serial, a process or thread pool, or the
+(:mod:`repro.sa.backends`: serial, a process pool, or the
 fault-tolerant multi-box socket transport of :mod:`repro.sa.transport`
 with its remote ``python -m repro.sa.worker`` processes), deterministic
 per master seed whatever runs where — and, for the socket backend,

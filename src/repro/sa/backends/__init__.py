@@ -6,12 +6,12 @@ from *how* to run it.  Backends implement the
 :class:`~repro.sa.backends.base.ExecutionBackend` protocol and register
 under a name selectable via ``SaOptions(backend=...)``:
 
-* ``"serial"`` — sequential in the calling process (default for
-  ``jobs=1``); the reference semantics everything else is pinned to;
-* ``"process"`` — a ``concurrent.futures`` process pool (default for
-  ``jobs>1``), falling back to threads where the platform cannot
-  fork/pickle;
-* ``"thread"`` — the GIL-bound thread pool, forced;
+* ``"serial"`` — sequential in the calling process (the default when
+  the portfolio has one worker slot); the reference semantics
+  everything else is pinned to;
+* ``"process"`` — a forked ``concurrent.futures`` process pool (the
+  default for more than one slot; an unset ``jobs`` means the usable
+  cores), running serially where the platform cannot fork;
 * ``"socket"`` — restarts serialised as JSON task envelopes (built on
   ``SolveRequest``'s round-trip format, :mod:`repro.sa.backends.queue`)
   over length-prefixed JSON frames on loopback TCP to spawned
@@ -63,7 +63,6 @@ def _socket_backend_factory():
 
 register_backend(SerialBackend.name, SerialBackend)
 register_backend("process", ProcessPoolBackend)
-register_backend("thread", lambda: ProcessPoolBackend(use_threads=True))
 register_backend("socket", _socket_backend_factory)
 
 __all__ = [

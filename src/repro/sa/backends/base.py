@@ -77,7 +77,7 @@ class PortfolioPlan:
     @property
     def jobs(self) -> int:
         """Worker slots actually usable (never more than tasks)."""
-        return max(1, min(self.options.jobs, len(self.seeds)))
+        return max(1, min(self.options.effective_jobs, len(self.seeds)))
 
     def tasks(self) -> list[RestartTask]:
         return [
@@ -171,7 +171,9 @@ def restart_options(
     ``portfolio_time_limit``, ``backend``, and the transport
     tuning — ``workers``, ``max_retries``, heartbeat/backoff settings)
     so the task is a plain single anneal, and folds the remaining
-    portfolio budget into the per-run ``time_limit``.
+    portfolio budget into the per-run ``time_limit``.  ``jobs`` is
+    pinned to 1, the one slot a single anneal uses, so task envelopes
+    do not depend on the ``jobs`` default.
     """
     time_limit = options.time_limit
     if remaining is not None:
@@ -181,7 +183,7 @@ def restart_options(
         options,
         seed=seed,
         time_limit=time_limit,
-        **_portfolio_level_defaults(),
+        **{**_portfolio_level_defaults(), "jobs": 1},
     )
 
 

@@ -1,9 +1,9 @@
-"""Concurrent portfolio execution over a ``concurrent.futures`` pool.
+"""Concurrent portfolio execution over a ``concurrent.futures`` process pool.
 
-Workers default to processes (the annealing inner loop is Python-bound,
-so threads cannot scale it) with the coefficients shipped once per
-worker; environments that cannot fork/pickle fall back to threads, and
-an explicit ``backend="thread"`` forces the fallback.
+Workers are forked (the annealing inner loop is Python-bound, so
+threads cannot scale it), which hands each one the coefficients without
+pickling them or re-importing the package.  Where the platform cannot
+fork, the portfolio runs serially instead, with a ``RuntimeWarning``.
 
 Outcomes are collected in the submitting process as their futures
 complete; once the deadline passes, futures that have not started are
@@ -14,13 +14,15 @@ can only ever skip restarts).
 from __future__ import annotations
 
 import ctypes
+import multiprocessing
 import os
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 from repro.costmodel.coefficients import CostCoefficients
 from repro.exceptions import SolverError
 from repro.sa.backends.base import BackendRun, PortfolioPlan, RestartOutcome, run_restart
+from repro.sa.backends.serial import SerialBackend
 from repro.sa.options import SaOptions
 
 # -- process-pool plumbing (state shipped once per worker) --------------
@@ -62,67 +64,48 @@ def _run_restart_in_worker(
 
 
 class ProcessPoolBackend:
-    """Fan restarts out over ``options.jobs`` workers.
-
-    ``use_threads=True`` skips the process pool entirely (registered as
-    the ``"thread"`` backend); otherwise threads are only the fallback
-    when the platform cannot fork/pickle.
-    """
+    """Fan restarts out over ``plan.jobs`` forked worker processes."""
 
     name = "process"
 
-    def __init__(self, use_threads: bool = False):
-        self.use_threads = use_threads
-        if use_threads:
-            self.name = "thread"
-
-    def _make_executor(self, plan: PortfolioPlan):
-        """Process pool when the platform allows it, threads otherwise."""
-        jobs = plan.jobs
-        if self.use_threads:
-            return ThreadPoolExecutor(max_workers=jobs), "thread"
+    @staticmethod
+    def _make_executor(plan: PortfolioPlan) -> ProcessPoolExecutor | None:
+        """A forked process pool, or ``None`` where one cannot start."""
         executor = None
         try:
             executor = ProcessPoolExecutor(
-                max_workers=jobs,
+                max_workers=plan.jobs,
+                mp_context=multiprocessing.get_context("fork"),
                 initializer=_init_worker,
                 initargs=(plan.coefficients, plan.num_sites, plan.options),
             )
-            # Surface fork/pickling failures now, not at result time.
+            # Surface fork failures now, not at result time.
             executor.submit(os.getpid).result(timeout=30)
-            return executor, "process"
+            return executor
         except Exception as error:
             if executor is not None:
                 executor.shutdown(wait=False, cancel_futures=True)
             warnings.warn(
-                f"SA portfolio falling back to threads (GIL-bound; expect "
-                f"little speedup from jobs={jobs}): process pool unavailable "
+                f"SA portfolio running serially: process pool unavailable "
                 f"({type(error).__name__}: {error})",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return ThreadPoolExecutor(max_workers=jobs), "thread"
+            return None
 
     def run(self, plan: PortfolioPlan) -> BackendRun:
-        executor, kind = self._make_executor(plan)
-        run = BackendRun(outcomes=[], kind=kind)
+        executor = self._make_executor(plan)
+        if executor is None:
+            return SerialBackend().run(plan)
+        run = BackendRun(outcomes=[], kind=self.name)
         deadline = plan.deadline
         with executor:
-            if kind == "process":
-                futures = {
-                    executor.submit(
-                        _run_restart_in_worker, task.restart, task.seed, deadline
-                    ): task.restart
-                    for task in plan.tasks()
-                }
-            else:
-                futures = {
-                    executor.submit(
-                        run_restart, plan.coefficients, plan.num_sites,
-                        plan.options, task.restart, task.seed, deadline,
-                    ): task.restart
-                    for task in plan.tasks()
-                }
+            futures = {
+                executor.submit(
+                    _run_restart_in_worker, task.restart, task.seed, deadline
+                ): task.restart
+                for task in plan.tasks()
+            }
             pending = set(futures)
             while pending:
                 timeout = None
@@ -140,7 +123,7 @@ class ProcessPoolBackend:
                         # the restart index instead of returning a
                         # silently incomplete best-of-N.
                         raise SolverError(
-                            f"{kind} pool worker failed restart "
+                            f"process pool worker failed restart "
                             f"{futures[future]}: "
                             f"{type(error).__name__}: {error}"
                         ) from error

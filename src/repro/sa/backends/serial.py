@@ -8,7 +8,7 @@ from repro.sa.backends.base import BackendRun, PortfolioPlan, run_restart
 class SerialBackend:
     """Run every restart sequentially in the calling process.
 
-    This is the default for ``jobs=1`` and the reference semantics the
+    This is the default for one worker slot and the reference semantics the
     other backends are pinned against: restarts execute in index order,
     and those the deadline has passed before they start are cancelled.
     """

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -12,6 +14,15 @@ from repro.exceptions import OptionsError
 #: temperature tau = -WORSE_FRACTION * C* / ln(ACCEPT_PROBABILITY).
 INITIAL_WORSE_FRACTION = 0.05
 INITIAL_ACCEPT_PROBABILITY = 0.5
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the
+    platform reports one, else the machine's core count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -57,19 +68,21 @@ class SaOptions:
     #: ``restarts=1`` is exactly the single-run behaviour).
     restarts: int = 1
     #: Worker slots for running restarts concurrently (1 = in-process
-    #: serial).  The result is deterministic for a fixed seed regardless
-    #: of ``jobs`` — only wall-clock changes.
-    jobs: int = 1
+    #: serial).  ``None`` (the default) means the cores this process may
+    #: use, capped by ``restarts`` (see :attr:`effective_jobs`).  The
+    #: result is deterministic for a fixed seed regardless of ``jobs`` —
+    #: only wall-clock changes.
+    jobs: int | None = None
     #: Wall-clock budget in seconds for the whole restart portfolio
     #: (None = unlimited).  Restarts still pending when it expires are
     #: cancelled; running stragglers are cut short via their own
     #: ``time_limit``.
     portfolio_time_limit: float | None = None
     #: Execution backend for the restart portfolio: a name registered in
-    #: :mod:`repro.sa.backends` ("serial", "process", "thread",
-    #: "socket"), or ``None`` for the historical default (serial for one
-    #: worker slot, the process pool otherwise).  The returned best is
-    #: bitwise identical per master seed whatever the backend.
+    #: :mod:`repro.sa.backends` ("serial", "process", "socket"), or
+    #: ``None`` for the default: serial for one worker slot of
+    #: :attr:`effective_jobs`, the process pool otherwise.  The returned
+    #: best is bitwise identical per master seed whatever the backend.
     backend: str | None = None
     #: Worker processes the ``"socket"`` transport backend spawns
     #: (``None`` = one per usable job slot).  ``0`` is legal and runs
@@ -107,6 +120,16 @@ class SaOptions:
     def __post_init__(self) -> None:
         self.validate()
 
+    @property
+    def effective_jobs(self) -> int:
+        """``jobs`` when set; otherwise :func:`usable_cores` capped by
+        ``restarts``, or 1 where the platform cannot fork a worker pool."""
+        if self.jobs is not None:
+            return self.jobs
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+        return min(usable_cores(), self.restarts)
+
     def validate(self) -> None:
         """Raise :class:`~repro.exceptions.OptionsError` on bad options.
 
@@ -136,7 +159,7 @@ class SaOptions:
             )
         if self.restarts < 1:
             raise OptionsError(f"restarts must be >= 1, got {self.restarts}")
-        if self.jobs < 1:
+        if self.jobs is not None and self.jobs < 1:
             raise OptionsError(f"jobs must be >= 1, got {self.jobs}")
         if self.portfolio_time_limit is not None and self.portfolio_time_limit <= 0:
             raise OptionsError(

@@ -7,7 +7,7 @@ a portfolio of ``restarts`` annealing runs is the cheapest way to buy
 solution quality on the Table 1/3 experiment sweeps.  This module plans
 the restarts and picks the winner; *executing* them is delegated to a
 pluggable :mod:`repro.sa.backends` backend (in-process serial, a
-process/thread pool, or JSON task envelopes over the socket
+process pool, or JSON task envelopes over the socket
 transport), selected via
 ``SaOptions(backend=...)``:
 
@@ -61,7 +61,7 @@ class PortfolioResult:
     #: Restarts cancelled by ``portfolio_time_limit`` before starting.
     cancelled: int = 0
     #: Distinct restarts that needed at least one retry (fault-tolerant
-    #: backend only — socket; always 0 for serial/process/thread).
+    #: backend only — socket; always 0 for serial/process).
     retried_restarts: int = 0
     #: Total restart requeues: failed or lost attempts re-dispatched,
     #: bounded per restart by ``max_retries``.
@@ -128,14 +128,15 @@ def resolve_backend(
     """The execution backend for one portfolio run.
 
     Precedence: an explicit ``backend`` argument (a registered name or a
-    ready-made instance), then ``options.backend``, then the historical
-    default — serial in-process for one worker slot, the process pool
-    otherwise.
+    ready-made instance), then ``options.backend``, then the default —
+    serial in-process for one worker slot, the process pool otherwise
+    (an unset ``jobs`` means the usable cores, see
+    :attr:`~repro.sa.options.SaOptions.effective_jobs`).
     """
     if backend is None:
         backend = options.backend
     if backend is None:
-        jobs = min(options.jobs, options.restarts)
+        jobs = min(options.effective_jobs, options.restarts)
         backend = "serial" if jobs <= 1 else "process"
     if isinstance(backend, str):
         return execution_backends.get_backend(backend)

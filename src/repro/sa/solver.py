@@ -109,7 +109,7 @@ class SaPartitioner:
                 "disjoint": self.options.disjoint,
                 "subsolver": self.options.subsolver,
                 "restarts": self.options.restarts,
-                "jobs": self.options.jobs,
+                "jobs": self.options.effective_jobs,
                 "executor": portfolio.executor,
                 "best_restart": portfolio.best_restart,
                 "restart_seeds": portfolio.restart_seeds,

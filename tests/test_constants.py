@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.costmodel.constants import build_indicators
+from repro.costmodel.coefficients import build_coefficients
+from repro.costmodel.config import CostParameters
+from repro.costmodel.constants import IndicatorArrays, build_indicators
+from repro.instances.library import named_instance
 from tests.conftest import small_random_instance
 
 
@@ -68,3 +71,52 @@ def test_indicator_invariants(seed):
     assert np.array_equal(arrays.phi > 0, expected_phi)
     # Row counts are positive exactly where beta is set.
     assert np.all((arrays.rows > 0) == (arrays.beta > 0))
+
+
+def _float_indicators(instance) -> IndicatorArrays:
+    """The indicators as float64 0/1 arrays, built independently of
+    :func:`build_indicators`."""
+    num_attributes = instance.num_attributes
+    num_queries = instance.num_queries
+    alpha = np.zeros((num_attributes, num_queries))
+    beta = np.zeros((num_attributes, num_queries))
+    gamma = np.zeros((num_queries, instance.num_transactions))
+    delta = np.zeros(num_queries)
+    phi = np.zeros((num_attributes, instance.num_transactions))
+    rows = np.zeros((num_attributes, num_queries))
+    for q_index, query in enumerate(instance.queries):
+        t_index = instance.query_transaction[q_index]
+        gamma[q_index, t_index] = 1.0
+        delta[q_index] = float(query.is_write)
+        for qualified in query.attributes:
+            a_index = instance.attribute_index[qualified]
+            alpha[a_index, q_index] = 1.0
+            if not query.is_write:
+                phi[a_index, t_index] = 1.0
+        for table in query.tables:
+            for a_index in instance.table_attributes[table]:
+                beta[a_index, q_index] = 1.0
+                rows[a_index, q_index] = query.rows_for(table)
+    return IndicatorArrays(alpha, beta, gamma, delta, phi, rows)
+
+
+@pytest.mark.parametrize("name", ["tpcc", "rndAt64x100", "rndDupAt8x400"])
+def test_bool_indicators_give_float64_coefficients(name):
+    """The indicators are stored as ``bool``; the coefficients built
+    from them equal, bit for bit, those of a float64 0/1 build."""
+    instance = named_instance(name, seed=20)
+    stored = build_indicators(instance)
+    reference = _float_indicators(instance)
+    for field in ("alpha", "beta", "gamma", "delta", "phi"):
+        assert getattr(stored, field).dtype == np.bool_, field
+        assert np.array_equal(getattr(stored, field), getattr(reference, field))
+    assert stored.rows.dtype == np.float64
+    assert np.array_equal(stored.rows, reference.rows)
+    parameters = CostParameters()
+    built = build_coefficients(instance, parameters)
+    expected = build_coefficients(instance, parameters, indicators=reference)
+    for field in ("c1", "c2", "c3", "c4"):
+        actual = getattr(built, field)
+        assert actual.dtype == np.float64, field
+        assert np.array_equal(actual, getattr(expected, field)), field
+    assert built.nbytes < expected.nbytes

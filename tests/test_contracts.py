@@ -18,6 +18,7 @@ import pytest
 
 from repro.api import SolveRequest, advise, default_registry
 from repro.instances.library import named_instance
+from repro.sa.options import SaOptions
 
 NUM_SITES = 4
 
@@ -96,14 +97,21 @@ def test_time_limit_bounds_wall_time(instance, strategy):
     )
 
 
-@pytest.mark.parametrize("backend", ["serial", "process", "thread", "socket"])
+@pytest.mark.parametrize("backend", ["serial", "process", "socket", None])
 def test_time_limit_bounds_sa_backends(large_instance, backend):
+    """``None`` sets neither ``backend`` nor ``jobs``: the default
+    portfolio on the usable cores."""
     time_limit = 2.0
+    options = {"restarts": 16}
+    if backend is not None:
+        options |= {"backend": backend, "jobs": 2}
     report = advise(SolveRequest(
         large_instance, NUM_SITES, strategy="sa-portfolio", seed=3,
-        time_limit=time_limit,
-        options={"backend": backend, "restarts": 16, "jobs": 2},
+        time_limit=time_limit, options=options,
     ))
+    if backend is None:
+        jobs = SaOptions(restarts=16).effective_jobs
+        backend = "serial" if jobs == 1 else "process"
     assert report.metadata["executor"] == backend
     assert report.metadata["cancelled_restarts"] >= 1, "the budget must bind"
     ratio = report.wall_time / time_limit

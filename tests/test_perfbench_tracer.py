@@ -47,7 +47,9 @@ def test_tracer_records_every_layer(tracing):
     with tracing.Recorder() as recorder:
         advisor.advise(SolveRequest(
             instance=instance, num_sites=2, strategy="sa-portfolio", seed=0,
-            options={"restarts": 2, "inner_loops": 4, "max_outer_loops": 4},
+            # jobs=1: forked restarts would run outside the patches.
+            options={"restarts": 2, "jobs": 1, "inner_loops": 4,
+                     "max_outer_loops": 4},
         ))
         advisor.advise(SolveRequest(
             instance=instance, num_sites=2, strategy="qp",

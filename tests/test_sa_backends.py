@@ -9,6 +9,7 @@ Envelope-level worker faults are pinned in ``tests/test_transport.py``.
 import ctypes
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from repro.sa.backends import (
 )
 from repro.sa.backends.base import RestartTask, _BACKENDS
 from repro.sa.backends.queue import ENVELOPE_FORMAT_VERSION
-from repro.sa.options import SaOptions
+from repro.sa.options import SaOptions, usable_cores
 from repro.sa.portfolio import derive_restart_seeds, run_portfolio
 from repro.sa.solver import SaPartitioner
 from tests.conftest import small_random_instance
@@ -54,7 +55,7 @@ def coefficients():
 # ----------------------------------------------------------------------
 class TestBackendRegistry:
     def test_builtins_registered(self):
-        assert backend_names() == ["process", "serial", "socket", "thread"]
+        assert backend_names() == ["process", "serial", "socket"]
 
     def test_get_backend_unknown_raises(self):
         with pytest.raises(OptionsError, match="unknown execution backend"):
@@ -146,9 +147,9 @@ class TestBackendParity:
     def test_executor_label(self, per_backend):
         assert per_backend["serial"].executor == "serial"
         assert per_backend["socket"].executor == "socket"
-        # the pool may legitimately fall back to threads on exotic
-        # platforms; on CI/linux it is the process pool.
-        assert per_backend["process"].executor in ("process", "thread")
+        # the pool runs serially where the platform cannot fork; on
+        # CI/linux it is the process pool.
+        assert per_backend["process"].executor in ("process", "serial")
 
     def test_backend_routes_through_sa_partitioner(self, coefficients):
         result = SaPartitioner(
@@ -398,22 +399,25 @@ class TestPoolWorkerDeath:
                 SaOptions(seed=11, restarts=2, jobs=1, backend="process", **FAST),
             )
 
-    def test_thread_pool_worker_failure_names_the_restart(
-        self, coefficients, monkeypatch
-    ):
+
+class TestPoolWithoutFork:
+    def test_runs_serially_with_a_warning(self, coefficients, monkeypatch):
         from repro.sa.backends import pool
 
-        def raising(coeffs, num_sites, options, restart, seed, deadline):
-            raise RuntimeError(f"injected death on restart {restart}")
+        def no_fork(method):
+            raise ValueError(f"cannot find context for {method!r}")
 
-        monkeypatch.setattr(pool, "run_restart", raising)
-        with pytest.raises(
-            SolverError, match="thread pool worker failed restart"
-        ):
-            run_portfolio(
-                coefficients, 3,
-                SaOptions(seed=11, restarts=2, jobs=2, backend="thread", **FAST),
+        options = SaOptions(seed=11, restarts=3, **FAST)
+        serial = run_portfolio(coefficients, 3, replace(options, jobs=1))
+        monkeypatch.setattr(pool.multiprocessing, "get_context", no_fork)
+        with pytest.warns(RuntimeWarning, match="running serially"):
+            portfolio = run_portfolio(
+                coefficients, 3, replace(options, jobs=2, backend="process")
             )
+        assert portfolio.executor == "serial"
+        assert portfolio.restart_objectives == serial.restart_objectives
+        np.testing.assert_array_equal(portfolio.x, serial.x)
+        np.testing.assert_array_equal(portfolio.y, serial.y)
 
 
 def _blas_threads() -> int:
@@ -459,7 +463,7 @@ class TestPortfolioPlan:
         tasks = plan.tasks()
         assert [task.restart for task in tasks] == [0, 1, 2]
         assert [task.seed for task in tasks] == seeds
-        assert plan.jobs == 1
+        assert plan.jobs == min(usable_cores(), 3)
         assert plan.remaining() is None
         assert not plan.expired()
 

@@ -8,6 +8,7 @@ import pytest
 from repro.costmodel.coefficients import build_coefficients
 from repro.costmodel.config import CostParameters
 from repro.exceptions import OptionsError, SolverError
+from repro.sa import options as sa_options
 from repro.sa.options import SaOptions
 from repro.sa.portfolio import derive_restart_seeds, run_portfolio
 from repro.sa.solver import SaPartitioner, solve_sa
@@ -96,6 +97,53 @@ class TestDeterminism:
         assert portfolio.best_restart == objectives.index(min(objectives))
 
 
+class TestDefaultJobs:
+    """An unset ``jobs`` runs the portfolio on the usable cores, capped
+    by ``restarts``, and answers exactly as ``jobs=1`` does."""
+
+    @staticmethod
+    def _solve(coefficients, **options):
+        options = SaOptions(seed=11, restarts=4, **options, **FAST)
+        return SaPartitioner(coefficients, 3, options=options).solve()
+
+    def test_one_core_runs_serial(self, coefficients, monkeypatch):
+        monkeypatch.setattr(sa_options, "usable_cores", lambda: 1)
+        result = self._solve(coefficients)
+        assert result.metadata["executor"] == "serial"
+        assert result.metadata["jobs"] == 1
+
+    def test_two_cores_run_the_pool_bitwise_equal_to_serial(
+        self, coefficients, monkeypatch
+    ):
+        monkeypatch.setattr(sa_options, "usable_cores", lambda: 2)
+        result = self._solve(coefficients)
+        assert result.metadata["executor"] == "process"
+        assert result.metadata["jobs"] == 2
+        serial = self._solve(coefficients, jobs=1)
+        assert serial.metadata["executor"] == "serial"
+        np.testing.assert_array_equal(result.x, serial.x)
+        np.testing.assert_array_equal(result.y, serial.y)
+        assert result.objective == serial.objective
+        assert result.metadata["objective6"] == serial.metadata["objective6"]
+
+    def test_default_is_capped_by_restarts(self, monkeypatch):
+        monkeypatch.setattr(sa_options, "usable_cores", lambda: 8)
+        assert SaOptions(restarts=4).effective_jobs == 4
+        assert SaOptions().effective_jobs == 1
+
+    def test_explicit_jobs_keep_their_value(self, monkeypatch):
+        monkeypatch.setattr(sa_options, "usable_cores", lambda: 1)
+        assert SaOptions(restarts=2, jobs=3).effective_jobs == 3
+
+    def test_no_fork_means_serial(self, monkeypatch):
+        monkeypatch.setattr(sa_options, "usable_cores", lambda: 4)
+        monkeypatch.setattr(
+            sa_options.multiprocessing, "get_all_start_methods",
+            lambda: ["spawn"],
+        )
+        assert SaOptions(restarts=4).effective_jobs == 1
+
+
 class TestPortfolioFacade:
     def test_metadata_records_portfolio(self, coefficients):
         result = SaPartitioner(
@@ -107,7 +155,7 @@ class TestPortfolioFacade:
         assert result.metadata["jobs"] == 2
         assert len(result.metadata["restart_seeds"]) == 3
         assert len(set(result.metadata["restart_seeds"])) == 3
-        assert result.metadata["executor"] in ("serial", "process", "thread")
+        assert result.metadata["executor"] in ("serial", "process")
         assert result.metadata["iterations"] > 0
 
     def test_solve_sa_restart_overrides(self):

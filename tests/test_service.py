@@ -437,6 +437,27 @@ class TestSocketService:
         # re-checked on decode, coefficients rebuilt canonically.
         assert report.result.coefficients.num_attributes > 0
 
+    def test_default_portfolio_forks_from_the_served_process(
+        self, monkeypatch
+    ):
+        """The default ``sa-portfolio`` forks its pool from a process
+        with the server's threads running, and answers as serial does."""
+        from repro.sa import options as sa_options
+
+        monkeypatch.setattr(sa_options, "usable_cores", lambda: 2)
+        instance = small_random_instance(24)
+        request = SolveRequest(
+            instance=instance, num_sites=2, strategy="sa-portfolio",
+            options=dict(SA_OPTIONS), seed=5,
+        )
+        with ServerThread() as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                report = client.advise(request)
+        assert report.metadata["executor"] == "process"
+        reference = Advisor().advise(request.with_options(jobs=1))
+        assert reference.metadata["executor"] == "serial"
+        assert_bitwise_equal(report, reference)
+
     def test_pipelined_duplicates_coalesce_server_side(self):
         instance = small_random_instance(22)
         request = sa_request(instance, seed=3)
