@@ -41,8 +41,9 @@ from tests.reference_subsolve import LoopSubproblemSolver
 
 BALANCED = CostParameters(load_balance_lambda=0.5)
 
-#: Long enough per restart that worker startup (fork + shipping the
-#: coefficients once per worker) amortises; short enough to stay a test.
+#: Long enough per restart that worker startup (a fork and a socket
+#: pair per worker, which inherits the coefficients) amortises; short
+#: enough to stay a test.
 PORTFOLIO_OPTIONS = dict(inner_loops=40, max_outer_loops=12, patience=12)
 
 
@@ -82,7 +83,8 @@ def test_portfolio_best_of_8_beats_single_run(large_coefficients):
         return  # report wall-clock, don't gate on shared-runner cores
     # "Comparable wall-clock" scaled to the hardware: 8 restarts over
     # min(jobs, cores) effective workers, with 2x scheduling slack and a
-    # flat allowance for pool startup (fork + shipping coefficients).
+    # flat allowance for worker startup (a fork and a handshake per
+    # worker).
     # On a 4+-core box this demands real concurrency (~2x single + eps);
     # on a 1-core box it still caps portfolio overhead near-serial.
     effective_workers = max(1, min(4, usable_cores()))
@@ -110,7 +112,7 @@ def test_portfolio_deterministic_across_worker_counts(large_coefficients):
 
 
 def test_queue_backend_parity_and_overhead(large_coefficients):
-    """The socket backend's in-driver loop (``workers=0``: JSON
+    """The process backend's in-driver loop (``workers=0``: JSON
     envelopes through a ``QueueWorker``) returns the bitwise-identical
     best and its serialisation overhead stays a small multiple of the
     serial backend.

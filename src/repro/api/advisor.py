@@ -12,7 +12,7 @@ the HiGHS solve.
 
 ``advise_many`` serves a list of requests in deterministic order and
 derives per-request seeds from one master seed; SA-family stages can fan
-their restart portfolios out over the existing process pool via
+their restart portfolios out over forked worker processes via
 ``jobs`` without changing any result (the portfolio incumbent does not
 depend on completion order).
 
@@ -428,10 +428,10 @@ class Advisor:
         ``master_seed`` fills the seed of every request that does not
         pin one, via deterministic per-request ``SeedSequence`` children
         — the batch reproduces exactly for a fixed master seed.
-        ``jobs`` fans SA-family restart portfolios out over the process
-        pool; results are identical for any value (the portfolio
-        incumbent is completion-order independent), only wall-clock
-        changes.
+        ``jobs`` fans SA-family restart portfolios out over that many
+        forked worker processes; results are identical for any value
+        (the portfolio incumbent is completion-order independent), only
+        wall-clock changes.
         """
         batch = list(requests)
         if master_seed is not None:
@@ -447,7 +447,7 @@ class Advisor:
 
     @staticmethod
     def _with_jobs(request: SolveRequest, jobs: int) -> SolveRequest:
-        """Inject the pool size into every stage that can use it."""
+        """Inject the worker count into every stage that can use it."""
         stages = request.stages
         if len(stages) == 1:
             if stages[0] in _POOLED_STAGES and "jobs" not in request.options:

@@ -5,9 +5,9 @@ number of sites, cost parameters, replication mode, strategy and its
 options, seed and time budget — as one frozen value with an exact JSON
 round-trip (:meth:`SolveRequest.to_json` / :meth:`SolveRequest.from_json`),
 so requests can be queued, shipped to a service and replayed.  The
-portfolio's task envelopes (:mod:`repro.sa.backends.queue`) embed this
-exact document, which is what makes a restart shipped to a remote
-``repro.sa.worker`` over the socket transport replay byte-identically:
+portfolio's task envelopes (:mod:`repro.sa.backends.envelope`) embed this
+exact document, which is what makes a restart shipped to a forked
+worker (:mod:`repro.sa.worker`) over the transport replay byte-identically:
 retries, duplicate deliveries and requeues after worker crashes all
 re-encode to the same request.
 """

@@ -134,11 +134,10 @@ def sa_portfolio_strategy(
 ) -> PartitioningResult:
     """Best-of-N multi-start annealing (``restarts`` defaults to 4; set
     ``restarts``/``jobs`` in the options, plus ``backend`` to pick an
-    execution backend from :mod:`repro.sa.backends` — "serial",
-    "process", "socket" (the fault-tolerant multi-box
-    transport; tune it with ``workers``, ``0`` running it in-driver,
-    ``max_retries`` and the heartbeat/backoff options); results are
-    identical whatever the backend or fault history)."""
+    execution backend from :mod:`repro.sa.backends` — "serial" or
+    "process" (forked workers over the fault-tolerant transport; tune
+    it with ``max_retries`` and the heartbeat/backoff options); results
+    are identical whatever the backend or fault history)."""
     _check_options(request, _SA_OPTION_KEYS, "sa-portfolio")
     options = _sa_options_from(request, restarts_default=DEFAULT_PORTFOLIO_RESTARTS)
     return SaPartitioner(

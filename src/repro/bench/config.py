@@ -14,7 +14,7 @@ RESTARTS_ENV_VAR = "REPRO_BENCH_RESTARTS"
 #: Override the SA portfolio worker count for a bench run.
 JOBS_ENV_VAR = "REPRO_BENCH_JOBS"
 #: Override the portfolio execution backend for a bench run
-#: ("serial", "process" or "socket"; results are identical
+#: ("serial" or "process"; results are identical
 #: whatever the backend — only the execution path changes).
 BACKEND_ENV_VAR = "REPRO_BENCH_BACKEND"
 

@@ -3,10 +3,11 @@
 Two questions, answered as *ratios only* (absolute wall-clock is
 machine noise; the ratios are what the transport design controls):
 
-* **envelope round-trip overhead** — encoding a restart task envelope
-  into a length-prefixed frame and decoding it back, relative to the
-  bare envelope encode/decode the socket backend's in-driver loop does.
-  This is the per-task price of the wire;
+* **envelope round-trip overhead** — encoding a finished restart's
+  result envelope into a length-prefixed RESULT frame and decoding it
+  back, relative to the bare result envelope encode/decode.  A forked
+  worker inherits the plan, so the result is what crosses the wire per
+  task, and this is the per-task price of the wire;
 * **retry-storm throughput** — wall-clock of a socket portfolio under
   a deterministic fault storm (dropped results, a killed worker, a
   stalled heartbeat) relative to the same portfolio on a clean socket
@@ -31,15 +32,15 @@ from repro.bench.config import BenchProfile, get_profile
 from repro.bench.formatting import BenchTable
 from repro.costmodel.coefficients import build_coefficients
 from repro.instances.random_gen import InstanceParameters, generate_instance
-from repro.sa.backends.base import RestartTask
-from repro.sa.backends.queue import (
-    decode_restart_task,
-    encode_restart_task,
+from repro.sa.backends.base import run_restart
+from repro.sa.backends.envelope import (
+    decode_restart_result,
+    encode_restart_result,
 )
 from repro.sa.options import SaOptions
 from repro.sa.portfolio import run_portfolio
 from repro.sa.transport import Fault, FaultPlan, SocketTransportBackend
-from repro.sa.transport.protocol import KIND_TASK, decode_payload, encode_frame
+from repro.sa.transport.protocol import KIND_RESULT, decode_payload, encode_frame
 
 #: Where the JSON artifact lands (default: the working directory).
 ARTIFACT_ENV_VAR = "REPRO_BENCH_ARTIFACT_DIR"
@@ -93,26 +94,39 @@ def _portfolio_options(seed: int) -> SaOptions:
         heartbeat_timeout=0.8,
         backoff_base=0.01,
         max_retries=3,
-        backend="socket",
+        backend="process",
     )
 
 
 def _envelope_roundtrip_ratio(coefficients, options: SaOptions) -> float:
-    task = RestartTask(restart=0, seed=options.seed)
+    outcome = run_restart(
+        coefficients, NUM_SITES, options, 0, options.seed, deadline=None
+    )
+    fields = dict(
+        restart=outcome.restart,
+        seed=outcome.seed,
+        x=outcome.x,
+        y=outcome.y,
+        objective6=outcome.objective6,
+        iterations=outcome.iterations,
+        accepted=outcome.accepted,
+        accepted_worse=outcome.accepted_worse,
+        outer_loops=outcome.outer_loops,
+    )
+
     started = time.perf_counter()
     for _ in range(ENVELOPE_REPEATS):
-        envelope = encode_restart_task(coefficients, NUM_SITES, options, task)
-        decode_restart_task(envelope)
+        decode_restart_result(encode_restart_result(**fields))
     bare = time.perf_counter() - started
 
     started = time.perf_counter()
     for _ in range(ENVELOPE_REPEATS):
-        envelope = encode_restart_task(coefficients, NUM_SITES, options, task)
+        envelope = encode_restart_result(**fields)
         frame = encode_frame(
-            KIND_TASK, task_id="0:0", restart=0, envelope=envelope
+            KIND_RESULT, task_id="0:0", restart=0, envelope=envelope
         )
         payload = decode_payload(frame[4:])
-        decode_restart_task(payload["envelope"])
+        decode_restart_result(payload["envelope"])
     framed = time.perf_counter() - started
     return framed / bare if bare > 0 else 1.0
 
@@ -141,7 +155,7 @@ def transport(profile: BenchProfile | None = None) -> BenchTable:
         coefficients, options, clean_backend
     )
     storm_backend = SocketTransportBackend(
-        workers=2, spawn="thread", fault_plan=_storm_plan(), connect_timeout=5.0
+        workers=2, spawn="thread", fault_plan=_storm_plan()
     )
     storm_result, storm_wall = _timed_portfolio(
         coefficients, options, storm_backend

@@ -13,8 +13,6 @@ Installed as ``repro-partition`` (also ``python -m repro``):
 * ``repro-partition report BENCH_calibration.json`` — render any
   persisted ``BENCH_*.json`` benchmark artifact as a publication-grade
   markdown or LaTeX table,
-* ``repro-partition worker --connect HOST:PORT`` — serve as a remote
-  restart worker for an advisor running ``--backend socket``,
 * ``repro-partition serve`` — run the async advisor service
   (coalescing, admission control, load shedding) on loopback TCP,
 * ``repro-partition request --connect HOST:PORT ...`` — solve one
@@ -87,8 +85,6 @@ def _advise_request(
         portfolio["jobs"] = args.jobs
     if args.backend is not None:
         portfolio["backend"] = args.backend
-    if args.workers is not None:
-        portfolio["workers"] = args.workers
 
     if "restarts" in portfolio and not any(
         stage in _PORTFOLIO_STRATEGIES or stage == "hillclimb"
@@ -101,7 +97,6 @@ def _advise_request(
     for flag, key in (
         ("--jobs", "jobs"),
         ("--backend", "backend"),
-        ("--workers", "workers"),
     ):
         if key in portfolio and not any(
             stage in _PORTFOLIO_STRATEGIES for stage in stages
@@ -310,16 +305,6 @@ def _cmd_request(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    """Delegate to ``python -m repro.sa.worker`` (same flags)."""
-    from repro.sa.worker import main as worker_main
-
-    argv = ["--connect", args.connect]
-    if args.fault_plan:
-        argv += ["--fault-plan", args.fault_plan]
-    return worker_main(argv)
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     profile = get_profile(args.profile)
     for target in args.targets:
@@ -380,24 +365,18 @@ def build_parser() -> argparse.ArgumentParser:
                             "(deterministic for a fixed --seed; --time-limit "
                             "bounds the whole portfolio)")
         sub.add_argument("--jobs", type=int, default=None,
-                            help="worker processes for --restarts > 1 "
+                            help="worker processes forked for --restarts > 1 "
                             "(default: the cores this process may use, "
-                            "capped by --restarts; results are identical "
-                            "for any value, only wall-clock changes)")
+                            "capped by --restarts; 1 runs in-process; "
+                            "results are identical for any value, only "
+                            "wall-clock changes)")
         sub.add_argument("--backend", default=None,
-                            help="portfolio execution backend: serial, "
-                            "process or socket (default: "
-                            "serial for one worker slot, process otherwise; "
-                            "results are identical whatever the backend — "
-                            "socket drives spawned "
-                            "'python -m repro.sa.worker' processes over "
-                            "loopback TCP with heartbeat liveness and "
-                            "bounded retries, or runs the task envelopes "
-                            "in-driver with --workers 0)")
-        sub.add_argument("--workers", type=int, default=None,
-                            help="worker processes for --backend socket "
-                            "(default: the --jobs slots; 0 = degraded "
-                            "in-driver mode; results identical either way)")
+                            help="portfolio execution backend: serial or "
+                            "process (default: serial for one --jobs slot, "
+                            "process otherwise; results are identical "
+                            "whatever the backend — process forks --jobs "
+                            "workers fed over loopback TCP with heartbeat "
+                            "liveness and bounded retries)")
         sub.add_argument("--compress", choices=("off", "lossless", "lossy"),
                             default="off",
                             help="compress the workload before solving: "
@@ -459,18 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write <artifact-stem>.md/.tex files into DIR "
                         "instead of printing to stdout")
     report.set_defaults(func=_cmd_report)
-
-    worker = subparsers.add_parser(
-        "worker",
-        help="run as a socket-transport restart worker "
-        "(one box of a multi-box portfolio)",
-    )
-    worker.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="driver address to dial")
-    worker.add_argument("--fault-plan", default=None, metavar="JSON",
-                        help="JSON FaultPlan for the chaos test suite "
-                        "(worker-side actions only)")
-    worker.set_defaults(func=_cmd_worker)
 
     serve = subparsers.add_parser(
         "serve",

@@ -180,6 +180,6 @@ class CurrentLayout:
         return cls.from_dict(json.loads(text))
 
     # MappingProxyType does not pickle; round-trip through the plain
-    # dict form so layouts survive the process-pool backend.
+    # dict form so layouts pickle and copy.
     def __reduce__(self):
         return (CurrentLayout.from_dict, (self.to_dict(),))

@@ -11,11 +11,10 @@ probability in the first iterations.
 
 ``SaOptions(restarts=N)`` runs a best-of-N multi-start portfolio
 (:mod:`repro.sa.portfolio`) over a pluggable execution backend
-(:mod:`repro.sa.backends`: serial, a process pool, or the
-fault-tolerant multi-box socket transport of :mod:`repro.sa.transport`
-with its remote ``python -m repro.sa.worker`` processes), deterministic
-per master seed whatever runs where — and, for the socket backend,
-whatever faults the transport suffers.
+(:mod:`repro.sa.backends`: serial, or forked worker processes fed
+over the fault-tolerant transport of :mod:`repro.sa.transport`),
+deterministic per master seed whatever runs where — and, for the
+process backend, whatever faults the transport suffers.
 Library callers normally reach all of this through
 :func:`repro.api.advise` with strategy ``"sa"`` / ``"sa-portfolio"``;
 :func:`solve_sa` remains as a thin shim over that entry point.
@@ -26,7 +25,6 @@ from repro.sa.annealer import SimulatedAnnealer
 from repro.sa.portfolio import PortfolioResult, RestartOutcome, derive_restart_seeds, run_portfolio
 from repro.sa.backends import (
     ExecutionBackend,
-    ProcessPoolBackend,
     SerialBackend,
     backend_names,
     get_backend,
@@ -45,7 +43,6 @@ __all__ = [
     "run_portfolio",
     "ExecutionBackend",
     "SerialBackend",
-    "ProcessPoolBackend",
     "backend_names",
     "get_backend",
     "register_backend",

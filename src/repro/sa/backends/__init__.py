@@ -9,16 +9,14 @@ under a name selectable via ``SaOptions(backend=...)``:
 * ``"serial"`` — sequential in the calling process (the default when
   the portfolio has one worker slot); the reference semantics
   everything else is pinned to;
-* ``"process"`` — a forked ``concurrent.futures`` process pool (the
-  default for more than one slot; an unset ``jobs`` means the usable
-  cores), running serially where the platform cannot fork;
-* ``"socket"`` — restarts serialised as JSON task envelopes (built on
-  ``SolveRequest``'s round-trip format, :mod:`repro.sa.backends.queue`)
-  over length-prefixed JSON frames on loopback TCP to spawned
-  ``python -m repro.sa.worker`` processes, with heartbeat liveness
+* ``"process"`` — the default for more than one slot (an unset ``jobs``
+  means the usable cores): forked worker processes that inherit the
+  plan and anneal the caller's coefficients, each driven over its own
+  socket pair with length-prefixed frames, heartbeat liveness
   monitoring, bounded deterministic retries and graceful degradation to
-  in-driver execution (:mod:`repro.sa.transport`); ``workers=0`` runs
-  the envelopes through that in-driver loop alone.
+  in-driver execution through JSON task envelopes
+  (:mod:`repro.sa.backends.envelope`, :mod:`repro.sa.transport`); where
+  the platform cannot fork, it runs in-driver with a ``RuntimeWarning``.
 
 Whatever the backend or jobs count, the returned best is bitwise
 identical per master seed — backends may only *skip* work (restarts the
@@ -43,8 +41,7 @@ from repro.sa.backends.base import (
     restart_options,
     run_restart,
 )
-from repro.sa.backends.pool import ProcessPoolBackend
-from repro.sa.backends.queue import (
+from repro.sa.backends.envelope import (
     QueueWorker,
     decode_restart_result,
     decode_restart_task,
@@ -53,7 +50,8 @@ from repro.sa.backends.queue import (
 )
 from repro.sa.backends.serial import SerialBackend
 
-def _socket_backend_factory():
+
+def _process_backend_factory():
     # Imported lazily: the transport package imports this module (for
     # the envelope codec), so a top-level import would be circular.
     from repro.sa.transport.socket_backend import SocketTransportBackend
@@ -62,14 +60,12 @@ def _socket_backend_factory():
 
 
 register_backend(SerialBackend.name, SerialBackend)
-register_backend("process", ProcessPoolBackend)
-register_backend("socket", _socket_backend_factory)
+register_backend("process", _process_backend_factory)
 
 __all__ = [
     "BackendRun",
     "ExecutionBackend",
     "PortfolioPlan",
-    "ProcessPoolBackend",
     "QueueWorker",
     "RestartOutcome",
     "RestartTask",

@@ -4,8 +4,8 @@ A portfolio run is a list of :class:`RestartTask`\\ s — pure
 ``(index, seed)`` functions of the shipped coefficients — plus the
 shared budget bundled into a :class:`PortfolioPlan`.
 An :class:`ExecutionBackend` consumes the plan and returns a
-:class:`BackendRun`; *how* the restarts execute (in-process, across a
-worker pool, or shipped as serialised task envelopes) is the backend's
+:class:`BackendRun`; *how* the restarts execute (in-process, or shipped
+as serialised task envelopes to worker processes) is the backend's
 business, but every backend must preserve the portfolio contract:
 
 * restarts it runs are executed with exactly the single-run options
@@ -105,8 +105,8 @@ class BackendRun:
     cancelled: int = 0
     #: Executor label for result metadata ("serial", "process", ...).
     kind: str = "serial"
-    #: Distinct restarts that needed at least one retry (fault-tolerant
-    #: backends only; always 0 for serial/process).
+    #: Distinct restarts that needed at least one retry (always 0 for
+    #: serial).
     retried_restarts: int = 0
     #: Total restart requeues — failed or lost attempts that were
     #: re-dispatched (bounded per restart by ``max_retries``).
@@ -144,7 +144,6 @@ _PORTFOLIO_LEVEL_FIELDS = (
     "jobs",
     "portfolio_time_limit",
     "backend",
-    "workers",
     "max_retries",
     "heartbeat_interval",
     "heartbeat_timeout",
@@ -169,7 +168,7 @@ def restart_options(
 
     Strips every portfolio-level knob (``restarts``, ``jobs``,
     ``portfolio_time_limit``, ``backend``, and the transport
-    tuning — ``workers``, ``max_retries``, heartbeat/backoff settings)
+    tuning — ``max_retries``, heartbeat/backoff settings)
     so the task is a plain single anneal, and folds the remaining
     portfolio budget into the per-run ``time_limit``.  ``jobs`` is
     pinned to 1, the one slot a single anneal uses, so task envelopes

@@ -6,10 +6,11 @@ format, so a task carries everything a worker needs (instance,
 parameters, single-run options, seed) and nothing it doesn't (no pickled
 arrays, no process state).  :class:`QueueWorker` decodes the envelope,
 rebuilds the coefficients, runs the anneal and returns a *result
-envelope*.  Both sides are plain JSON strings; the ``"socket"`` backend
-(:mod:`repro.sa.transport`) carries them to remote workers and runs
-them through a :class:`QueueWorker` loop in the driver when it has no
-workers.
+envelope*.  Both sides are plain JSON strings.  The ``"process"``
+backend (:mod:`repro.sa.transport`) runs task envelopes through a
+:class:`QueueWorker` loop in the driver when it has no workers; its
+forked workers inherit the plan instead, and send back only the result
+envelope.
 
 Determinism contract:
 
@@ -38,7 +39,7 @@ from repro.sa.options import SaOptions
 
 #: Version stamp of both envelope documents.  Version 2 extended the
 #: task envelope's options with the transport tuning fields added for
-#: the socket backend (``workers``, ``max_retries``, heartbeat/backoff
+#: the transport (``workers``, ``max_retries``, heartbeat/backoff
 #: knobs) — reset to defaults by ``restart_options``, but present in
 #: the document, so a version-1 reader would reject the constructor
 #: keywords.  Version 3 added the online re-partitioning fields: the
@@ -46,9 +47,10 @@ from repro.sa.options import SaOptions
 #: argument present in every options document) and, when a migration
 #: block is attached, the request's ``current_layout``/
 #: ``migration_cost`` members.  Version 4 dropped the ``incremental``
-#: options keyword, and version 5 the restart-pruning one.  The socket
-#: transport negotiates this version at connect.
-ENVELOPE_FORMAT_VERSION = 5
+#: options keyword, version 5 the restart-pruning one, and version 6
+#: the ``workers`` one.  The transport negotiates this version at
+#: connect.
+ENVELOPE_FORMAT_VERSION = 6
 TASK_KIND = "sa-restart"
 RESULT_KIND = "sa-restart-result"
 
@@ -189,13 +191,13 @@ def _check_wire_safe(coefficients: CostCoefficients) -> None:
     """Reject coefficients the wire format cannot represent faithfully.
 
     A task envelope carries only ``(instance, parameters)`` — the
-    worker *rebuilds* the coefficient arrays canonically.  Coefficients
-    built non-canonically (custom indicators, hand-tweaked weights)
-    would silently anneal a different problem on the socket backend
-    than on the serial/process backends, breaking the cross-backend
-    bitwise contract, so they are refused up front.  One canonical
-    rebuild per portfolio run — the same work every worker does per
-    task.
+    :class:`QueueWorker` *rebuilds* the coefficient arrays canonically.
+    Coefficients built non-canonically (custom indicators, hand-tweaked
+    weights) would silently anneal a different problem in the process
+    backend's in-driver loop than on the serial one, breaking the
+    cross-backend bitwise contract, so that loop refuses them up front.
+    One canonical rebuild per in-driver run — the same work the loop
+    then does per task.
     """
     rebuilt = build_coefficients(coefficients.instance, coefficients.parameters)
     shipped_arrays = (
@@ -216,12 +218,12 @@ def _check_wire_safe(coefficients: CostCoefficients) -> None:
             shipped, canonical
         ):
             raise OptionsError(
-                "the socket backend ships (instance, parameters) and "
-                "rebuilds coefficients canonically, but these "
-                "coefficients differ from build_coefficients(instance, "
-                "parameters) — non-canonical coefficients (custom "
-                "indicators or edited arrays) cannot go over the wire; "
-                "use the serial or process backend for them"
+                "the process backend's in-driver loop ships (instance, "
+                "parameters) in task envelopes and rebuilds coefficients "
+                "canonically, but these coefficients differ from "
+                "build_coefficients(instance, parameters) — non-canonical "
+                "coefficients (custom indicators or edited arrays) need "
+                "forked workers or the serial backend (jobs=1)"
             )
 
 

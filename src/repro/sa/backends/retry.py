@@ -1,7 +1,7 @@
-"""The retry/requeue core of the fault-tolerant socket backend.
+"""The retry/requeue core of the fault-tolerant process backend.
 
 :class:`~repro.sa.transport.socket_backend.SocketTransportBackend`
-obeys this contract when a worker fails mid-restart, on a remote worker
+obeys this contract when a worker fails mid-restart, on a forked worker
 and in its in-driver loop alike: the restart is requeued and retried —
 safely, because a task envelope is a pure function of ``(restart, seed,
 single-run options)`` so the retry reproduces exactly the outcome the

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -67,11 +66,11 @@ class SaOptions:
     #: returns the best-of-N incumbent (restart 0 reuses ``seed``, so
     #: ``restarts=1`` is exactly the single-run behaviour).
     restarts: int = 1
-    #: Worker slots for running restarts concurrently (1 = in-process
-    #: serial).  ``None`` (the default) means the cores this process may
-    #: use, capped by ``restarts`` (see :attr:`effective_jobs`).  The
-    #: result is deterministic for a fixed seed regardless of ``jobs`` —
-    #: only wall-clock changes.
+    #: Worker processes for running restarts concurrently (1 =
+    #: in-process serial).  ``None`` (the default) means the cores this
+    #: process may use, capped by ``restarts`` (see
+    #: :attr:`effective_jobs`).  The result is deterministic for a fixed
+    #: seed regardless of ``jobs`` — only wall-clock changes.
     jobs: int | None = None
     #: Wall-clock budget in seconds for the whole restart portfolio
     #: (None = unlimited).  Restarts still pending when it expires are
@@ -79,24 +78,20 @@ class SaOptions:
     #: ``time_limit``.
     portfolio_time_limit: float | None = None
     #: Execution backend for the restart portfolio: a name registered in
-    #: :mod:`repro.sa.backends` ("serial", "process", "socket"), or
-    #: ``None`` for the default: serial for one worker slot of
-    #: :attr:`effective_jobs`, the process pool otherwise.  The returned
-    #: best is bitwise identical per master seed whatever the backend.
+    #: :mod:`repro.sa.backends` ("serial", "process"), or ``None`` for
+    #: the default: serial for one worker slot of
+    #: :attr:`effective_jobs`, forked worker processes otherwise.  The
+    #: returned best is bitwise identical per master seed whatever the
+    #: backend.
     backend: str | None = None
-    #: Worker processes the ``"socket"`` transport backend spawns
-    #: (``None`` = one per usable job slot).  ``0`` is legal and runs
-    #: the whole portfolio through the transport's in-driver degraded
-    #: mode — the same code path a drained worker pool falls back to.
-    workers: int | None = None
     #: Failed attempts allowed *per restart* on the fault-tolerant
-    #: "socket" backend (remote workers and its in-driver loop alike)
+    #: "process" backend (its workers and its in-driver loop alike)
     #: before the portfolio fails with
     #: :class:`~repro.exceptions.SolverError`; a lost restart would
     #: silently change the best-of-N result, which the determinism
     #: contract forbids.
     max_retries: int = 2
-    #: Seconds between worker heartbeats on the socket transport.
+    #: Seconds between worker heartbeats on the process backend.
     heartbeat_interval: float = 0.5
     #: Seconds of worker silence after which the transport's liveness
     #: monitor declares the worker dead and requeues its in-flight
@@ -105,12 +100,12 @@ class SaOptions:
     #: Base of the exponential retry backoff in seconds: attempt ``k``
     #: of a restart waits ``~ backoff_base * 2**(k-1)`` scaled by a
     #: deterministic jitter derived from the restart seed.  ``0``
-    #: disables backoff (the socket backend's in-driver loop never
+    #: disables backoff (the process backend's in-driver loop never
     #: waits).
     backoff_base: float = 0.05
     #: Incumbent layout to warm-start from, as the JSON dictionary form
     #: of :class:`~repro.partition.current_layout.CurrentLayout`
-    #: (``layout.to_dict()``) so it rides the socket task envelopes
+    #: (``layout.to_dict()``) so it rides the task envelopes
     #: unchanged.  ``None`` (the default) keeps the historical random
     #: initial solution.  The warm start replaces the *initial*
     #: solution of every restart with the repaired incumbent, so the
@@ -123,10 +118,10 @@ class SaOptions:
     @property
     def effective_jobs(self) -> int:
         """``jobs`` when set; otherwise :func:`usable_cores` capped by
-        ``restarts``, or 1 where the platform cannot fork a worker pool."""
+        ``restarts``, or 1 where the platform cannot fork workers."""
         if self.jobs is not None:
             return self.jobs
-        if "fork" not in multiprocessing.get_all_start_methods():
+        if not hasattr(os, "fork"):
             return 1
         return min(usable_cores(), self.restarts)
 
@@ -166,8 +161,6 @@ class SaOptions:
                 f"portfolio_time_limit must be positive seconds, got "
                 f"{self.portfolio_time_limit}"
             )
-        if self.workers is not None and self.workers < 0:
-            raise OptionsError(f"workers must be >= 0, got {self.workers}")
         # Imported lazily: the backends package imports this module.
         from repro.sa.backends.retry import validate_max_retries
 

@@ -6,9 +6,8 @@ made per-solution state cheap (one independent
 a portfolio of ``restarts`` annealing runs is the cheapest way to buy
 solution quality on the Table 1/3 experiment sweeps.  This module plans
 the restarts and picks the winner; *executing* them is delegated to a
-pluggable :mod:`repro.sa.backends` backend (in-process serial, a
-process pool, or JSON task envelopes over the socket
-transport), selected via
+pluggable :mod:`repro.sa.backends` backend (in-process serial, or
+forked worker processes driven over socket pairs), selected via
 ``SaOptions(backend=...)``:
 
 * restart 0 reuses the master seed itself, so ``restarts=1`` reproduces
@@ -60,8 +59,8 @@ class PortfolioResult:
     outcomes: list[RestartOutcome] = field(default_factory=list)
     #: Restarts cancelled by ``portfolio_time_limit`` before starting.
     cancelled: int = 0
-    #: Distinct restarts that needed at least one retry (fault-tolerant
-    #: backend only — socket; always 0 for serial/process).
+    #: Distinct restarts that needed at least one retry (always 0 for
+    #: serial).
     retried_restarts: int = 0
     #: Total restart requeues: failed or lost attempts re-dispatched,
     #: bounded per restart by ``max_retries``.
@@ -129,7 +128,7 @@ def resolve_backend(
 
     Precedence: an explicit ``backend`` argument (a registered name or a
     ready-made instance), then ``options.backend``, then the default —
-    serial in-process for one worker slot, the process pool otherwise
+    serial in-process for one worker slot, forked workers otherwise
     (an unset ``jobs`` means the usable cores, see
     :attr:`~repro.sa.options.SaOptions.effective_jobs`).
     """

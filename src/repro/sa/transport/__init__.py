@@ -1,20 +1,20 @@
-"""The socket transport of the multi-box restart portfolio.
+"""The socket transport of the restart portfolio's ``"process"`` backend.
 
-:mod:`repro.sa.backends.queue` defines the wire format — versioned JSON
-task/result envelopes that are pure functions of ``(restart, seed,
-single-run options, instance, parameters)`` — and this package carries
-those envelopes over a real transport:
+Each worker is a fork of the driver, connected to it by a socket pair,
+and anneals the plan it inherited; the frames carry only which restart
+to run and the finished restart's result envelope
+(:mod:`repro.sa.backends.envelope`):
 
 * :mod:`~repro.sa.transport.protocol` — length-prefixed JSON frames
-  over a TCP socket, with protocol/envelope version negotiation at
+  over a stream socket, with protocol/envelope version negotiation at
   connect;
-* :mod:`~repro.sa.transport.socket_backend` — the ``"socket"``
-  execution backend: a driver that spawns (or accepts) remote
-  ``python -m repro.sa.worker`` processes, monitors their liveness via
-  heartbeats, requeues restarts lost to dead/stalled workers (bounded
-  retries, deterministic exponential backoff), and degrades to
-  in-driver execution when the worker pool drains (``workers=0`` asks
-  for that in-driver loop from the start);
+* :mod:`~repro.sa.transport.socket_backend` — the ``"process"``
+  execution backend: a driver that forks worker processes
+  (:mod:`repro.sa.worker`), monitors their liveness via heartbeats,
+  requeues restarts lost to dead/stalled workers (bounded retries,
+  deterministic exponential backoff), and degrades to in-driver
+  execution when the worker pool drains or the platform cannot fork
+  (``workers=0`` asks for that in-driver loop from the start);
 * :mod:`~repro.sa.transport.faults` — a deterministic, seedable
   :class:`FaultPlan` (drop / delay / duplicate / corrupt frames, kill a
   worker mid-restart, stall its heartbeat) injected at the protocol
@@ -23,8 +23,9 @@ those envelopes over a real transport:
 
 Whatever the faults, the returned best is bitwise identical to
 :class:`~repro.sa.backends.serial.SerialBackend` for the same master
-seed — task envelopes are pure functions, results are deduplicated by
-restart index, and lost restarts are retried (never dropped).
+seed — a restart's outcome is a pure function of the plan and its
+index, results are deduplicated by restart index, and lost restarts are
+retried (never dropped).
 Pinned by ``tests/test_transport.py``.
 """
 

@@ -3,7 +3,7 @@
 A :class:`FaultPlan` is a seedable, JSON-serialisable schedule of
 failures — "drop the first RESULT frame of connection 0", "kill worker 1
 while it sends its second result", "stall worker 0's heartbeat from the
-third beat on" — that the socket backend and its workers *replay
+third beat on" — that the process backend and its workers *replay
 exactly*.  Because the schedule is data, every chaos test is
 reproducible from its seed alone: the assertion is always the same,
 that the portfolio's best is bitwise identical to the serial backend's
@@ -17,16 +17,16 @@ Fault sites:
   mangles driver→worker frames (tasks),
   ``direction="recv"`` mangles worker→driver frames (results, acks,
   heartbeats) as they are popped off the buffer;
-* **worker faults** (``kill-worker`` / ``stall-heartbeat``) ship to the
-  worker process (``--fault-plan`` on its command line) and fire inside
-  it: a kill raises :class:`FaultInjected` as the worker is about to
-  send the matched frame — dying abruptly mid-restart, connection and
-  all — and a stall silently swallows every heartbeat from the matched
-  index on while the worker otherwise keeps running, which is exactly
-  the failure the liveness monitor exists to catch.
+* **worker faults** (``kill-worker`` / ``stall-heartbeat``) are handed
+  to the worker when it is spawned and fire inside it: a kill raises
+  :class:`FaultInjected` as the worker is about to send the matched
+  frame — dying abruptly mid-restart, connection and all — and a stall
+  silently swallows every heartbeat from the matched index on while the
+  worker otherwise keeps running, which is exactly the failure the
+  liveness monitor exists to catch.
 
-Faults target one ``connection`` ordinal (the order connections were
-accepted / workers were spawned).  Replacement workers get fresh, higher
+Faults target one ``connection`` ordinal (the order workers were
+spawned).  Replacement workers get fresh, higher
 ordinals, so a kill schedule terminates: the respawned worker runs the
 requeued restart clean instead of dying in a loop.
 """
@@ -97,7 +97,7 @@ class Fault:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A deterministic schedule of faults, serialisable for the CLI."""
+    """A deterministic schedule of faults, serialisable as JSON."""
 
     faults: tuple[Fault, ...] = field(default_factory=tuple)
 
@@ -122,7 +122,7 @@ class FaultPlan:
             and fault.connection == connection
         ]
 
-    # -- serialisation (rides on the worker command line) --------------
+    # -- serialisation ------------------------------------------------
     def to_json(self) -> str:
         return json.dumps(
             {"faults": [asdict(fault) for fault in self.faults]},

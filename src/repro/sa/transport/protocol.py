@@ -13,16 +13,13 @@ Every message between the driver and a worker is one frame; the JSON
 payload always carries a ``"kind"`` discriminator (one of the ``KIND_*``
 constants below) and is dumped with sorted keys so identical messages
 are identical bytes — which is what lets the fault harness target, say,
-"the third RESULT frame" deterministically, and lets the driver treat a
-re-sent task envelope as an idempotency key.
+"the third RESULT frame" deterministically.
 
-The task/result *envelopes* themselves (the JSON documents of the
-envelope codec in :mod:`repro.sa.backends.queue`) ride inside
-TASK/RESULT frames as strings, not as inlined objects: the envelope
-bytes on the socket are exactly the bytes
-:func:`~repro.sa.backends.queue.encode_restart_task` produced — the
-same bytes the driver's own in-driver loop decodes — so the
-cross-backend bitwise contract needs no re-proof here.
+A TASK frame names only the restart: the worker is a fork of the driver
+and already holds the portfolio's plan.  The *result envelope* (the
+JSON document of :func:`~repro.sa.backends.envelope.encode_restart_result`)
+rides inside the RESULT frame as a string, not as an inlined object, so
+the bytes the driver decodes are exactly the bytes the worker encoded.
 
 Version negotiation happens once per connection, before anything else:
 the worker opens with a HELLO listing every protocol version it speaks
@@ -60,7 +57,7 @@ _LENGTH = struct.Struct("!I")
 # -- frame kinds -------------------------------------------------------
 KIND_HELLO = "hello"            # worker -> driver: version offer
 KIND_HELLO_ACK = "hello-ack"    # driver -> worker: chosen version + config
-KIND_TASK = "task"              # driver -> worker: one task envelope
+KIND_TASK = "task"              # driver -> worker: one restart to run
 KIND_ACK = "ack"                # worker -> driver: task frame received
 KIND_RESULT = "result"          # worker -> driver: one result envelope
 KIND_HEARTBEAT = "heartbeat"    # worker -> driver: liveness + current task
@@ -101,7 +98,7 @@ class Endpoint:
 
     Sending is thread-safe (the worker's heartbeat ticker shares the
     socket with its task loop); receiving buffers partial frames so a
-    frame split across TCP segments is reassembled transparently.
+    frame split across stream reads is reassembled transparently.
     """
 
     def __init__(self, sock: socket.socket):

@@ -1,21 +1,27 @@
-"""The ``"socket"`` execution backend: a fault-tolerant multi-box driver.
+"""The ``"process"`` execution backend: restarts on forked local workers.
 
-The driver listens on a loopback port, spawns ``workers`` remote worker
-processes (``python -m repro.sa.worker --connect ...``), and schedules
-the portfolio's restart tasks over the connections with an
-at-least-once discipline:
+The driver forks ``workers`` worker processes, each connected to it by
+its own ``socket.socketpair()`` made before the fork, so no other
+process can reach either end.  A worker
+(:func:`repro.sa.worker.run_worker`) inherits the portfolio's plan and
+anneals the caller's own coefficients, exactly as the serial backend
+does: a TASK frame names only the restart, and the RESULT frame carries
+the finished restart's result envelope back.  The driver schedules the
+portfolio's restarts over the connections with an at-least-once
+discipline:
 
 * every dispatched TASK frame must be ACKed; a task that is neither
   acknowledged nor resolved within the heartbeat timeout is presumed
   lost and requeued;
 * workers heartbeat continuously, carrying the id of the task they are
   running — so when a heartbeat says *idle* after the task was ACKed,
-  the terminal RESULT/ERROR frame is known lost (TCP preserves
-  per-connection order and the worker goes idle only after sending it)
+  the terminal RESULT/ERROR frame is known lost (a stream socket
+  preserves order and the worker goes idle only after sending it)
   and the restart is requeued without waiting for any timeout;
-* a connection that stays silent past ``heartbeat_timeout`` is declared
-  dead: it is closed, its in-flight restart requeued, and a replacement
-  worker spawned (bounded by a spawn budget so a crash loop terminates);
+* a connection that closes (the worker died) or stays silent past
+  ``heartbeat_timeout`` is written off: it is closed, its in-flight
+  restart requeued, and a replacement worker forked (bounded by a spawn
+  budget so a crash loop terminates);
 * requeues are bounded per restart by ``max_retries`` and spread out by
   a deterministic exponential backoff
   (:func:`repro.sa.backends.retry.backoff_delay`); an exhausted budget
@@ -24,14 +30,17 @@ at-least-once discipline:
   best-of-N result, which the determinism contract forbids;
 * when the pool drains to zero with no spawn budget left, the driver
   degrades gracefully: the remaining restarts run in-driver through the
-  very same task envelopes (a
-  :class:`~repro.sa.backends.queue.QueueWorker` loop), so the result is
-  still bitwise identical — only slower.
+  task envelopes (a :class:`~repro.sa.backends.envelope.QueueWorker`
+  loop), so the result is still bitwise identical — only slower.  Where
+  the platform cannot fork, the whole portfolio runs that way, with a
+  ``RuntimeWarning``.  Task envelopes carry ``(instance, parameters)``
+  and rebuild the coefficients, so the in-driver loop refuses
+  non-canonical coefficients up front.
 
 Duplicate deliveries (retries racing late results, duplicated frames)
-are harmless by construction: a result envelope is a pure function of
-its task envelope, and the driver keeps the *first* result per restart
-index — any second copy is byte-identical anyway.
+are harmless by construction: a restart's outcome is a pure function of
+its index and the plan, and the driver keeps the *first* result per
+restart index — any second copy is byte-identical anyway.
 
 Determinism: for a fixed master seed the returned best is bitwise
 identical to :class:`~repro.sa.backends.serial.SerialBackend` whatever
@@ -41,16 +50,16 @@ whole fault matrix by ``tests/test_transport.py``.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import selectors
+import signal
 import socket
-import subprocess
-import sys
 import threading
 import time
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.exceptions import (
     ConnectionClosedError,
@@ -63,7 +72,7 @@ from repro.sa.backends.base import (
     RestartOutcome,
     RestartTask,
 )
-from repro.sa.backends.queue import (
+from repro.sa.backends.envelope import (
     ENVELOPE_FORMAT_VERSION,
     QueueWorker,
     _check_wire_safe,
@@ -98,7 +107,6 @@ class _Inflight:
 class _Connection:
     """Driver-side state of one connected worker."""
 
-    ordinal: int
     endpoint: Endpoint
     fd: int
     last_seen: float
@@ -106,48 +114,47 @@ class _Connection:
 
 
 class SocketTransportBackend:
-    """Drive the portfolio over loopback sockets to worker processes.
+    """Drive the portfolio over socket pairs to forked worker processes.
 
-    ``workers`` overrides ``SaOptions.workers`` (``None`` falls back to
-    the portfolio's ``jobs`` slots; ``0`` runs everything in-driver —
-    the degraded mode, available explicitly).  ``spawn`` selects how
-    workers come up: ``"process"`` execs ``python -m repro.sa.worker``,
-    ``"thread"`` runs the same worker loop in daemon threads (fast, for
-    tests — the protocol path is identical).  ``fault_plan`` replays a
-    deterministic :class:`~repro.sa.transport.faults.FaultPlan` against
-    the connections (chaos tests only).
+    ``workers`` is the number of workers (``None`` means the
+    portfolio's ``jobs`` slots; ``0`` runs everything in-driver — the
+    degraded mode, available explicitly).  ``spawn`` selects how
+    workers come up: ``"fork"`` forks this process, ``"thread"`` runs
+    the same worker loop in daemon threads (fast, for tests — the
+    protocol path is identical).  ``fault_plan`` replays a deterministic
+    :class:`~repro.sa.transport.faults.FaultPlan` against the
+    connections (chaos tests only).
     """
 
-    name = "socket"
+    name = "process"
 
     def __init__(
         self,
         workers: int | None = None,
         fault_plan: FaultPlan | None = None,
-        spawn: str = "process",
-        connect_timeout: float = 15.0,
+        spawn: str = "fork",
     ):
-        if spawn not in ("process", "thread"):
+        if spawn not in ("fork", "thread"):
             raise OptionsError(
-                f"spawn must be 'process' or 'thread', got {spawn!r}"
+                f"spawn must be 'fork' or 'thread', got {spawn!r}"
             )
         if workers is not None and workers < 0:
             raise OptionsError(f"workers must be >= 0, got {workers}")
         self.workers = workers
         self.fault_plan = fault_plan or FaultPlan()
         self.spawn = spawn
-        self.connect_timeout = connect_timeout
 
     def run(self, plan: PortfolioPlan) -> BackendRun:
-        _check_wire_safe(plan.coefficients)
-        workers = self.workers
-        if workers is None:
-            workers = plan.options.workers
-        if workers is None:
-            workers = plan.jobs
-        if workers > 0:
-            workers = min(workers, len(plan.seeds))
-        return _Driver(plan, self, workers).run()
+        workers = plan.jobs if self.workers is None else self.workers
+        if workers > 0 and self.spawn == "fork" and not hasattr(os, "fork"):
+            warnings.warn(
+                "SA portfolio running in-driver: this platform cannot "
+                "fork worker processes",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            workers = 0
+        return _Driver(plan, self, min(workers, len(plan.seeds))).run()
 
 
 class _Driver:
@@ -163,29 +170,22 @@ class _Driver:
         self.tracker = RetryTracker(
             self.options.max_retries,
             backoff_base=self.options.backoff_base,
-            label="socket worker",
+            label="process worker",
         )
-        self.record = BackendRun(outcomes=[], kind="socket")
+        self.record = BackendRun(outcomes=[], kind=SocketTransportBackend.name)
         self.total = len(plan.seeds)
         #: [task, not-before] dispatch queue (monotonic not-before
         #: implements the retry backoff).
         self.pending: list[list] = [[task, 0.0] for task in plan.tasks()]
         self.done: set[int] = set()
         self.connections: dict[int, _Connection] = {}
-        self.processes: list[subprocess.Popen] = []
+        self.pids: list[int] = []
         self.threads: list[threading.Thread] = []
         self.selector: selectors.BaseSelector | None = None
-        self.listener: socket.socket | None = None
-        self.port = 0
-        # Spawn accounting: the budget bounds crash/respawn loops; a
-        # spawn that never dials in within connect_timeout is written
-        # off (but its budget is never refunded).
+        # The spawn budget bounds crash/respawn loops; a spawn's ordinal
+        # is its index in spawn order.
         self.spawn_budget = max(1, workers) * (self.options.max_retries + 2)
         self.spawn_count = 0
-        self.unconnected = 0
-        self.next_ordinal = 0
-        self.accept_ordinal = 0
-        self.last_spawn = time.monotonic()
 
     # ------------------------------------------------------------------
     # Top level
@@ -195,20 +195,18 @@ class _Driver:
             # Explicit degraded mode: no pool, everything in-driver.
             self._drain_in_driver()
             return self._finish()
-        self.listener = socket.create_server(("127.0.0.1", 0))
-        self.listener.setblocking(False)
-        self.port = self.listener.getsockname()[1]
         self.selector = selectors.DefaultSelector()
-        self.selector.register(self.listener, selectors.EVENT_READ, None)
         try:
             self._ensure_workers()
             while len(self.done) < self.total:
+                # Dispatch first: the workers connect during spawning,
+                # and an idle one must not wait out a select timeout.
+                self._dispatch()
                 self._pump()
                 self._sweep_liveness()
-                self._dispatch()
                 if self._drained():
                     warnings.warn(
-                        "socket worker pool drained (no live or spawnable "
+                        "process worker pool drained (no live or spawnable "
                         "workers left); degrading to in-driver execution",
                         RuntimeWarning,
                         stacklevel=2,
@@ -231,50 +229,8 @@ class _Driver:
     def _pump(self) -> None:
         timeout = max(0.01, min(self.options.heartbeat_interval, 0.25))
         for key, _ in self.selector.select(timeout):
-            if key.data is None:
-                self._accept()
-            elif key.data.fd in self.connections:
+            if key.data.fd in self.connections:
                 self._service(key.data)
-
-    def _accept(self) -> None:
-        while True:
-            try:
-                sock, _ = self.listener.accept()
-            except (BlockingIOError, OSError):
-                return
-            ordinal = self.accept_ordinal
-            self.accept_ordinal += 1
-            self.unconnected = max(0, self.unconnected - 1)
-            sock.setblocking(True)
-            faults = self.config.fault_plan.endpoint_faults(ordinal)
-            endpoint: Endpoint = (
-                FaultyEndpoint(sock, faults, side="driver")
-                if faults
-                else Endpoint(sock)
-            )
-            try:
-                negotiate_server(
-                    endpoint,
-                    ENVELOPE_FORMAT_VERSION,
-                    timeout=self.config.connect_timeout,
-                    **self._ack_fields(),
-                )
-            except (TransportError, ConnectionClosedError):
-                endpoint.close()
-                self.record.worker_failures += 1
-                continue
-            fd = endpoint.fileno()
-            connection = _Connection(
-                ordinal=ordinal,
-                endpoint=endpoint,
-                fd=fd,
-                last_seen=time.monotonic(),
-            )
-            self.connections[fd] = connection
-            self.selector.register(endpoint.sock, selectors.EVENT_READ, connection)
-
-    def _ack_fields(self) -> dict:
-        return {"heartbeat_interval": self.options.heartbeat_interval}
 
     def _service(self, connection: _Connection) -> None:
         try:
@@ -357,7 +313,7 @@ class _Driver:
         if frame.get("task_id") == inflight.task_id:
             return  # still computing our task
         # The ACK proved the task arrived; the worker goes idle only
-        # after sending the terminal frame, and TCP preserves order —
+        # after sending the terminal frame, and the stream preserves order —
         # so an idle beat after the ACK means that frame was lost.
         connection.inflight = None
         if inflight.task.restart not in self.done:
@@ -399,21 +355,11 @@ class _Driver:
             task = self._next_task(now)
             if task is None:
                 return
-            envelope = encode_restart_task(
-                self.plan.coefficients,
-                self.plan.num_sites,
-                self.options,
-                task,
-                remaining=self.plan.remaining(),
-            )
             attempt = self.tracker.failures.get(task.restart, 0)
             task_id = f"{task.restart}:{attempt}"
             try:
                 connection.endpoint.send(
-                    KIND_TASK,
-                    task_id=task_id,
-                    restart=task.restart,
-                    envelope=envelope,
+                    KIND_TASK, task_id=task_id, restart=task.restart
                 )
             except (ConnectionClosedError, TransportError) as error:
                 # The task never left: put it straight back (no retry
@@ -481,81 +427,126 @@ class _Driver:
             self._requeue(inflight.task, reason)
 
     def _ensure_workers(self) -> None:
-        now = time.monotonic()
-        if self.unconnected and now - self.last_spawn > self.config.connect_timeout:
-            # Spawns that never dialed in are presumed dead.  Their
-            # budget is not refunded — that is what makes a pre-connect
-            # crash loop terminate.
-            self.unconnected = 0
+        # Fork every missing worker before the first handshake, so their
+        # start-ups overlap.  A failed handshake is replaced on the next
+        # liveness sweep.
+        spawned: dict[int, socket.socket] = {}
         while (
-            len(self.connections) + self.unconnected < self.workers
+            len(self.connections) + len(spawned) < self.workers
             and self.spawn_count < self.spawn_budget
         ):
-            self._spawn_one(self.next_ordinal)
-            self.next_ordinal += 1
+            ordinal = self.spawn_count
             self.spawn_count += 1
-            self.unconnected += 1
-            self.last_spawn = now
+            try:
+                spawned[ordinal] = self._spawn_one(
+                    ordinal, list(spawned.values())
+                )
+            except OSError:  # fork refused (process limit, memory)
+                self.record.worker_failures += 1
+        for ordinal, sock in spawned.items():
+            self._connect(ordinal, sock)
 
     def _drained(self) -> bool:
-        return (
-            not self.connections
-            and self.unconnected == 0
-            and self.spawn_count >= self.spawn_budget
-        )
+        return not self.connections and self.spawn_count >= self.spawn_budget
 
-    def _spawn_one(self, ordinal: int) -> None:
+    def _spawn_one(
+        self, ordinal: int, unconnected: list[socket.socket]
+    ) -> socket.socket:
+        """Start worker ``ordinal``; returns the driver's end of its pair.
+
+        ``unconnected`` holds the driver ends of the workers spawned just
+        before it and not yet connected; a forked child closes them too.
+        """
+        driver_sock, worker_sock = socket.socketpair()
         worker_faults = self.config.fault_plan.worker_faults(ordinal)
         if self.config.spawn == "thread":
             thread = threading.Thread(
                 target=self._thread_worker,
-                args=("127.0.0.1", self.port, worker_faults),
-                name=f"sa-socket-worker-{ordinal}",
+                args=(worker_sock, self.plan, worker_faults),
+                name=f"sa-process-worker-{ordinal}",
                 daemon=True,
             )
             thread.start()
             self.threads.append(thread)
-            return
-        command = [
-            sys.executable,
-            "-m",
-            "repro.sa.worker",
-            "--connect",
-            f"127.0.0.1:{self.port}",
-        ]
-        if worker_faults:
-            command += [
-                "--fault-plan",
-                FaultPlan(faults=tuple(worker_faults)).to_json(),
-            ]
-        import repro
+            return driver_sock
+        from repro.sa.worker import run_worker
 
-        source_root = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH", "")
-        env["PYTHONPATH"] = (
-            source_root + os.pathsep + existing if existing else source_root
+        try:
+            pid = os.fork()
+        except OSError:
+            driver_sock.close()
+            worker_sock.close()
+            raise
+        if pid:
+            self.pids.append(pid)
+            worker_sock.close()
+            return driver_sock
+        # The child: serve tasks, then leave without running any of the
+        # parent's cleanup (atexit hooks, buffered output, finalizers).
+        code = 1
+        try:
+            for sock in (driver_sock, *unconnected):
+                sock.close()
+            self._close_driver_sockets()
+            _fresh_cached_property_locks()
+            _single_thread_blas()
+            run_worker(worker_sock, self.plan, faults=worker_faults)
+            code = 0
+        finally:
+            os._exit(code)
+
+    def _connect(self, ordinal: int, sock: socket.socket) -> None:
+        """Handshake with a freshly spawned worker and start serving it.
+
+        A worker that does not say HELLO within ``heartbeat_timeout`` is
+        written off like any other silent one.
+        """
+        faults = self.config.fault_plan.endpoint_faults(ordinal)
+        endpoint: Endpoint = (
+            FaultyEndpoint(sock, faults, side="driver")
+            if faults
+            else Endpoint(sock)
         )
-        # One BLAS thread per worker, so that workers do not oversubscribe
-        # the cores they share.
-        env["OPENBLAS_NUM_THREADS"] = "1"
-        self.processes.append(
-            subprocess.Popen(
-                command,
-                env=env,
-                stdin=subprocess.DEVNULL,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
+        try:
+            negotiate_server(
+                endpoint,
+                ENVELOPE_FORMAT_VERSION,
+                timeout=self.options.heartbeat_timeout,
+                heartbeat_interval=self.options.heartbeat_interval,
             )
+        except (TransportError, ConnectionClosedError):
+            endpoint.close()
+            self.record.worker_failures += 1
+            return
+        connection = _Connection(
+            endpoint=endpoint,
+            fd=endpoint.fileno(),
+            last_seen=time.monotonic(),
         )
+        self.connections[connection.fd] = connection
+        self.selector.register(endpoint.sock, selectors.EVENT_READ, connection)
+
+    def _close_driver_sockets(self) -> None:
+        """Drop a forked child's copies of the driver's sockets.
+
+        Without this, a worker the driver writes off would not see its
+        connection close while a sibling still held the driver's end.
+        The selector is closed, never unregistered from: a forked epoll
+        descriptor shares its interest list with the parent's.
+        """
+        self.selector.close()
+        for connection in self.connections.values():
+            connection.endpoint.close()
 
     @staticmethod
-    def _thread_worker(host: str, port: int, faults: list) -> None:
+    def _thread_worker(
+        sock: socket.socket, plan: PortfolioPlan, faults: list
+    ) -> None:
         from repro.sa.transport.faults import FaultInjected
         from repro.sa.worker import run_worker
 
         try:
-            run_worker(host, port, faults=faults)
+            run_worker(sock, plan, faults=faults)
         except (FaultInjected, TransportError, ConnectionClosedError, OSError):
             pass  # scheduled deaths and driver teardown are expected
 
@@ -566,12 +557,15 @@ class _Driver:
         """Run everything still owed through an in-driver
         :class:`QueueWorker` loop (all of it when ``workers=0``).
 
-        Same envelope encode/decode path as the remote workers, so the
+        The task envelopes rebuild the coefficients canonically, so the
         outcomes — and hence the portfolio best — stay bitwise
-        identical.  A worker that raises is requeued at the back with
-        no backoff; retry bookkeeping keeps running so a poisoned
-        restart still fails loudly instead of looping.
+        identical to the workers' and the serial backend's; coefficients
+        they cannot carry are refused before the first task.  A worker
+        that raises is requeued at the back with no backoff; retry
+        bookkeeping keeps running so a poisoned restart still fails
+        loudly instead of looping.
         """
+        _check_wire_safe(self.plan.coefficients)
         worker = QueueWorker()
         self.pending = [[task, 0.0] for task, _ in self.pending]
         while len(self.done) < self.total:
@@ -613,16 +607,74 @@ class _Driver:
         self.connections.clear()
         if self.selector is not None:
             self.selector.close()
-        if self.listener is not None:
-            self.listener.close()
-        for process in self.processes:
-            if process.poll() is None:
-                process.terminate()
-        for process in self.processes:
-            try:
-                process.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait(timeout=5)
+        for pid in self.pids:
+            _signal(pid, signal.SIGTERM)
+        for pid in self.pids:
+            if not _reap(pid, timeout=5):
+                _signal(pid, signal.SIGKILL)
+                _reap(pid, timeout=5)
         for thread in self.threads:
             thread.join(timeout=2)
+
+
+def _signal(pid: int, signum: int) -> None:
+    try:
+        os.kill(pid, signum)
+    except ProcessLookupError:
+        pass
+
+
+def _reap(pid: int, timeout: float) -> bool:
+    """Wait up to ``timeout`` seconds for child ``pid``; True once reaped."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            reaped, _ = os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            return True
+        if reaped or time.monotonic() >= deadline:
+            return bool(reaped)
+        time.sleep(0.005)
+
+
+def _fresh_cached_property_locks() -> None:
+    """Give this forked worker unheld ``cached_property`` locks.
+
+    Up to Python 3.11, ``functools.cached_property`` computes under one
+    ``RLock`` per class attribute, shared by every instance.  A fork
+    copies that lock held when another driver thread (a service solving
+    requests in threads) is computing such a property at that moment,
+    and the worker's first read of a property its plan has not cached
+    yet would then wait forever while its heartbeats still say busy.
+    Python 3.12 dropped the lock; there is nothing to replace.
+    """
+    from repro.costmodel.coefficients import CostCoefficients
+    from repro.model.compressed import LiftingMap
+    from repro.model.instance import ProblemInstance
+
+    for cls in (CostCoefficients, LiftingMap, ProblemInstance):
+        for attribute in vars(cls).values():
+            if isinstance(attribute, functools.cached_property) and hasattr(
+                attribute, "lock"
+            ):
+                attribute.lock = threading.RLock()
+
+
+def _single_thread_blas() -> None:
+    """Run this worker's OpenBLAS on one thread.
+
+    A forked worker inherits its parent's BLAS threads, so ``jobs``
+    workers would run ``jobs`` times that many on the same cores.
+    numpy's wheels export the setter from the OpenBLAS their extension
+    module links; other builds may not, and then nothing changes.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+
+        library = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return
+    setter = getattr(library, "scipy_openblas_set_num_threads64_", None)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)

@@ -1,46 +1,44 @@
-"""The remote worker of the socket transport: ``python -m repro.sa.worker``.
+"""The worker side of the process backend's transport.
 
-A worker is one box of the multi-box portfolio.  It dials the driver
-(``--connect HOST:PORT``), negotiates protocol and envelope versions,
-and then loops: receive a TASK frame, acknowledge it, run the task
-envelope through the same :class:`~repro.sa.backends.queue.QueueWorker`
-the driver's in-driver loop uses — so a result computed remotely is
-byte-identical to one computed locally — and send the RESULT frame
-back.  A daemon ticker thread heartbeats throughout (carrying the id of
-the task currently running, so the driver can tell "lost the result"
-from "still computing").
+A worker is one forked child of the portfolio driver
+(:mod:`repro.sa.transport.socket_backend`), connected to it by a socket
+pair made before the fork.  It inherits the portfolio's plan, answers
+the driver's version handshake, and then loops: receive a TASK frame
+naming a restart, acknowledge it, anneal that restart on the inherited
+coefficients with :func:`~repro.sa.backends.base.run_restart` — the
+serial backend's own call, so its outcome is bitwise the serial one —
+and send the RESULT frame back with the outcome as a result envelope.
+A daemon ticker thread heartbeats throughout (carrying the id of the
+task currently running, so the driver can tell "lost the result" from
+"still computing").
 
 Frame-ordering invariant the driver's liveness reconciliation relies
 on: the worker marks itself busy *before* sending the ACK and idle only
 *after* sending the RESULT/ERROR frame, and all sends share one
-lock — so on the (ordered) TCP stream, any heartbeat claiming idleness
+lock — so on the (ordered) stream, any heartbeat claiming idleness
 after an ACK proves the task's terminal frame was already sent.  If the
 driver saw the ACK but no terminal frame, that frame was lost, and the
 restart is safe to requeue.
 
-``--fault-plan`` accepts a JSON :class:`~repro.sa.transport.faults.
-FaultPlan`; only its worker-side actions apply here (``kill-worker``
-dies abruptly mid-restart, ``stall-heartbeat`` goes silent while still
-computing) — the chaos suite uses this to rehearse worker crashes
-deterministically.
+Only the worker-side actions of a
+:class:`~repro.sa.transport.faults.FaultPlan` apply here
+(``kill-worker`` dies abruptly mid-restart, ``stall-heartbeat`` goes
+silent while still computing) — the chaos suite uses them to rehearse
+worker crashes deterministically.
 """
 
 from __future__ import annotations
 
-import argparse
 import socket
-import sys
 import threading
 
 from repro.exceptions import ConnectionClosedError, TransportError
-from repro.sa.backends.queue import ENVELOPE_FORMAT_VERSION, QueueWorker
-from repro.sa.transport.faults import (
-    WORKER_ACTIONS,
-    Fault,
-    FaultInjected,
-    FaultPlan,
-    FaultyEndpoint,
+from repro.sa.backends.base import PortfolioPlan, run_restart
+from repro.sa.backends.envelope import (
+    ENVELOPE_FORMAT_VERSION,
+    encode_restart_result,
 )
+from repro.sa.transport.faults import Fault, FaultInjected, FaultyEndpoint
 from repro.sa.transport.protocol import (
     KIND_ACK,
     KIND_ERROR,
@@ -56,10 +54,10 @@ from repro.sa.transport.protocol import (
 class WorkerSession:
     """One connected worker: heartbeat ticker plus the task loop."""
 
-    def __init__(self, endpoint: Endpoint, ack: dict):
+    def __init__(self, endpoint: Endpoint, ack: dict, plan: PortfolioPlan):
         self.endpoint = endpoint
         self.heartbeat_interval = float(ack.get("heartbeat_interval", 0.5))
-        self.worker = QueueWorker()
+        self.plan = plan
         #: task_id currently being run (read by the ticker thread; a
         #: plain attribute is enough — torn reads are impossible for an
         #: object reference and the protocol tolerates a stale beat).
@@ -112,7 +110,7 @@ class WorkerSession:
         self.current = task_id
         self.endpoint.send(KIND_ACK, task_id=task_id)
         try:
-            result = self.worker.run(frame["envelope"])
+            result = self._run_restart(restart)
         except Exception as error:
             self.endpoint.send(
                 KIND_ERROR,
@@ -129,21 +127,40 @@ class WorkerSession:
         )
         self.current = None
 
+    def _run_restart(self, restart: int) -> str:
+        plan = self.plan
+        outcome = run_restart(
+            plan.coefficients,
+            plan.num_sites,
+            plan.options,
+            restart,
+            plan.seeds[restart],
+            plan.deadline,
+        )
+        return encode_restart_result(
+            restart=outcome.restart,
+            seed=outcome.seed,
+            x=outcome.x,
+            y=outcome.y,
+            objective6=outcome.objective6,
+            iterations=outcome.iterations,
+            accepted=outcome.accepted,
+            accepted_worse=outcome.accepted_worse,
+            outer_loops=outcome.outer_loops,
+        )
+
 
 def run_worker(
-    host: str,
-    port: int,
+    sock: socket.socket,
+    plan: PortfolioPlan,
     faults: list[Fault] | tuple[Fault, ...] = (),
-    connect_timeout: float = 30.0,
 ) -> None:
-    """Dial the driver and serve tasks until shutdown/disconnect.
+    """Serve ``plan``'s restarts over ``sock`` until shutdown/disconnect.
 
     Raises :class:`~repro.sa.transport.faults.FaultInjected` when a
-    scheduled kill fires (the ``__main__`` wrapper turns that into a
-    nonzero — but deliberate — exit).
+    scheduled kill fires (a forked worker then exits; a thread worker
+    ends).
     """
-    sock = socket.create_connection((host, port), timeout=connect_timeout)
-    sock.settimeout(None)
     if faults:
         endpoint: Endpoint = FaultyEndpoint(sock, list(faults), side="worker")
     else:
@@ -153,53 +170,4 @@ def run_worker(
     except (TransportError, ConnectionClosedError):
         endpoint.close()
         raise
-    WorkerSession(endpoint, ack).run()
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.sa.worker",
-        description=(
-            "Socket-transport portfolio worker: connects to a driver "
-            "running SaOptions(backend='socket') and executes restart "
-            "task envelopes."
-        ),
-    )
-    parser.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="driver address to dial",
-    )
-    parser.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="JSON",
-        help=(
-            "JSON FaultPlan; only worker-side actions (kill-worker, "
-            "stall-heartbeat) apply — used by the chaos test suite"
-        ),
-    )
-    args = parser.parse_args(argv)
-    host, _, port_text = args.connect.rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        parser.error(f"--connect wants HOST:PORT, got {args.connect!r}")
-    faults: list[Fault] = []
-    if args.fault_plan:
-        plan = FaultPlan.from_json(args.fault_plan)
-        faults = [f for f in plan.faults if f.action in WORKER_ACTIONS]
-    try:
-        run_worker(host or "127.0.0.1", port, faults=faults)
-    except FaultInjected as fault:
-        print(f"worker dying on schedule: {fault}", file=sys.stderr)
-        return 1
-    except (TransportError, ConnectionClosedError, OSError) as error:
-        print(f"worker transport failure: {error}", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    WorkerSession(endpoint, ack, plan).run()

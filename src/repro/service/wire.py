@@ -22,7 +22,7 @@ exactly via shortest-repr), metadata with numpy scalars/arrays
 converted to their Python equivalents.  ``report_from_wire`` rebuilds a
 fully functional :class:`~repro.api.SolveReport` — coefficients are
 reconstructed canonically from the request's instance and parameters,
-exactly the way the socket backend's workers do, and the feasibility
+exactly the way the process backend's workers do, and the feasibility
 check in :class:`~repro.partition.assignment.PartitioningResult` runs
 again on the client side.  Metadata values that were numpy arrays come
 back as lists (they have no declared dtype on the wire); everything the
@@ -167,7 +167,7 @@ def report_from_wire(payload: dict[str, Any]) -> SolveReport:
             f"reads version {REPORT_FORMAT_VERSION})"
         )
     request = SolveRequest.from_dict(payload["request"])
-    # Rebuilt canonically, like the socket backend's workers: the wire
+    # Rebuilt canonically, like the process backend's workers: the wire
     # carries (instance, parameters), never raw coefficient arrays.
     coefficients = build_coefficients(request.instance, request.parameters)
     return SolveReport(

@@ -648,7 +648,7 @@ class TestCliRequestMapping:
         defaults = dict(
             solver="sa", sites=2, penalty=8.0, load_balance=0.1,
             disjoint=False, time_limit=None, seed=None, restarts=None,
-            jobs=None, backend=None, workers=None,
+            jobs=None, backend=None,
             compress="off", compress_tolerance=None,
             current_layout=None, migration_cost=0.0,
         )

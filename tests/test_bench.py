@@ -76,8 +76,8 @@ class TestProfiles:
         assert large.max_outer_loops <= small.max_outer_loops
 
     def test_backend_env_var_overrides_profile(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_BACKEND", "socket")
-        assert get_profile("quick").sa_options.backend == "socket"
+        monkeypatch.setenv("REPRO_BENCH_BACKEND", "process")
+        assert get_profile("quick").sa_options.backend == "process"
         monkeypatch.delenv("REPRO_BENCH_BACKEND")
         assert get_profile("quick").sa_options.backend is None
 

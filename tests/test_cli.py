@@ -44,23 +44,25 @@ def test_advise_portfolio_backend(capsys):
     argv = [
         "advise", "--instance", "rndBt4x15", "--sites", "2",
         "--solver", "sa-portfolio", "--seed", "0", "--restarts", "2",
-        "--backend", "socket", "--workers", "0",
+        "--backend", "process", "--jobs", "2",
     ]
     assert main(argv) == 0
     output = capsys.readouterr().out
     assert "best-of-2" in output
-    assert "socket executor" in output
-    # The retired restart-pruning flag is an argparse error now.
-    with pytest.raises(SystemExit) as excinfo:
-        main(argv + ["--prune"])
-    assert excinfo.value.code == 2
-    assert "--prune" in capsys.readouterr().err
+    assert "process executor" in output
+    # Retired flags are argparse errors now: restart pruning, and the
+    # worker count that --jobs now sets.
+    for retired in (["--prune"], ["--workers", "0"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + retired)
+        assert excinfo.value.code == 2
+        assert retired[0] in capsys.readouterr().err
 
 
 def test_backend_requires_sa_family_solver(capsys):
     exit_code = main([
         "advise", "--instance", "rndBt4x15", "--sites", "2",
-        "--solver", "greedy", "--backend", "socket",
+        "--solver", "greedy", "--backend", "process",
     ])
     assert exit_code == 1
     assert "--backend" in capsys.readouterr().err
@@ -107,6 +109,12 @@ def test_parser_has_all_subcommands():
     text = parser.format_help()
     for command in ("info", "advise", "bench"):
         assert command in text
+
+
+def test_worker_subcommand_is_gone():
+    """Workers are forked by the driver; nothing dials in from outside."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["worker", "--connect", "127.0.0.1:1"])
 
 
 def test_serve_entry_points_share_flags(monkeypatch):

@@ -97,7 +97,7 @@ def test_time_limit_bounds_wall_time(instance, strategy):
     )
 
 
-@pytest.mark.parametrize("backend", ["serial", "process", "socket", None])
+@pytest.mark.parametrize("backend", ["serial", "process", None])
 def test_time_limit_bounds_sa_backends(large_instance, backend):
     """``None`` sets neither ``backend`` nor ``jobs``: the default
     portfolio on the usable cores."""

@@ -408,31 +408,30 @@ class TestSaWarmStart:
             assert best <= stay + 1e-9 * max(1.0, abs(stay))
 
     def test_queue_backend_matches_serial_with_layout(self):
-        """The task envelope carries the layout to workers: the socket
-        backend's in-driver envelope loop replays bit-identically to
-        serial."""
+        """The task envelope carries the layout to workers: the process
+        backend's forked workers replay bit-identically to serial."""
         instance = small_random_instance(3)
         layout = layout_for(instance, 2, seed=30)
         advisor = Advisor()
         results = {}
-        for backend in ("serial", "socket"):
+        for backend in ("serial", "process"):
             request = SolveRequest(
                 instance, num_sites=2, strategy="sa-portfolio",
                 options={
                     **SA_OPTIONS, "restarts": 2, "backend": backend,
-                    "workers": 0,
+                    "jobs": 2,
                 },
                 seed=7, current_layout=layout, migration_cost=1.0,
             )
             results[backend] = advisor.advise(request).result
-        assert results["socket"].metadata["executor"] == "socket"
+        assert results["process"].metadata["executor"] == "process"
         np.testing.assert_array_equal(
-            results["serial"].x, results["socket"].x
+            results["serial"].x, results["process"].x
         )
         np.testing.assert_array_equal(
-            results["serial"].y, results["socket"].y
+            results["serial"].y, results["process"].y
         )
-        assert results["serial"].objective == results["socket"].objective
+        assert results["serial"].objective == results["process"].objective
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,7 @@ byte-identically.
 Envelope-level worker faults are pinned in ``tests/test_transport.py``.
 """
 
-import ctypes
 import json
-import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +15,7 @@ from repro.api.advisor import advise
 from repro.api.request import SolveRequest
 from repro.costmodel.coefficients import build_coefficients
 from repro.costmodel.config import CostParameters
-from repro.exceptions import OptionsError, SolverError
+from repro.exceptions import OptionsError
 from repro.sa.backends import (
     BackendRun,
     PortfolioPlan,
@@ -32,16 +29,16 @@ from repro.sa.backends import (
     register_backend,
 )
 from repro.sa.backends.base import RestartTask, _BACKENDS
-from repro.sa.backends.queue import ENVELOPE_FORMAT_VERSION
+from repro.sa.backends.envelope import ENVELOPE_FORMAT_VERSION
 from repro.sa.options import SaOptions, usable_cores
 from repro.sa.portfolio import derive_restart_seeds, run_portfolio
 from repro.sa.solver import SaPartitioner
+from repro.sa.transport import SocketTransportBackend
 from tests.conftest import small_random_instance
 
 FAST = dict(inner_loops=6, max_outer_loops=6)
-#: The socket backend's in-driver loop: task envelopes through a
-#: ``QueueWorker`` in this process, no worker processes spawned.
-IN_DRIVER = dict(backend="socket", workers=0)
+#: The process backend on two forked workers.
+PROCESS = dict(backend="process", jobs=2)
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +52,7 @@ def coefficients():
 # ----------------------------------------------------------------------
 class TestBackendRegistry:
     def test_builtins_registered(self):
-        assert backend_names() == ["process", "serial", "socket"]
+        assert backend_names() == ["process", "serial"]
 
     def test_get_backend_unknown_raises(self):
         with pytest.raises(OptionsError, match="unknown execution backend"):
@@ -64,16 +61,20 @@ class TestBackendRegistry:
     def test_options_validate_backend_name(self):
         with pytest.raises(OptionsError, match="unknown execution backend"):
             SaOptions(backend="carrier-pigeon")
-        with pytest.raises(OptionsError, match="unknown execution backend"):
-            SaOptions(backend="queue")
-        assert SaOptions(backend="socket").backend == "socket"
+        for retired in ("queue", "socket"):
+            with pytest.raises(OptionsError, match="unknown execution"):
+                SaOptions(backend=retired)
+        assert SaOptions(backend="process").backend == "process"
 
     def test_retired_options_rejected_by_requests(self):
         instance = small_random_instance(5)
         for options in (
-            {"backend": "queue"}, {"incremental": False}, {"prune": True}
+            {"backend": "queue"}, {"incremental": False}, {"prune": True},
+            {"backend": "socket"}, {"workers": 0},
         ):
-            with pytest.raises(OptionsError, match="queue|incremental|prune"):
+            with pytest.raises(
+                OptionsError, match="queue|incremental|prune|socket|workers"
+            ):
                 advise(
                     SolveRequest(
                         instance, 2, strategy="sa-portfolio", seed=1,
@@ -114,20 +115,26 @@ class TestBackendRegistry:
 class TestBackendParity:
     @pytest.fixture(scope="class")
     def per_backend(self, coefficients):
-        results = {}
-        for backend, jobs in (("serial", 1), ("process", 2), ("socket", 1)):
-            results[backend] = run_portfolio(
+        """Serial, two forked workers, and the process backend's
+        in-driver envelope loop (``workers=0``)."""
+        options = SaOptions(seed=11, restarts=4, **FAST)
+        return {
+            "serial": run_portfolio(
+                coefficients, 3, options, backend="serial"
+            ),
+            "process": run_portfolio(
                 coefficients, 3,
-                SaOptions(
-                    seed=11, restarts=4, jobs=jobs, backend=backend,
-                    workers=0, **FAST,
-                ),
-            )
-        return results
+                SaOptions(seed=11, restarts=4, **PROCESS, **FAST),
+            ),
+            "in-driver": run_portfolio(
+                coefficients, 3, options,
+                backend=SocketTransportBackend(workers=0),
+            ),
+        }
 
     def test_bitwise_identical_best(self, per_backend):
         serial = per_backend["serial"]
-        for backend in ("process", "socket"):
+        for backend in ("process", "in-driver"):
             other = per_backend[backend]
             assert other.objective6 == serial.objective6
             assert other.best_restart == serial.best_restart
@@ -136,7 +143,7 @@ class TestBackendParity:
 
     def test_identical_per_restart_records(self, per_backend):
         serial = per_backend["serial"]
-        for backend in ("process", "socket"):
+        for backend in ("process", "in-driver"):
             other = per_backend[backend]
             assert other.restart_objectives == serial.restart_objectives
             assert other.restart_seeds == serial.restart_seeds
@@ -146,31 +153,29 @@ class TestBackendParity:
 
     def test_executor_label(self, per_backend):
         assert per_backend["serial"].executor == "serial"
-        assert per_backend["socket"].executor == "socket"
-        # the pool runs serially where the platform cannot fork; on
-        # CI/linux it is the process pool.
-        assert per_backend["process"].executor in ("process", "serial")
+        assert per_backend["process"].executor == "process"
+        assert per_backend["in-driver"].executor == "process"
 
     def test_backend_routes_through_sa_partitioner(self, coefficients):
         result = SaPartitioner(
             coefficients, 3,
-            options=SaOptions(seed=11, restarts=2, **IN_DRIVER, **FAST),
+            options=SaOptions(seed=11, restarts=2, **PROCESS, **FAST),
         ).solve()
-        assert result.metadata["executor"] == "socket"
+        assert result.metadata["executor"] == "process"
 
     def test_explicit_backend_with_single_restart(self, coefficients):
         """backend= routes restarts=1 through the portfolio machinery."""
         single = SaPartitioner(
             coefficients, 3, options=SaOptions(seed=11, **FAST)
         ).solve()
-        socket = SaPartitioner(
+        forked = SaPartitioner(
             coefficients, 3,
-            options=SaOptions(seed=11, **IN_DRIVER, **FAST),
+            options=SaOptions(seed=11, **PROCESS, **FAST),
         ).solve()
-        assert socket.metadata["executor"] == "socket"
-        assert socket.objective == single.objective
-        np.testing.assert_array_equal(socket.x, single.x)
-        np.testing.assert_array_equal(socket.y, single.y)
+        assert forked.metadata["executor"] == "process"
+        assert forked.objective == single.objective
+        np.testing.assert_array_equal(forked.x, single.x)
+        np.testing.assert_array_equal(forked.y, single.y)
 
     def test_advise_accepts_backend_option(self):
         instance = small_random_instance(5, num_tables=4, max_attributes_per_table=8)
@@ -179,16 +184,16 @@ class TestBackendParity:
                 SolveRequest(
                     instance, 3, strategy="sa-portfolio", seed=11,
                     options={
-                        "restarts": 3, "backend": backend, "workers": 0, **FAST
+                        "restarts": 3, "backend": backend, "jobs": 2, **FAST
                     },
                 )
             )
-            for backend in ("serial", "socket")
+            for backend in ("serial", "process")
         }
-        serial, socket = reports["serial"].result, reports["socket"].result
-        assert socket.objective == serial.objective
-        np.testing.assert_array_equal(socket.x, serial.x)
-        assert socket.metadata["executor"] == "socket"
+        serial, forked = reports["serial"].result, reports["process"].result
+        assert forked.objective == serial.objective
+        np.testing.assert_array_equal(forked.x, serial.x)
+        assert forked.metadata["executor"] == "process"
 
 
 class TestAutoBackendDisambiguation:
@@ -201,7 +206,7 @@ class TestAutoBackendDisambiguation:
         report = advise(
             SolveRequest(
                 instance, 2, strategy="auto", seed=1,
-                options={**IN_DRIVER, "restarts": 2},
+                options={**PROCESS, "restarts": 2},
             )
         )
         assert report.result.metadata["auto_pick"] == "qp"
@@ -223,11 +228,11 @@ class TestAutoBackendDisambiguation:
         report = advise(
             SolveRequest(
                 instance, 2, strategy="auto", seed=1,
-                options={**IN_DRIVER, "auto_cutoff": 1, **FAST},
+                options={**PROCESS, "auto_cutoff": 1, **FAST},
             )
         )
         assert report.result.metadata["auto_pick"] == "sa"
-        assert report.result.metadata["executor"] == "socket"
+        assert report.result.metadata["executor"] == "process"
 
     def test_auto_sa_pick_rejects_unknown_backend(self):
         """A typo'd backend must raise, not silently fall back."""
@@ -306,15 +311,17 @@ class TestQueueEnvelopes:
         assert outcome.iterations == direct.metadata["iterations"]
 
     def test_queue_rejects_non_canonical_coefficients(self, coefficients):
-        """The wire format ships (instance, parameters) only; edited
-        coefficient arrays must be refused, not silently re-derived."""
+        """Task envelopes ship (instance, parameters) only; the in-driver
+        envelope loop must refuse edited coefficient arrays, not
+        silently re-derive them."""
         import dataclasses
 
         doctored = dataclasses.replace(coefficients, c1=coefficients.c1 * 2.0)
         with pytest.raises(OptionsError, match="non-canonical"):
             run_portfolio(
                 doctored, 3,
-                SaOptions(seed=1, restarts=2, **IN_DRIVER, **FAST),
+                SaOptions(seed=1, restarts=2, **FAST),
+                backend=SocketTransportBackend(workers=0),
             )
 
     def test_task_version_and_kind_checked(self, coefficients):
@@ -323,13 +330,15 @@ class TestQueueEnvelopes:
             coefficients, 2, options, RestartTask(0, 1)
         )
         payload = json.loads(envelope)
-        # Version 4 is the last format whose options still carry
-        # ``prune``: it must be refused by its stamp, not reach the
-        # SaOptions constructor inside a worker.
-        for version in (99, 4):
+        # Versions 4 and 5 are the last formats whose options still
+        # carry ``prune`` and ``workers``: they must be refused by their
+        # stamp, not reach the SaOptions constructor inside a worker.
+        for version, retired in (
+            (99, "workers"), (4, "prune"), (5, "workers")
+        ):
             stale = json.loads(envelope)
             stale["format_version"] = version
-            stale["request"]["options"]["prune"] = False
+            stale["request"]["options"][retired] = None
             for decode in (decode_restart_task, QueueWorker().run):
                 with pytest.raises(OptionsError, match="format_version"):
                     decode(json.dumps(stale))
@@ -361,93 +370,6 @@ class TestQueueFaults:
                 SaOptions(max_retries=bad)
         # 0 is legal and means: failed restarts are never retried.
         assert SaOptions(max_retries=0).max_retries == 0
-
-
-# ----------------------------------------------------------------------
-# Pool worker death
-# ----------------------------------------------------------------------
-class TestPoolWorkerDeath:
-    """A pool worker dying mid-restart must fail the solve loudly,
-    naming the restart — there is no envelope to requeue, and a silently
-    incomplete best-of-N would change the result."""
-
-    def test_process_pool_worker_death_names_the_restart(
-        self, coefficients, monkeypatch
-    ):
-        import multiprocessing
-
-        from repro.sa.backends import pool
-
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("death injection relies on fork inheriting the patch")
-
-        real_run_restart = pool.run_restart
-
-        def dying(coeffs, num_sites, options, restart, seed, deadline):
-            if restart == 1:
-                os._exit(13)  # abrupt death: no exception, no cleanup
-            return real_run_restart(
-                coeffs, num_sites, options, restart, seed, deadline
-            )
-
-        monkeypatch.setattr(pool, "run_restart", dying)
-        with pytest.raises(
-            SolverError, match=r"process pool worker failed restart \d+"
-        ):
-            run_portfolio(
-                coefficients, 3,
-                SaOptions(seed=11, restarts=2, jobs=1, backend="process", **FAST),
-            )
-
-
-class TestPoolWithoutFork:
-    def test_runs_serially_with_a_warning(self, coefficients, monkeypatch):
-        from repro.sa.backends import pool
-
-        def no_fork(method):
-            raise ValueError(f"cannot find context for {method!r}")
-
-        options = SaOptions(seed=11, restarts=3, **FAST)
-        serial = run_portfolio(coefficients, 3, replace(options, jobs=1))
-        monkeypatch.setattr(pool.multiprocessing, "get_context", no_fork)
-        with pytest.warns(RuntimeWarning, match="running serially"):
-            portfolio = run_portfolio(
-                coefficients, 3, replace(options, jobs=2, backend="process")
-            )
-        assert portfolio.executor == "serial"
-        assert portfolio.restart_objectives == serial.restart_objectives
-        np.testing.assert_array_equal(portfolio.x, serial.x)
-        np.testing.assert_array_equal(portfolio.y, serial.y)
-
-
-def _blas_threads() -> int:
-    from numpy._core import _multiarray_umath
-
-    getter = ctypes.CDLL(
-        _multiarray_umath.__file__
-    ).scipy_openblas_get_num_threads64_
-    getter.argtypes, getter.restype = [], ctypes.c_int
-    return getter()
-
-
-class TestPoolWorkerBlas:
-    def test_pool_workers_run_blas_on_one_thread(self):
-        """Each pool worker pins OpenBLAS to one thread, so ``jobs``
-        workers do not oversubscribe the cores."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.sa.backends import pool
-
-        try:
-            _blas_threads()
-        except (ImportError, OSError, AttributeError):
-            pytest.skip("numpy's BLAS exports no thread-count getter")
-        with ProcessPoolExecutor(
-            max_workers=1,
-            initializer=pool._init_worker,
-            initargs=(None, 1, None),
-        ) as executor:
-            assert executor.submit(_blas_threads).result(timeout=60) == 1
 
 
 # ----------------------------------------------------------------------

@@ -440,7 +440,7 @@ class TestSocketService:
     def test_default_portfolio_forks_from_the_served_process(
         self, monkeypatch
     ):
-        """The default ``sa-portfolio`` forks its pool from a process
+        """The default ``sa-portfolio`` forks its workers from a process
         with the server's threads running, and answers as serial does."""
         from repro.sa import options as sa_options
 

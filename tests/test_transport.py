@@ -1,15 +1,19 @@
 """Fault-tolerant socket transport: protocol, fault harness, chaos parity.
 
-Pins the PR acceptance contract: length-prefixed frames round-trip and
+Pins the transport's contract: length-prefixed frames round-trip and
 reject garbage, the connect-time version handshake fails loudly on
 mismatch, the deterministic fault harness replays its schedule exactly,
-and — the headline — the socket portfolio returns a best that is
+and — the headline — the process backend returns a best that is
 bitwise identical to :class:`~repro.sa.backends.serial.SerialBackend`
-under *every* fault schedule.
+under *every* fault schedule, on thread fakes and forked workers alike.
 """
 
+import ctypes
+import dataclasses
+import functools
 import json
 import os
+import signal
 import socket as socket_module
 import threading
 
@@ -18,7 +22,7 @@ import pytest
 
 from repro.api.advisor import advise
 from repro.api.request import SolveRequest
-from repro.costmodel.coefficients import build_coefficients
+from repro.costmodel.coefficients import CostCoefficients, build_coefficients
 from repro.costmodel.config import CostParameters
 from repro.exceptions import (
     ConnectionClosedError,
@@ -27,7 +31,7 @@ from repro.exceptions import (
     TransportError,
 )
 from repro.sa.backends import QueueWorker, backend_names, get_backend
-from repro.sa.backends.queue import ENVELOPE_FORMAT_VERSION
+from repro.sa.backends.envelope import ENVELOPE_FORMAT_VERSION
 from repro.sa.options import SaOptions
 from repro.sa.portfolio import run_portfolio
 from repro.sa.transport import (
@@ -404,9 +408,9 @@ class TestFaultyEndpoint:
 # ----------------------------------------------------------------------
 class TestSocketBackendConfig:
     def test_registered(self):
-        assert "socket" in backend_names()
-        assert isinstance(get_backend("socket"), SocketTransportBackend)
-        assert SaOptions(backend="socket").backend == "socket"
+        assert "socket" not in backend_names()
+        assert isinstance(get_backend("process"), SocketTransportBackend)
+        assert SocketTransportBackend().spawn == "fork"
 
     def test_invalid_construction(self):
         with pytest.raises(OptionsError, match="spawn"):
@@ -427,19 +431,51 @@ class TestCleanParity:
             backend=SocketTransportBackend(workers=2, spawn="thread"),
         )
         assert_bitwise_identical(result, serial_baseline)
-        assert result.executor == "socket"
+        assert result.executor == "process"
         assert result.requeue_count == 0
         assert result.worker_failures == 0
 
     def test_process_spawn_matches_serial(self, coefficients, serial_baseline):
-        """One real ``python -m repro.sa.worker`` subprocess round trip."""
+        """Two forked worker processes, round trip and clean exit."""
         result = run_portfolio(
             coefficients,
             NUM_SITES,
             SaOptions(**CHAOS_OPTIONS),
-            backend=SocketTransportBackend(workers=2, spawn="process"),
+            backend=SocketTransportBackend(workers=2),
         )
         assert_bitwise_identical(result, serial_baseline)
+        assert result.worker_failures == 0
+
+    def test_idle_workers_get_a_task_before_the_driver_waits(
+        self, coefficients, serial_baseline, monkeypatch
+    ):
+        """The driver never blocks in select while a worker sits idle
+        and a task is ready, which would cost every portfolio a select
+        timeout before its first dispatch."""
+        real_pump = socket_backend._Driver._pump
+        stalls = []
+
+        def pump(driver):
+            idle = any(
+                connection.inflight is None
+                for connection in driver.connections.values()
+            )
+            ready = any(
+                task.restart not in driver.done for task, _ in driver.pending
+            )
+            if idle and ready:
+                stalls.append(len(driver.done))
+            return real_pump(driver)
+
+        monkeypatch.setattr(socket_backend._Driver, "_pump", pump)
+        result = run_portfolio(
+            coefficients,
+            NUM_SITES,
+            SaOptions(**CHAOS_OPTIONS),
+            backend=SocketTransportBackend(workers=2, spawn="thread"),
+        )
+        assert_bitwise_identical(result, serial_baseline)
+        assert stalls == []
 
     def test_workers_zero_is_explicit_degraded_mode(
         self, coefficients, serial_baseline
@@ -453,16 +489,27 @@ class TestCleanParity:
         assert_bitwise_identical(result, serial_baseline)
 
     def test_workers_option_flows_from_sa_options(
-        self, coefficients, serial_baseline
+        self, coefficients, serial_baseline, monkeypatch
     ):
-        """``SaOptions(workers=...)`` reaches the registry-constructed
-        backend (the CLI's ``--workers`` path)."""
+        """``SaOptions(jobs=...)`` sets how many workers the
+        registry-constructed backend forks (the CLI's ``--jobs`` path)."""
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
         result = run_portfolio(
             coefficients,
             NUM_SITES,
-            SaOptions(workers=0, backend="socket", **CHAOS_OPTIONS),
+            SaOptions(jobs=2, backend="process", **CHAOS_OPTIONS),
         )
         assert_bitwise_identical(result, serial_baseline)
+        assert len(forks) == 2
 
 
 # ----------------------------------------------------------------------
@@ -539,7 +586,6 @@ class TestChaosParity:
             workers=2,
             spawn="thread",
             fault_plan=CHAOS_PLANS[name],
-            connect_timeout=5.0,
         )
         result = run_portfolio(
             coefficients,
@@ -556,7 +602,6 @@ class TestChaosParity:
             workers=2,
             spawn="thread",
             fault_plan=CHAOS_PLANS["storm"],
-            connect_timeout=5.0,
         )
         result = run_portfolio(
             coefficients, NUM_SITES, SaOptions(**CHAOS_OPTIONS), backend=backend
@@ -580,10 +625,10 @@ class TestFailurePaths:
             (Fault("kill-worker", kind="result", index=0, connection=0),)
         )
         backend = SocketTransportBackend(
-            workers=1, spawn="thread", fault_plan=plan, connect_timeout=5.0
+            workers=1, spawn="thread", fault_plan=plan
         )
         with pytest.raises(
-            SolverError, match=r"socket worker failed restart \d+"
+            SolverError, match=r"process worker failed restart \d+"
         ):
             run_portfolio(
                 coefficients, NUM_SITES, SaOptions(**options), backend=backend
@@ -592,22 +637,197 @@ class TestFailurePaths:
     def test_drained_pool_degrades_to_in_driver_execution(
         self, coefficients, serial_baseline, monkeypatch
     ):
-        """When no worker ever connects and the spawn budget is spent,
-        the driver warns and finishes the portfolio itself — bitwise
-        identically."""
+        """When every worker hangs up before its handshake and the spawn
+        budget is spent, the driver warns and finishes the portfolio
+        itself — bitwise identically."""
         monkeypatch.setattr(
             socket_backend._Driver,
             "_thread_worker",
-            staticmethod(lambda host, port, faults: None),
+            staticmethod(lambda sock, plan, faults: sock.close()),
         )
         options = dict(CHAOS_OPTIONS, max_retries=0, heartbeat_interval=0.05)
-        backend = SocketTransportBackend(
-            workers=2, spawn="thread", connect_timeout=0.2
-        )
+        backend = SocketTransportBackend(workers=2, spawn="thread")
         with pytest.warns(RuntimeWarning, match="drained"):
             result = run_portfolio(
                 coefficients, NUM_SITES, SaOptions(**options), backend=backend
             )
+        assert_bitwise_identical(result, serial_baseline)
+
+
+# ----------------------------------------------------------------------
+# Forked workers: real process exits, BLAS threads, no-fork platforms
+# ----------------------------------------------------------------------
+def _blas_threads() -> int:
+    from numpy._core import _multiarray_umath
+
+    getter = ctypes.CDLL(
+        _multiarray_umath.__file__
+    ).scipy_openblas_get_num_threads64_
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter()
+
+
+class TestForkedWorkers:
+    @pytest.mark.chaos
+    def test_killed_worker_is_requeued_bitwise_equal_to_serial(
+        self, coefficients, serial_baseline
+    ):
+        """A kill ends the forked worker's process mid-restart; the
+        driver sees the connection close, requeues the restart on a
+        fresh fork and still answers as serial does."""
+        plan = FaultPlan(
+            tuple(
+                Fault("kill-worker", kind="result", connection=ordinal)
+                for ordinal in (0, 1)
+            )
+        )
+        result = run_portfolio(
+            coefficients, NUM_SITES, SaOptions(**CHAOS_OPTIONS),
+            backend=SocketTransportBackend(workers=2, fault_plan=plan),
+        )
+        assert_bitwise_identical(result, serial_baseline)
+        assert result.restart_objectives == serial_baseline.restart_objectives
+        assert result.requeue_count >= 1
+        assert result.worker_failures >= 1
+
+    @pytest.mark.chaos
+    def test_worker_death_on_every_attempt_names_the_restart(
+        self, coefficients
+    ):
+        """Every worker dies on its first result, so the restart spends
+        its retry budget and the solve fails naming it — never a
+        silently incomplete best-of-N."""
+        plan = FaultPlan(
+            tuple(
+                Fault("kill-worker", kind="result", connection=ordinal)
+                for ordinal in range(3)
+            )
+        )
+        options = dict(
+            CHAOS_OPTIONS, restarts=1, max_retries=1, backoff_base=0.0
+        )
+        with pytest.raises(
+            SolverError, match="process worker failed restart 0 2 times"
+        ):
+            run_portfolio(
+                coefficients, NUM_SITES, SaOptions(**options),
+                backend=SocketTransportBackend(workers=1, fault_plan=plan),
+            )
+
+    @pytest.mark.parametrize("spawn", ["fork", "thread"])
+    def test_workers_anneal_the_callers_coefficients(
+        self, coefficients, spawn
+    ):
+        """Workers inherit the plan, so coefficients that differ from a
+        canonical rebuild are annealed as given, exactly as serially."""
+        doctored = dataclasses.replace(coefficients, c1=coefficients.c1 * 2.0)
+        serial = run_portfolio(
+            doctored, NUM_SITES, SaOptions(**CHAOS_OPTIONS), backend="serial"
+        )
+        result = run_portfolio(
+            doctored, NUM_SITES, SaOptions(**CHAOS_OPTIONS),
+            backend=SocketTransportBackend(workers=2, spawn=spawn),
+        )
+        assert_bitwise_identical(result, serial)
+        assert result.restart_objectives == serial.restart_objectives
+        assert result.worker_failures == 0
+
+    def test_lock_held_by_a_driver_thread_at_fork_is_not_inherited(
+        self, coefficients, serial_baseline, monkeypatch
+    ):
+        """A driver thread computing a cached property while the workers
+        fork (a service solving in threads) must not leave them waiting
+        on that property's lock, which a fork copies held."""
+        locks = [
+            attribute.lock
+            for cls in (CostCoefficients, type(coefficients.instance))
+            for attribute in vars(cls).values()
+            if isinstance(attribute, functools.cached_property)
+            and hasattr(attribute, "lock")
+        ]
+        if not locks:
+            pytest.skip("this Python's cached_property takes no lock")
+        fresh = build_coefficients(coefficients.instance, coefficients.parameters)
+        held, forked = threading.Event(), threading.Event()
+
+        def hold_locks_until_forked():
+            for lock in locks:
+                lock.acquire()
+            held.set()
+            forked.wait(timeout=60)
+            for lock in locks:
+                lock.release()
+
+        real_connect = socket_backend._Driver._connect
+        drivers = []
+
+        def connect(driver, ordinal, sock):
+            drivers.append(driver)
+            forked.set()  # every worker of this round is forked
+            return real_connect(driver, ordinal, sock)
+
+        monkeypatch.setattr(socket_backend._Driver, "_connect", connect)
+        holder = threading.Thread(target=hold_locks_until_forked, daemon=True)
+        holder.start()
+        assert held.wait(timeout=10)
+        results = []
+        solve = threading.Thread(
+            target=lambda: results.append(
+                run_portfolio(
+                    fresh, NUM_SITES, SaOptions(**CHAOS_OPTIONS),
+                    backend=SocketTransportBackend(workers=2),
+                )
+            ),
+            daemon=True,
+        )
+        solve.start()
+        solve.join(timeout=60)
+        holder.join(timeout=10)
+        if solve.is_alive():
+            for pid in drivers[0].pids:  # do not leave hung workers behind
+                os.kill(pid, signal.SIGKILL)
+            pytest.fail("a forked worker waited on a lock held at fork")
+        assert_bitwise_identical(results[0], serial_baseline)
+
+    def test_forked_workers_run_blas_on_one_thread(
+        self, coefficients, monkeypatch, tmp_path
+    ):
+        """Each forked worker pins OpenBLAS to one thread, so ``jobs``
+        workers do not oversubscribe the cores."""
+        from repro.sa import worker
+
+        try:
+            _blas_threads()
+        except (ImportError, OSError, AttributeError):
+            pytest.skip("numpy's BLAS exports no thread-count getter")
+        real_run_worker = worker.run_worker
+
+        def recording(sock, plan, **kwargs):
+            (tmp_path / str(os.getpid())).write_text(str(_blas_threads()))
+            return real_run_worker(sock, plan, **kwargs)
+
+        monkeypatch.setattr(worker, "run_worker", recording)
+        run_portfolio(
+            coefficients, NUM_SITES, SaOptions(**CHAOS_OPTIONS),
+            backend=SocketTransportBackend(workers=2),
+        )
+        # A worker forked after the others finished the portfolio may be
+        # stopped before it records; every worker that did saw one.
+        records = [path.read_text() for path in tmp_path.iterdir()]
+        counts = [int(record) for record in records if record]
+        assert counts and set(counts) == {1}
+
+    def test_without_fork_runs_in_driver_with_a_warning(
+        self, coefficients, serial_baseline, monkeypatch
+    ):
+        monkeypatch.delattr(os, "fork")
+        with pytest.warns(RuntimeWarning, match="in-driver"):
+            result = run_portfolio(
+                coefficients, NUM_SITES,
+                SaOptions(backend="process", jobs=2, **CHAOS_OPTIONS),
+            )
+        assert result.executor == "process"
+        assert result.restart_objectives == serial_baseline.restart_objectives
         assert_bitwise_identical(result, serial_baseline)
 
 
@@ -663,7 +883,7 @@ class TestInDriverFaults:
         worker = FlakyWorker({0: 99})
         monkeypatch.setattr(socket_backend, "QueueWorker", lambda: worker)
         with pytest.raises(
-            SolverError, match="socket worker failed restart 0 2 times"
+            SolverError, match="process worker failed restart 0 2 times"
         ):
             run_portfolio(
                 coefficients, NUM_SITES,
@@ -686,7 +906,7 @@ class TestTelemetrySurfacing:
                 seed=7,
                 options=dict(
                     restarts=2, inner_loops=3, max_outer_loops=6,
-                    backend="socket", workers=0,
+                    backend="process", jobs=2,
                 ),
             )
         )
