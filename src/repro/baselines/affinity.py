@@ -27,6 +27,7 @@ import numpy as np
 from repro.baselines.signature import resolve_legacy_params
 from repro.costmodel.coefficients import CostCoefficients, build_coefficients
 from repro.costmodel.config import CostParameters
+from repro.costmodel.constants import row_counts
 from repro.costmodel.evaluator import SolutionEvaluator
 from repro.model.instance import ProblemInstance
 from repro.partition.assignment import PartitioningResult
@@ -39,12 +40,10 @@ def affinity_matrix(coefficients: CostCoefficients) -> np.ndarray:
     ``n_q`` is taken as the row count of the table holding ``a`` (the
     matrix is made symmetric by averaging both directions).
     """
-    indicators = coefficients.indicators
-    frequencies = np.asarray(
-        [query.frequency for query in coefficients.instance.queries]
-    )
-    weighted = indicators.alpha * (frequencies[None, :] * indicators.rows)
-    affinity = weighted @ indicators.alpha.T
+    alpha = coefficients.indicators.alpha
+    frequencies = coefficients.query_frequencies
+    weighted = alpha * (frequencies[None, :] * row_counts(coefficients.instance))
+    affinity = weighted @ alpha.T
     return (affinity + affinity.T) / 2.0
 
 

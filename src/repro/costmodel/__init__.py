@@ -5,8 +5,9 @@ load-balance weight ``lambda``), this package derives:
 
 * the static indicator arrays ``alpha, beta, gamma, delta, phi``
   (:mod:`repro.costmodel.constants`),
-* the per-attribute weights ``W[a,q] = w_a * f_q * n_{a,q}`` and the
-  objective coefficients ``c1, c2, c3, c4``
+* the per-attribute weights ``W[a,q] = w_a * f_q * n_{a,q}``, the
+  objective coefficients ``c1, c2, c3, c4`` and the read-sharing
+  components of the disjoint variant
   (:mod:`repro.costmodel.coefficients`),
 * evaluation of any candidate solution ``(x, y)``: objective (4), the
   blended objective (6), the cost breakdown ``A = AR + AW`` and ``B``,
@@ -25,7 +26,11 @@ modes, replication on/off and ``lambda < 1``.
 
 from repro.costmodel.config import CostParameters, WriteAccounting
 from repro.costmodel.constants import IndicatorArrays, build_indicators
-from repro.costmodel.coefficients import CostCoefficients, build_coefficients
+from repro.costmodel.coefficients import (
+    CostCoefficients,
+    build_coefficients,
+    read_sharing_components,
+)
 from repro.costmodel.evaluator import (
     CostBreakdown,
     SolutionEvaluator,
@@ -41,6 +46,7 @@ __all__ = [
     "build_indicators",
     "CostCoefficients",
     "build_coefficients",
+    "read_sharing_components",
     "CostBreakdown",
     "IncrementalEvaluator",
     "SolutionEvaluator",

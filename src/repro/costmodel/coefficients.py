@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.costmodel.config import CostParameters, WriteAccounting
-from repro.costmodel.constants import IndicatorArrays, build_indicators
+from repro.costmodel.constants import IndicatorArrays, build_indicators, row_counts
 from repro.model.compressed import CompressedInstance
 from repro.model.instance import ProblemInstance
 
@@ -76,7 +76,6 @@ class CostCoefficients:
     instance: ProblemInstance
     parameters: CostParameters
     indicators: IndicatorArrays
-    weights: np.ndarray  # W (|A|, |Q|)
     c1: np.ndarray  # (|A|, |T|)
     c2: np.ndarray  # (|A|,)
     c3: np.ndarray  # (|A|, |T|)
@@ -95,14 +94,14 @@ class CostCoefficients:
     def nbytes(self) -> int:
         """Memory footprint of the held dense arrays, in bytes.
 
-        Covers the indicator tensors (one byte per ``bool`` entry), the
-        row counts and ``W`` plus the four coefficient arrays (eight
-        bytes per float64 entry) — the data every solver touches.
-        Workload compression shows up here directly: the dominant arrays
-        are ``O(|A| * |Q|)`` and ``O(|A| * |T|)``, both of which shrink
-        with the transaction count.  Derived ``cached_property``
-        products are excluded (they are views of the same problem and
-        may not have been built).
+        Covers the indicator tensors (one byte per ``bool`` entry) and
+        the four coefficient arrays (eight bytes per float64 entry) —
+        the data every solver touches.  Workload compression shows up
+        here directly: the dominant arrays are ``O(|A| * |Q|)`` and
+        ``O(|A| * |T|)``, both of which shrink with the transaction
+        count.  Derived ``cached_property`` products, ``W`` among them,
+        are excluded (they are views of the same problem and may not
+        have been built).
         """
         indicators = self.indicators
         arrays = (
@@ -111,14 +110,18 @@ class CostCoefficients:
             indicators.gamma,
             indicators.delta,
             indicators.phi,
-            indicators.rows,
-            self.weights,
             self.c1,
             self.c2,
             self.c3,
             self.c4,
         )
         return int(sum(array.nbytes for array in arrays))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """``W`` (|A|, |Q|), rebuilt from the instance on first read:
+        only the cost breakdown and a few baselines need it."""
+        return build_weights(self.instance)
 
     @cached_property
     def phi_bool(self) -> np.ndarray:
@@ -154,8 +157,8 @@ class CostCoefficients:
 
     @cached_property
     def query_owner(self) -> np.ndarray:
-        """Owning transaction index per query (|Q|,)."""
-        return np.asarray(self.instance.query_transaction, dtype=np.intp)
+        """Owning transaction index per query (|Q|,), read off ``gamma``."""
+        return self.indicators.gamma.argmax(axis=1)
 
     @cached_property
     def write_queries(self) -> np.ndarray:
@@ -209,11 +212,54 @@ class CostCoefficients:
         return float(self.read_weight.sum() + self.write_weight.sum())
 
 
-def build_weights(instance: ProblemInstance, indicators: IndicatorArrays) -> np.ndarray:
+def read_sharing_components(coefficients: CostCoefficients) -> np.ndarray:
+    """Group transactions that read a common attribute (union-find).
+
+    In disjoint partitioning, two transactions reading the same
+    attribute must be co-located (the single replica must be on both
+    sites otherwise). The connected components of the "shares a read
+    attribute" graph are therefore the atomic placement units, of the
+    annealer's moves and of the disjoint QP alike.
+
+    Returns an array mapping transaction index -> component id
+    (component ids are consecutive from 0, in order of each
+    component's first transaction).
+    """
+    num_transactions = coefficients.num_transactions
+    parent = list(range(num_transactions))
+
+    def find(node: int) -> int:
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    def union(a: int, b: int) -> None:
+        root_a, root_b = find(a), find(b)
+        if root_a != root_b:
+            parent[root_b] = root_a
+
+    phi = coefficients.phi_bool
+    for a in range(phi.shape[0]):
+        readers = np.flatnonzero(phi[a])
+        for other in readers[1:]:
+            union(int(readers[0]), int(other))
+
+    roots = [find(t) for t in range(num_transactions)]
+    relabel: dict[int, int] = {}
+    labels = np.empty(num_transactions, dtype=int)
+    for t, root in enumerate(roots):
+        if root not in relabel:
+            relabel[root] = len(relabel)
+        labels[t] = relabel[root]
+    return labels
+
+
+def build_weights(instance: ProblemInstance) -> np.ndarray:
     """``W[a,q] = w_a * f_q * n_{a,q}`` (zero where the table is untouched)."""
     widths = np.asarray(instance.attribute_widths())
     frequencies = np.asarray([query.frequency for query in instance.queries])
-    return widths[:, None] * frequencies[None, :] * indicators.rows
+    return widths[:, None] * frequencies[None, :] * row_counts(instance)
 
 
 def build_coefficients(
@@ -243,8 +289,9 @@ def build_coefficients(
         instance = getattr(instance, view)
     parameters = parameters or CostParameters()
     indicators = indicators or build_indicators(instance)
-    weights = build_weights(instance, indicators)
-    return _assemble_coefficients(instance, parameters, indicators, weights)
+    return _assemble_coefficients(
+        instance, parameters, indicators, build_weights(instance)
+    )
 
 
 def _assemble_coefficients(
@@ -286,7 +333,6 @@ def _assemble_coefficients(
         instance=instance,
         parameters=parameters,
         indicators=indicators,
-        weights=weights,
         c1=c1,
         c2=c2,
         c3=c3,
@@ -368,7 +414,7 @@ class CoefficientCache:
             )
         self.instance = instance
         self.indicators = indicators or build_indicators(instance)
-        self.weights = build_weights(instance, self.indicators)
+        self.weights = build_weights(instance)
         self.capacity = capacity
         self._memo: OrderedDict[CostParameters, CostCoefficients] = OrderedDict()
         #: Memo hit/miss counters (every miss still shares the cached

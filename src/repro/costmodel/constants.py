@@ -13,8 +13,8 @@ The five indicators are dense numpy ``bool`` arrays, an eighth of the
 memory of float64; in products with the float64 weights numpy reads
 them as exact 0.0/1.0.  ``bool`` arithmetic among themselves is logical
 (``+`` is *or*, ``@`` is *or* of *and*), so a count needs an explicit
-cast.  The row counts ``rows`` stay float64.  All are built once per
-instance.
+cast.  All are built once per instance.  The row counts ``n[a,q]`` are
+not kept: ``W`` carries them (:func:`row_counts` rebuilds them).
 """
 
 from __future__ import annotations
@@ -28,14 +28,13 @@ from repro.model.instance import ProblemInstance
 
 @dataclass(frozen=True)
 class IndicatorArrays:
-    """Dense indicator arrays plus the row-count matrix ``n[a,q]``."""
+    """The five dense indicator arrays."""
 
     alpha: np.ndarray  # (|A|, |Q|)
     beta: np.ndarray  # (|A|, |Q|)
     gamma: np.ndarray  # (|Q|, |T|)
     delta: np.ndarray  # (|Q|,)
     phi: np.ndarray  # (|A|, |T|)
-    rows: np.ndarray  # (|A|, |Q|)  n_{a,q}; zero where beta == 0
 
     @property
     def num_attributes(self) -> int:
@@ -69,7 +68,6 @@ def build_indicators(instance: ProblemInstance) -> IndicatorArrays:
     gamma = np.zeros((num_queries, num_transactions), dtype=bool)
     delta = np.zeros(num_queries, dtype=bool)
     phi = np.zeros((num_attributes, num_transactions), dtype=bool)
-    rows = np.zeros((num_attributes, num_queries))
 
     attribute_index = instance.attribute_index
     table_attributes = instance.table_attributes
@@ -86,11 +84,20 @@ def build_indicators(instance: ProblemInstance) -> IndicatorArrays:
             if not query.is_write:
                 phi[a_index, t_index] = True
         for table in query.tables:
-            n_rows = query.rows_for(table)
             for a_index in table_attributes[table]:
                 beta[a_index, q_index] = True
-                rows[a_index, q_index] = n_rows
 
-    return IndicatorArrays(
-        alpha=alpha, beta=beta, gamma=gamma, delta=delta, phi=phi, rows=rows
-    )
+    return IndicatorArrays(alpha=alpha, beta=beta, gamma=gamma, delta=delta, phi=phi)
+
+
+def row_counts(instance: ProblemInstance) -> np.ndarray:
+    """``n[a,q]``: the rows query ``q`` touches in ``a``'s table, zero
+    where ``beta[a,q] == 0`` (|A|, |Q|) float64."""
+    rows = np.zeros((instance.num_attributes, instance.num_queries))
+    table_attributes = instance.table_attributes
+    for q_index, query in enumerate(instance.queries):
+        for table in query.tables:
+            n_rows = query.rows_for(table)
+            for a_index in table_attributes[table]:
+                rows[a_index, q_index] = n_rows
+    return rows

@@ -134,6 +134,7 @@ def build_linearized_model(
     allow_replication: bool = True,
     latency: bool = False,
     symmetry_breaking: bool = True,
+    first_transactions: np.ndarray | None = None,
 ) -> LinearizedModel:
     """Construct the linearised model (7).
 
@@ -150,6 +151,11 @@ def build_linearized_model(
         Sites are homogeneous, so transaction ``t`` may be restricted to
         sites ``0..t`` without losing any solution; shrinks the search
         considerably.
+    first_transactions:
+        Over transaction classes, the original index of each class's
+        first member: class ``k`` is restricted to the sites
+        ``0..first_transactions[k]``, exactly the restriction the
+        unreduced model puts on its members.
     """
     if num_sites < 1:
         raise SolverError(f"need at least one site, got {num_sites}")
@@ -274,12 +280,11 @@ def build_linearized_model(
             np.tile([np.inf, _ZERO], num_psi),
         ))
 
-    # --- symmetry breaking: x[t,s] <= 0 for s > t -------------------------
+    # --- symmetry breaking: x[t,s] <= 0 for s > first[t] ------------------
     if symmetry_breaking:
-        pinned = min(num_transactions, num_sites - 1)
-        sym_t, sym_s = np.nonzero(
-            np.triu(np.ones((pinned, num_sites), dtype=bool), k=1)
-        )
+        first = (np.arange(num_transactions) if first_transactions is None
+                 else first_transactions)
+        sym_t, sym_s = np.nonzero(np.arange(num_sites) > first[:, None])
         blocks.append(_block(
             np.arange(sym_t.size), x_columns[sym_t, sym_s], np.ones(sym_t.size),
             sym_t.size, -np.inf, _ZERO,

@@ -1,4 +1,4 @@
-"""Exact attribute classes: model (7) over fused attributes.
+"""Exact classes: model (7) over fused attributes and transactions.
 
 Section 4's "reasonable cuts" fuse the attributes of one table that
 every query accesses together.  Every coefficient of such an attribute
@@ -17,16 +17,33 @@ sites:
   best ``y`` is the same forced row.
 
 With a current layout the incumbent's ``y0`` row joins the key, because
-``c5`` prices each attribute's sites separately.  The reduced model has
-the original optimum, so its MIP bound and gap hold for the original.
+``c5`` prices each attribute's sites separately.
+
+The disjoint model fuses more.  There ``y[a,s] >= x[t,s]`` for every
+reader ``t`` of ``a`` together with ``sum_s y[a,s] = 1`` forces
+``y[a,.] = x[t,.]`` in *every* feasible solution, so each read-sharing
+component (:func:`~repro.costmodel.coefficients.read_sharing_components`)
+is one transaction class, and every attribute it reads joins one
+attribute class with it, across tables, at any ``lambda`` and with any
+layout.  Unread attributes keep the key above.
+
+The reduced model has the original optimum, so its MIP bound and gap
+hold for the original.
 
 >>> from repro.costmodel import CostParameters, build_coefficients
 >>> from repro.instances import tpcc_instance
 >>> coefficients = build_coefficients(
 ...     tpcc_instance(), CostParameters(load_balance_lambda=1.0))
->>> classes = attribute_classes(coefficients, allow_replication=True)
+>>> _, classes = model_classes(coefficients, allow_replication=True)
 >>> coefficients.num_attributes, int(classes.max()) + 1
 (92, 37)
+
+Every tpcc transaction reads the warehouse key, so its disjoint model
+has a single component:
+
+>>> transactions, classes = model_classes(coefficients, allow_replication=False)
+>>> coefficients.num_transactions, int(transactions.max()) + 1
+(5, 1)
 """
 
 from __future__ import annotations
@@ -35,7 +52,24 @@ import dataclasses
 
 import numpy as np
 
-from repro.costmodel.coefficients import CostCoefficients
+from repro.costmodel.coefficients import CostCoefficients, read_sharing_components
+
+
+@dataclasses.dataclass(frozen=True)
+class ReducedCoefficients(CostCoefficients):
+    """The coefficients of model (7) over classes.
+
+    ``instance`` is still the unreduced one, so nothing derived from it
+    may be read: ``W`` raises rather than answer for the original
+    attributes.
+    """
+
+    @property
+    def weights(self) -> np.ndarray:
+        raise AttributeError(
+            "reduced coefficients have no W: it is defined per original "
+            "attribute and query, not per class"
+        )
 
 
 def class_index(keys: np.ndarray) -> np.ndarray:
@@ -50,58 +84,86 @@ def class_index(keys: np.ndarray) -> np.ndarray:
     )
 
 
-def attribute_classes(
+def _unless_singletons(classes: np.ndarray | None) -> np.ndarray | None:
+    return None if classes is None or classes.max() + 1 == len(classes) else classes
+
+
+def model_classes(
     coefficients: CostCoefficients, allow_replication: bool
-) -> np.ndarray | None:
-    """The class of each attribute, or ``None`` when every class would
-    be a singleton."""
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The class of each transaction and of each attribute; either is
+    ``None`` when every class on its side would be a singleton."""
     num_attributes = coefficients.num_attributes
+    phi = coefficients.phi_bool
     keys = [coefficients.attribute_group[:, None], coefficients.indicators.alpha]
     if coefficients.migration is not None:
         keys.append(coefficients.migration.y0)
     if coefficients.parameters.load_balance_lambda < 1.0:
-        pinned = coefficients.phi_bool.any(axis=1)
+        pinned = phi.any(axis=1)
         if allow_replication:
             rebate = np.minimum(coefficients.c1, 0.0).sum(axis=1)
             pinned &= coefficients.c2 + rebate >= 0.0
         # An attribute that is not pinned keys on its own index.
         keys.append(np.where(pinned, -1, np.arange(num_attributes))[:, None])
-    classes = class_index(np.column_stack(keys))
-    return None if classes.max() + 1 == num_attributes else classes
+    keys = np.column_stack(keys)
+    components = None
+    if not allow_replication:
+        components = read_sharing_components(coefficients)
+        read = phi.any(axis=1)
+        # A read attribute keys on its readers' component alone.
+        component = np.where(read, components[phi.argmax(axis=1)], -1)
+        keys = np.column_stack([component, np.where(read[:, None], 0, keys)])
+    return _unless_singletons(components), _unless_singletons(class_index(keys))
+
+
+def _fold(
+    array: np.ndarray, classes: np.ndarray | None, axis: int,
+    ufunc: np.ufunc = np.add,
+) -> np.ndarray:
+    """``array`` reduced by ``ufunc`` over each class along ``axis``."""
+    if classes is None:
+        return array
+    order = np.argsort(classes, kind="stable")
+    starts = np.flatnonzero(np.diff(classes[order], prepend=-1))
+    return ufunc.reduceat(np.take(array, order, axis=axis), starts, axis=axis)
 
 
 def reduce_coefficients(
-    coefficients: CostCoefficients, classes: np.ndarray
-) -> CostCoefficients:
-    """The coefficients of the model over ``classes``: ``c1``-``c4``,
-    ``W`` and ``c5`` summed over each class, indicator and ``y0`` rows
-    taken from its first member."""
-    order = np.argsort(classes, kind="stable")
-    starts = np.flatnonzero(np.diff(classes[order], prepend=-1))
-    first = order[starts]
+    coefficients: CostCoefficients,
+    classes: np.ndarray | None,
+    transaction_classes: np.ndarray | None = None,
+) -> ReducedCoefficients:
+    """The coefficients of the model over attribute ``classes`` and
+    ``transaction_classes`` (``None``: no fusion on that side).
 
-    def total(array: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(array[order], starts, axis=0)
-
+    ``c1``/``c3`` are summed over both sides, ``c2``/``c4``/``c5`` over
+    attribute classes; indicator rows and ``gamma``/``phi`` columns are
+    OR-ed, and each class keeps its first member's ``y0`` row.
+    """
     indicators = coefficients.indicators
+    alpha, beta, phi = (
+        _fold(array, classes, 0, np.logical_or)
+        for array in (indicators.alpha, indicators.beta, indicators.phi)
+    )
     migration = coefficients.migration
-    if migration is not None:
+    if migration is not None and classes is not None:
+        first = np.unique(classes, return_index=True)[1]
         migration = dataclasses.replace(
-            migration, y0=migration.y0[first], c5=total(migration.c5)
+            migration, y0=migration.y0[first], c5=_fold(migration.c5, classes, 0)
         )
-    return dataclasses.replace(
-        coefficients,
+    return ReducedCoefficients(
+        instance=coefficients.instance,
+        parameters=coefficients.parameters,
         indicators=dataclasses.replace(
             indicators,
-            alpha=indicators.alpha[first],
-            beta=indicators.beta[first],
-            phi=indicators.phi[first],
-            rows=indicators.rows[first],
+            alpha=alpha,
+            beta=beta,
+            gamma=_fold(indicators.gamma, transaction_classes, 1, np.logical_or),
+            phi=_fold(phi, transaction_classes, 1, np.logical_or),
         ),
-        weights=total(coefficients.weights),
-        c1=total(coefficients.c1),
-        c2=total(coefficients.c2),
-        c3=total(coefficients.c3),
-        c4=total(coefficients.c4),
+        c1=_fold(_fold(coefficients.c1, classes, 0), transaction_classes, 1),
+        c2=_fold(coefficients.c2, classes, 0),
+        c3=_fold(_fold(coefficients.c3, classes, 0), transaction_classes, 1),
+        c4=_fold(coefficients.c4, classes, 0),
         migration=migration,
     )

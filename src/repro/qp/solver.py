@@ -13,7 +13,7 @@ from repro.exceptions import SolverError, SolverLimitError
 from repro.model.instance import ProblemInstance
 from repro.partition.assignment import PartitioningResult
 from repro.qp.linearize import build_linearized_model, linearization_pattern
-from repro.qp.reduce import attribute_classes, reduce_coefficients
+from repro.qp.reduce import model_classes, reduce_coefficients
 from repro.solver.solution import SolutionStatus
 
 #: The paper's MIP tolerance gap (Section 5: 0.1%).
@@ -23,9 +23,10 @@ PAPER_GAP = 1e-3
 class QpPartitioner:
     """Optimal (to within a MIP gap) vertical partitioning via model (7).
 
-    The model is built over exact attribute classes
-    (:mod:`repro.qp.reduce`); answers are expanded back to attributes
-    and evaluated on the caller's coefficients.
+    The model is built over exact attribute classes, and a disjoint one
+    over read-sharing components too (:mod:`repro.qp.reduce`); answers
+    are expanded back to transactions and attributes and evaluated on
+    the caller's coefficients.
 
     >>> from repro.instances import tpcc_instance
     >>> partitioner = QpPartitioner(tpcc_instance(), num_sites=2)
@@ -54,21 +55,31 @@ class QpPartitioner:
         self.allow_replication = allow_replication
         self.latency = latency
         self.symmetry_breaking = symmetry_breaking
-        #: Class per attribute, or ``None`` when nothing merges.
-        self.classes = attribute_classes(self.coefficients, allow_replication)
+        #: Class per transaction and per attribute, each ``None`` when
+        #: nothing merges on that side.
+        self.transaction_classes, self.classes = model_classes(
+            self.coefficients, allow_replication
+        )
+        reduced, first = self.coefficients, None
+        if self.transaction_classes is not None:
+            first = np.unique(self.transaction_classes, return_index=True)[1]
+        if self.classes is not None or first is not None:
+            reduced = reduce_coefficients(
+                self.coefficients, self.classes, self.transaction_classes
+            )
         self.linearized = build_linearized_model(
-            self.coefficients if self.classes is None
-            else reduce_coefficients(self.coefficients, self.classes),
+            reduced,
             num_sites,
             allow_replication=allow_replication,
             latency=latency,
             symmetry_breaking=symmetry_breaking,
+            first_transactions=first,
         )
 
     @property
     def model_size(self) -> dict[str, int]:
         """Variable/constraint counts of the linearised model HiGHS
-        solves (over attribute classes)."""
+        solves (over classes)."""
         model = self.linearized.model
         return {
             "variables": model.num_variables,
@@ -152,6 +163,8 @@ class QpPartitioner:
         wall_time = time.perf_counter() - started
         if solution.status.has_solution:
             x, y = linearized.extract(solution.values)
+            if self.transaction_classes is not None:
+                x = x[self.transaction_classes]
             if self.classes is not None:
                 y = y[self.classes]
             objective = evaluator.objective4(x, y)
@@ -194,6 +207,7 @@ class QpPartitioner:
             "nodes": solution.nodes,
             **self.model_size,
             "attribute_classes": linearized.coefficients.num_attributes,
+            "transaction_classes": linearized.coefficients.num_transactions,
             "unreduced_variables": self.estimate_model_size(
                 self.coefficients,
                 self.num_sites,

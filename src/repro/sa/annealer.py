@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.costmodel.coefficients import CostCoefficients
+from repro.costmodel.coefficients import CostCoefficients, read_sharing_components
 from repro.costmodel.evaluator import SolutionEvaluator
 from repro.costmodel.incremental import IncrementalEvaluator
 from repro.sa.neighborhood import (
@@ -33,11 +33,7 @@ from repro.sa.options import (
     INITIAL_WORSE_FRACTION,
     SaOptions,
 )
-from repro.sa.state import (
-    component_placement_to_x,
-    random_transaction_placement,
-    read_sharing_components,
-)
+from repro.sa.state import component_placement_to_x, random_transaction_placement
 from repro.sa.subsolve import SubproblemSolver
 
 

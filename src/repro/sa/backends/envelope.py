@@ -193,25 +193,24 @@ def _check_wire_safe(coefficients: CostCoefficients) -> None:
     A task envelope carries only ``(instance, parameters)`` — the
     :class:`QueueWorker` *rebuilds* the coefficient arrays canonically.
     Coefficients built non-canonically (custom indicators, hand-tweaked
-    weights) would silently anneal a different problem in the process
-    backend's in-driver loop than on the serial one, breaking the
+    coefficient arrays) would silently anneal a different problem in the
+    process backend's in-driver loop than on the serial one, breaking the
     cross-backend bitwise contract, so that loop refuses them up front.
     One canonical rebuild per in-driver run — the same work the loop
     then does per task.
     """
     rebuilt = build_coefficients(coefficients.instance, coefficients.parameters)
     shipped_arrays = (
-        coefficients.weights, coefficients.c1, coefficients.c2,
-        coefficients.c3, coefficients.c4,
+        coefficients.c1, coefficients.c2, coefficients.c3, coefficients.c4,
         coefficients.indicators.alpha, coefficients.indicators.beta,
         coefficients.indicators.gamma, coefficients.indicators.delta,
-        coefficients.indicators.phi, coefficients.indicators.rows,
+        coefficients.indicators.phi,
     )
     rebuilt_arrays = (
-        rebuilt.weights, rebuilt.c1, rebuilt.c2, rebuilt.c3, rebuilt.c4,
+        rebuilt.c1, rebuilt.c2, rebuilt.c3, rebuilt.c4,
         rebuilt.indicators.alpha, rebuilt.indicators.beta,
         rebuilt.indicators.gamma, rebuilt.indicators.delta,
-        rebuilt.indicators.phi, rebuilt.indicators.rows,
+        rebuilt.indicators.phi,
     )
     for shipped, canonical in zip(shipped_arrays, rebuilt_arrays):
         if shipped.shape != canonical.shape or not np.array_equal(

@@ -1,10 +1,8 @@
-"""SA search state helpers: random starts and read-sharing components."""
+"""SA search state helpers: random starts and component placements."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.costmodel.coefficients import CostCoefficients
 
 
 def random_transaction_placement(
@@ -15,47 +13,6 @@ def random_transaction_placement(
     sites = rng.integers(0, num_sites, size=num_transactions)
     x[np.arange(num_transactions), sites] = True
     return x
-
-
-def read_sharing_components(coefficients: CostCoefficients) -> np.ndarray:
-    """Group transactions that read a common attribute (union-find).
-
-    In disjoint partitioning, two transactions reading the same
-    attribute must be co-located (the single replica must be on both
-    sites otherwise). The connected components of the "shares a read
-    attribute" graph are therefore the atomic placement units.
-
-    Returns an array mapping transaction index -> component id
-    (component ids are consecutive from 0).
-    """
-    num_transactions = coefficients.num_transactions
-    parent = list(range(num_transactions))
-
-    def find(node: int) -> int:
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    def union(a: int, b: int) -> None:
-        root_a, root_b = find(a), find(b)
-        if root_a != root_b:
-            parent[root_b] = root_a
-
-    phi = coefficients.phi_bool
-    for a in range(phi.shape[0]):
-        readers = np.flatnonzero(phi[a])
-        for other in readers[1:]:
-            union(int(readers[0]), int(other))
-
-    roots = [find(t) for t in range(num_transactions)]
-    relabel: dict[int, int] = {}
-    labels = np.empty(num_transactions, dtype=int)
-    for t, root in enumerate(roots):
-        if root not in relabel:
-            relabel[root] = len(relabel)
-        labels[t] = relabel[root]
-    return labels
 
 
 def component_placement_to_x(

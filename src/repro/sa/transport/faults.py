@@ -1,7 +1,7 @@
 """Deterministic fault injection at the transport's protocol layer.
 
-A :class:`FaultPlan` is a seedable, JSON-serialisable schedule of
-failures — "drop the first RESULT frame of connection 0", "kill worker 1
+A :class:`FaultPlan` is a seedable schedule of failures — "drop the
+first RESULT frame of connection 0", "kill worker 1
 while it sends its second result", "stall worker 0's heartbeat from the
 third beat on" — that the process backend and its workers *replay
 exactly*.  Because the schedule is data, every chaos test is
@@ -33,10 +33,9 @@ requeued restart clean instead of dying in a loop.
 
 from __future__ import annotations
 
-import json
 import socket
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -97,7 +96,7 @@ class Fault:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A deterministic schedule of faults, serialisable as JSON."""
+    """A deterministic schedule of faults."""
 
     faults: tuple[Fault, ...] = field(default_factory=tuple)
 
@@ -121,24 +120,6 @@ class FaultPlan:
             if fault.action in WORKER_ACTIONS
             and fault.connection == connection
         ]
-
-    # -- serialisation ------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps(
-            {"faults": [asdict(fault) for fault in self.faults]},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        try:
-            payload = json.loads(text)
-            faults = tuple(Fault(**entry) for entry in payload["faults"])
-        except (json.JSONDecodeError, KeyError, TypeError) as error:
-            raise OptionsError(
-                f"undecodable fault plan ({type(error).__name__}: {error})"
-            ) from error
-        return cls(faults=faults)
 
     @classmethod
     def random(

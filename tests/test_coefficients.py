@@ -13,7 +13,7 @@ from tests.conftest import small_random_instance
 def brute_force_coefficients(instance, parameters):
     """Direct implementation of the paper's sums, element by element."""
     indicators = build_indicators(instance)
-    weights = build_weights(instance, indicators)
+    weights = build_weights(instance)
     num_attributes = instance.num_attributes
     num_transactions = instance.num_transactions
     num_queries = instance.num_queries
@@ -54,8 +54,7 @@ def test_vectorised_matches_brute_force(seed, penalty):
 
 
 def test_weights_formula(tiny_instance):
-    indicators = build_indicators(tiny_instance)
-    weights = build_weights(tiny_instance, indicators)
+    weights = build_weights(tiny_instance)
     index = tiny_instance.attribute_index
     q = tiny_instance.query_index
     # W = w_a * f_q * n_{a,q}: Wide.payload width 100, 2 rows, freq 1.

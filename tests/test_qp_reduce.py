@@ -1,4 +1,5 @@
-"""Exact attribute classes: the QP over fused attributes keeps the optimum."""
+"""Exact classes: the QP over fused attributes and transactions keeps
+the optimum."""
 
 import dataclasses
 import itertools
@@ -8,7 +9,11 @@ import pytest
 
 from repro.api import Advisor, SolveRequest
 from repro.calibration import observation_from_report
-from repro.costmodel.coefficients import attach_migration, build_coefficients
+from repro.costmodel.coefficients import (
+    attach_migration,
+    build_coefficients,
+    read_sharing_components,
+)
 from repro.costmodel.config import CostParameters
 from repro.costmodel.evaluator import SolutionEvaluator, check_solution_feasible
 from repro.instances import tpcc_instance
@@ -19,7 +24,7 @@ from repro.model.workload import Query, Transaction, Workload
 from repro.partition.assignment import PartitioningResult
 from repro.partition.current_layout import CurrentLayout
 from repro.qp.linearize import build_linearized_model
-from repro.qp.reduce import attribute_classes, reduce_coefficients
+from repro.qp.reduce import model_classes, reduce_coefficients
 from repro.qp.solver import QpPartitioner
 from repro.solver.solution import SolutionStatus
 from tests.conftest import random_feasible_solution, small_random_instance
@@ -34,6 +39,10 @@ def _objective7(coefficients, x, y, latency: bool) -> float:
         lam = coefficients.parameters.load_balance_lambda
         value += lam * evaluator.latency(x, y)
     return value
+
+
+def attribute_classes(coefficients, allow_replication: bool):
+    return model_classes(coefficients, allow_replication)[1]
 
 
 def _first_merged_class(classes: np.ndarray) -> np.ndarray:
@@ -133,29 +142,102 @@ def test_classes_keep_the_optimum(lam, replicated, layout, latency):
         coefficients = build_coefficients(instance, CostParameters(
             load_balance_lambda=lam, latency_penalty=50.0 if latency else 0.0,
         ))
-        if layout:
-            _, y0 = random_feasible_solution(coefficients, 2, seed)
-            coefficients = attach_migration(
-                coefficients, CurrentLayout.from_matrix(instance, y0), 0.5, 2
+        for sites in (2,) if replicated else (2, 3):
+            y0 = (random_feasible_solution(coefficients, sites, seed)[1]
+                  if layout else None)
+            merged += _check_reduced_optimum(
+                coefficients, sites, replicated, latency, y0=y0
             )
-        options = dict(allow_replication=replicated, latency=latency)
-        reference = build_linearized_model(
-            coefficients, 2, **options
-        ).model.solve(gap=1e-9)
-        partitioner = QpPartitioner(coefficients, 2, **options)
-        result = partitioner.solve(gap=1e-9)
-        assert reference.status is SolutionStatus.OPTIMAL
-        assert result.proven_optimal
-        assert check_solution_feasible(coefficients, result.x, result.y)
-        assert replicated or result.is_disjoint
-        assert _objective7(
-            coefficients, result.x, result.y, latency
-        ) == pytest.approx(reference.objective, rel=1e-8)
-        if partitioner.classes is None:
-            assert partitioner.linearized.coefficients is coefficients
-        else:
-            merged += 1
     assert merged  # the cross is not vacuous: some instance reduces
+
+
+def _check_reduced_optimum(
+    coefficients, sites: int, replicated: bool, latency: bool = False,
+    y0: np.ndarray | None = None,
+) -> bool:
+    """Solve over classes and unreduced at ``gap=1e-9``, with the
+    current layout ``y0`` if given: the optima agree, the answer is
+    feasible, and a disjoint model has one ``x`` row per read-sharing
+    component.  True when anything was fused."""
+    if y0 is not None:
+        coefficients = attach_migration(
+            coefficients, CurrentLayout.from_matrix(coefficients.instance, y0),
+            0.5, sites,
+        )
+    options = dict(allow_replication=replicated, latency=latency)
+    reference = build_linearized_model(
+        coefficients, sites, **options
+    ).model.solve(gap=1e-9)
+    partitioner = QpPartitioner(coefficients, sites, **options)
+    result = partitioner.solve(gap=1e-9)
+    assert reference.status is SolutionStatus.OPTIMAL
+    assert result.proven_optimal
+    assert check_solution_feasible(coefficients, result.x, result.y)
+    assert replicated or result.is_disjoint
+    assert _objective7(
+        coefficients, result.x, result.y, latency
+    ) == pytest.approx(reference.objective, rel=1e-8)
+    solved = partitioner.linearized.coefficients
+    if replicated:
+        assert partitioner.transaction_classes is None
+    else:
+        components = read_sharing_components(coefficients)
+        assert partitioner.linearized.x_columns.shape[0] == components.max() + 1
+        assert result.metadata["transaction_classes"] == components.max() + 1
+    if partitioner.classes is None and partitioner.transaction_classes is None:
+        assert solved is coefficients
+        return False
+    with pytest.raises(AttributeError, match="no W"):
+        solved.weights
+    return True
+
+
+def _write_only_instance() -> ProblemInstance:
+    """``Log`` reads nothing, so it is a component of its own; the two
+    readers share ``T.k``."""
+    schema = (
+        SchemaBuilder("lonely")
+        .table("T", k=4, v=8, w=16)
+        .table("L", entry=32)
+        .build()
+    )
+    workload = Workload([
+        Transaction("A", (
+            Query.read("A.get", ["T.k", "T.v"]),
+            Query.write("A.put", ["T.w"]),
+        )),
+        Transaction("B", (Query.read("B.get", ["T.k", "T.w"]),)),
+        Transaction("Log", (Query.write("Log.append", ["L.entry"]),)),
+    ], name="lonely")
+    return ProblemInstance(schema, workload, name="lonely")
+
+
+@pytest.mark.parametrize("lam", (0.5, 1.0))
+@pytest.mark.parametrize("sites", (2, 3))
+def test_disjoint_components_keep_the_optimum(lam, sites):
+    """A transaction that reads nothing is a singleton component; on
+    tpcc one component spans every transaction.  A layout with every
+    attribute on the last site makes sites unequal, so symmetry breaking
+    must restrict each component exactly as the unreduced model
+    restricts its first transaction."""
+    lonely = build_coefficients(_write_only_instance(), CostParameters(
+        load_balance_lambda=lam, latency_penalty=50.0,
+    ))
+    np.testing.assert_array_equal(read_sharing_components(lonely), [0, 0, 1])
+    tpcc = build_coefficients(
+        tpcc_instance(), CostParameters(load_balance_lambda=lam)
+    )
+    np.testing.assert_array_equal(
+        read_sharing_components(tpcc), np.zeros(tpcc.num_transactions)
+    )
+    for coefficients in (lonely, tpcc):
+        last = np.zeros((coefficients.num_attributes, sites), dtype=bool)
+        last[:, -1] = True
+        for y0 in (None, random_feasible_solution(coefficients, sites, 0)[1], last):
+            assert _check_reduced_optimum(
+                coefficients, sites, replicated=False,
+                latency=coefficients is lonely, y0=y0,
+            )
 
 
 def test_kept_warm_start_may_split_a_class():

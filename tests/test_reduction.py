@@ -8,7 +8,7 @@ from repro.costmodel.coefficients import build_coefficients
 from repro.costmodel.config import CostParameters
 from repro.instances.tpcc import tpcc_instance
 from repro.qp.linearize import build_linearized_model
-from repro.qp.reduce import attribute_classes, reduce_coefficients
+from repro.qp.reduce import model_classes, reduce_coefficients
 from repro.qp.solver import QpPartitioner
 from repro.reduction.cuts import attribute_groups
 from repro.reduction.heavy import IterativeRefinement, solve_iterative
@@ -56,10 +56,10 @@ class TestGroupedInstance:
     """The QP's model over exact attribute classes (the grouped model)."""
 
     def test_grouped_widths_sum(self, tpcc_coefficients):
-        classes = attribute_classes(tpcc_coefficients, allow_replication=True)
+        _, classes = model_classes(tpcc_coefficients, allow_replication=True)
         reduced = reduce_coefficients(tpcc_coefficients, classes)
         assert reduced.num_attributes < tpcc_coefficients.num_attributes
-        for name in ("weights", "c1", "c2", "c3", "c4"):
+        for name in ("c1", "c2", "c3", "c4"):
             assert getattr(reduced, name).sum() == pytest.approx(
                 getattr(tpcc_coefficients, name).sum()
             )

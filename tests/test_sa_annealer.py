@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.costmodel.coefficients import build_coefficients
+from repro.costmodel.coefficients import build_coefficients, read_sharing_components
 from repro.costmodel.config import CostParameters
 from repro.costmodel.evaluator import SolutionEvaluator, check_solution_feasible
 from repro.sa.annealer import AnnealingTrace, SimulatedAnnealer, initial_temperature
@@ -17,11 +17,7 @@ from repro.sa.neighborhood import (
     subset_size,
 )
 from repro.sa.options import SaOptions
-from repro.sa.state import (
-    component_placement_to_x,
-    random_transaction_placement,
-    read_sharing_components,
-)
+from repro.sa.state import component_placement_to_x, random_transaction_placement
 from tests.conftest import brute_force_optimum, small_random_instance
 from tests.reference_subsolve import DenseState
 

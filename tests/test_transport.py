@@ -273,20 +273,6 @@ class TestNegotiation:
 # Fault plans and the faulty endpoint
 # ----------------------------------------------------------------------
 class TestFaultPlan:
-    def test_json_round_trip(self):
-        plan = FaultPlan(
-            (
-                Fault("drop", kind="result", index=1, connection=0),
-                Fault("kill-worker", kind="result", index=0, connection=1),
-            )
-        )
-        assert FaultPlan.from_json(plan.to_json()) == plan
-
-    def test_from_json_rejects_garbage(self):
-        for text in ("not json", "{}", '{"faults": [{"action": "sabotage"}]}'):
-            with pytest.raises(OptionsError):
-                FaultPlan.from_json(text)
-
     def test_random_is_deterministic_per_seed(self):
         assert FaultPlan.random(7) == FaultPlan.random(7)
         assert FaultPlan.random(7) != FaultPlan.random(8)
