@@ -35,7 +35,6 @@ from repro.sa.portfolio import run_portfolio
 from repro.sa.solver import SaPartitioner
 from repro.sa.state import random_transaction_placement
 from repro.sa.subsolve import SubproblemSolver
-from repro.sa.transport.socket_backend import SocketTransportBackend
 from repro.solver.scipy_backend import solve_mip_scipy
 from tests.reference_subsolve import LoopSubproblemSolver
 
@@ -109,55 +108,6 @@ def test_portfolio_deterministic_across_worker_counts(large_coefficients):
     assert results[0].restart_objectives == results[1].restart_objectives
     np.testing.assert_array_equal(results[0].x, results[1].x)
     np.testing.assert_array_equal(results[0].y, results[1].y)
-
-
-def test_queue_backend_parity_and_overhead(large_coefficients):
-    """The process backend's in-driver loop (``workers=0``: JSON
-    envelopes through a ``QueueWorker``) returns the bitwise-identical
-    best and its serialisation overhead stays a small multiple of the
-    serial backend.
-
-    Measured as a same-box ratio with retries (the envelope path
-    re-parses the instance and rebuilds coefficients per restart — the
-    price of a transport-neutral wire format; ~2x on this short-anneal
-    configuration, shrinking as anneals grow); no wall-clock or
-    parallelism claims.
-    """
-    options = SaOptions(seed=3, restarts=3, inner_loops=5, max_outer_loops=3)
-
-    threshold = 8.0  # generous: measured ~2x; gate the order of magnitude
-    best_ratio = float("inf")
-    best_walls = (float("nan"), float("nan"))
-    for _ in range(3):  # retry: absorb transient runner noise
-        serial_started = time.perf_counter()
-        serial = run_portfolio(large_coefficients, 4, options, backend="serial")
-        serial_wall = time.perf_counter() - serial_started
-
-        envelope_started = time.perf_counter()
-        enveloped = run_portfolio(
-            large_coefficients, 4, options,
-            backend=SocketTransportBackend(workers=0),
-        )
-        envelope_wall = time.perf_counter() - envelope_started
-        if envelope_wall / serial_wall < best_ratio:
-            best_ratio = envelope_wall / serial_wall
-            best_walls = (serial_wall, envelope_wall)
-        if best_ratio <= threshold:
-            break
-
-    print(
-        f"\nrndAt64x100, |S|=4, 3 restarts: serial {best_walls[0]:.2f}s, "
-        f"in-driver envelopes {best_walls[1]:.2f}s "
-        f"(envelope overhead {best_ratio:.2f}x)"
-    )
-    assert enveloped.objective6 == serial.objective6
-    assert enveloped.best_restart == serial.best_restart
-    assert enveloped.restart_objectives == serial.restart_objectives
-    np.testing.assert_array_equal(enveloped.x, serial.x)
-    np.testing.assert_array_equal(enveloped.y, serial.y)
-    assert best_ratio <= threshold, (
-        f"envelope overhead {best_ratio:.1f}x > {threshold:.0f}x serial"
-    )
 
 
 def _bench(function, rounds: int = 15) -> float:

@@ -25,14 +25,9 @@ def test_bench_transport_table(benchmark, profile, tmp_path, monkeypatch):
     monkeypatch.setenv(ARTIFACT_ENV_VAR, str(tmp_path))
     table = run_and_print(benchmark, run_table_target, profile)
 
-    by_metric = {row["metric"]: row for row in table.rows}
     # Ratios only: every reported number is dimensionless and positive.
     for row in table.rows:
         assert row["ratio"] > 0.0
-
-    # Framing costs something but not an order of magnitude.
-    overhead = by_metric["envelope frame round-trip vs bare envelope"]
-    assert 1.0 <= overhead["ratio"] < 10.0
 
     artifact = json.loads((tmp_path / ARTIFACT_NAME).read_text())
     assert artifact["bench"] == "transport"

@@ -4,12 +4,7 @@ A :class:`SolveRequest` captures everything a solve needs — instance,
 number of sites, cost parameters, replication mode, strategy and its
 options, seed and time budget — as one frozen value with an exact JSON
 round-trip (:meth:`SolveRequest.to_json` / :meth:`SolveRequest.from_json`),
-so requests can be queued, shipped to a service and replayed.  The
-portfolio's task envelopes (:mod:`repro.sa.backends.envelope`) embed this
-exact document, which is what makes a restart shipped to a forked
-worker (:mod:`repro.sa.worker`) over the transport replay byte-identically:
-retries, duplicate deliveries and requeues after worker crashes all
-re-encode to the same request.
+so requests can be queued, shipped to a service and replayed.
 """
 
 from __future__ import annotations
@@ -206,8 +201,7 @@ class SolveRequest:
         The layout fields are emitted only when set: a layout-free
         request serialises exactly as it did before they existed, so
         canonical JSON (and with it the service's coalescing/cache
-        keys and the task envelopes) stays byte-stable for legacy
-        payloads.
+        keys) stays byte-stable for legacy payloads.
         """
         payload = {
             "format_version": REQUEST_FORMAT_VERSION,

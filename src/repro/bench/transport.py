@@ -1,19 +1,13 @@
 """Bench target: socket-transport overhead and retry-storm throughput.
 
-Two questions, answered as *ratios only* (absolute wall-clock is
-machine noise; the ratios are what the transport design controls):
-
-* **envelope round-trip overhead** — encoding a finished restart's
-  result envelope into a length-prefixed RESULT frame and decoding it
-  back, relative to the bare result envelope encode/decode.  A forked
-  worker inherits the plan, so the result is what crosses the wire per
-  task, and this is the per-task price of the wire;
-* **retry-storm throughput** — wall-clock of a socket portfolio under
-  a deterministic fault storm (dropped results, a killed worker, a
-  stalled heartbeat) relative to the same portfolio on a clean socket
-  pool and in the driver alone (``workers=0``).  Every variant returns the
-  bitwise-identical best (asserted), so the ratio isolates the cost of
-  fault *recovery*, not of different work.
+Answered as *ratios only* (absolute wall-clock is machine noise; the
+ratios are what the transport design controls): the wall-clock of a
+socket portfolio on two thread-spawned workers, clean and under a
+deterministic fault storm (dropped results, a killed worker, a stalled
+heartbeat), relative to each other and to the serial backend.  Every
+variant returns the bitwise-identical best (asserted), so the ratios
+isolate the cost of the transport and of fault *recovery*, not of
+different work.
 
 Besides the rendered table the run emits a ``BENCH_transport.json``
 artifact (into ``REPRO_BENCH_ARTIFACT_DIR``, default: the working
@@ -32,22 +26,15 @@ from repro.bench.config import BenchProfile, get_profile
 from repro.bench.formatting import BenchTable
 from repro.costmodel.coefficients import build_coefficients
 from repro.instances.random_gen import InstanceParameters, generate_instance
-from repro.sa.backends.base import run_restart
-from repro.sa.backends.envelope import (
-    decode_restart_result,
-    encode_restart_result,
-)
 from repro.sa.options import SaOptions
 from repro.sa.portfolio import run_portfolio
 from repro.sa.transport import Fault, FaultPlan, SocketTransportBackend
-from repro.sa.transport.protocol import KIND_RESULT, decode_payload, encode_frame
 
 #: Where the JSON artifact lands (default: the working directory).
 ARTIFACT_ENV_VAR = "REPRO_BENCH_ARTIFACT_DIR"
 ARTIFACT_NAME = "BENCH_transport.json"
 
 NUM_SITES = 3
-ENVELOPE_REPEATS = 200
 
 #: The deterministic fault storm of the throughput measurement: a lost
 #: result, a worker killed mid-restart, and a heartbeat stall — one of
@@ -94,41 +81,8 @@ def _portfolio_options(seed: int) -> SaOptions:
         heartbeat_timeout=0.8,
         backoff_base=0.01,
         max_retries=3,
-        backend="process",
+        jobs=2,
     )
-
-
-def _envelope_roundtrip_ratio(coefficients, options: SaOptions) -> float:
-    outcome = run_restart(
-        coefficients, NUM_SITES, options, 0, options.seed, deadline=None
-    )
-    fields = dict(
-        restart=outcome.restart,
-        seed=outcome.seed,
-        x=outcome.x,
-        y=outcome.y,
-        objective6=outcome.objective6,
-        iterations=outcome.iterations,
-        accepted=outcome.accepted,
-        accepted_worse=outcome.accepted_worse,
-        outer_loops=outcome.outer_loops,
-    )
-
-    started = time.perf_counter()
-    for _ in range(ENVELOPE_REPEATS):
-        decode_restart_result(encode_restart_result(**fields))
-    bare = time.perf_counter() - started
-
-    started = time.perf_counter()
-    for _ in range(ENVELOPE_REPEATS):
-        envelope = encode_restart_result(**fields)
-        frame = encode_frame(
-            KIND_RESULT, task_id="0:0", restart=0, envelope=envelope
-        )
-        payload = decode_payload(frame[4:])
-        decode_restart_result(payload["envelope"])
-    framed = time.perf_counter() - started
-    return framed / bare if bare > 0 else 1.0
 
 
 def _timed_portfolio(coefficients, options: SaOptions, backend):
@@ -145,17 +99,15 @@ def transport(profile: BenchProfile | None = None) -> BenchTable:
     coefficients = _bench_instance(profile.seed)
     options = _portfolio_options(profile.seed)
 
-    overhead = _envelope_roundtrip_ratio(coefficients, options)
-
-    in_driver_result, in_driver_wall = _timed_portfolio(
-        coefficients, options, SocketTransportBackend(workers=0)
+    serial_result, serial_wall = _timed_portfolio(
+        coefficients, options, "serial"
     )
-    clean_backend = SocketTransportBackend(workers=2, spawn="thread")
+    clean_backend = SocketTransportBackend(spawn="thread")
     clean_result, clean_wall = _timed_portfolio(
         coefficients, options, clean_backend
     )
     storm_backend = SocketTransportBackend(
-        workers=2, spawn="thread", fault_plan=_storm_plan()
+        spawn="thread", fault_plan=_storm_plan()
     )
     storm_result, storm_wall = _timed_portfolio(
         coefficients, options, storm_backend
@@ -163,20 +115,13 @@ def transport(profile: BenchProfile | None = None) -> BenchTable:
 
     # The whole point of the transport: identical results, any weather.
     for other in (clean_result, storm_result):
-        assert other.objective6 == in_driver_result.objective6
-        assert other.best_restart == in_driver_result.best_restart
+        assert other.objective6 == serial_result.objective6
+        assert other.best_restart == serial_result.best_restart
 
     rows = [
         {
-            "metric": "envelope frame round-trip vs bare envelope",
-            "ratio": round(overhead, 3),
-            "detail": f"{ENVELOPE_REPEATS} encode+decode repetitions",
-        },
-        {
-            "metric": "socket (clean) vs socket in-driver (workers=0)",
-            "ratio": (
-                round(clean_wall / in_driver_wall, 3) if in_driver_wall else 1.0
-            ),
+            "metric": "socket (clean) vs serial",
+            "ratio": round(clean_wall / serial_wall, 3) if serial_wall else 1.0,
             "detail": "2 thread workers, 6 restarts",
         },
         {
@@ -188,10 +133,8 @@ def transport(profile: BenchProfile | None = None) -> BenchTable:
             ),
         },
         {
-            "metric": "socket (retry storm) vs socket in-driver (workers=0)",
-            "ratio": (
-                round(storm_wall / in_driver_wall, 3) if in_driver_wall else 1.0
-            ),
+            "metric": "socket (retry storm) vs serial",
+            "ratio": round(storm_wall / serial_wall, 3) if serial_wall else 1.0,
             "detail": "end-to-end price of faults + recovery",
         },
     ]

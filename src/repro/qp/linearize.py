@@ -128,6 +128,16 @@ def _rows_of(columns: np.ndarray, lower: float, upper: float) -> RowBlock:
     )
 
 
+def sites_interchangeable(coefficients: CostCoefficients) -> bool:
+    """True unless a migration term prices some attribute differently
+    on different sites, which makes the sites unequal for symmetry
+    breaking.  A zero-cost layout leaves them interchangeable."""
+    migration = coefficients.migration
+    return migration is None or bool(
+        (migration.c5 == migration.c5[:, :1]).all()
+    )
+
+
 def build_linearized_model(
     coefficients: CostCoefficients,
     num_sites: int,
@@ -150,7 +160,8 @@ def build_linearized_model(
     symmetry_breaking:
         Sites are homogeneous, so transaction ``t`` may be restricted to
         sites ``0..t`` without losing any solution; shrinks the search
-        considerably.
+        considerably.  Ignored when a current layout's migration term
+        prices the sites differently (:func:`sites_interchangeable`).
     first_transactions:
         Over transaction classes, the original index of each class's
         first member: class ``k`` is restricted to the sites
@@ -281,7 +292,7 @@ def build_linearized_model(
         ))
 
     # --- symmetry breaking: x[t,s] <= 0 for s > first[t] ------------------
-    if symmetry_breaking:
+    if symmetry_breaking and sites_interchangeable(coefficients):
         first = (np.arange(num_transactions) if first_transactions is None
                  else first_transactions)
         sym_t, sym_s = np.nonzero(np.arange(num_sites) > first[:, None])

@@ -12,7 +12,11 @@ from repro.costmodel.evaluator import SolutionEvaluator, feasibility_violations
 from repro.exceptions import SolverError, SolverLimitError
 from repro.model.instance import ProblemInstance
 from repro.partition.assignment import PartitioningResult
-from repro.qp.linearize import build_linearized_model, linearization_pattern
+from repro.qp.linearize import (
+    build_linearized_model,
+    linearization_pattern,
+    sites_interchangeable,
+)
 from repro.qp.reduce import model_classes, reduce_coefficients
 from repro.solver.solution import SolutionStatus
 
@@ -124,7 +128,11 @@ class QpPartitioner:
             + 3 * num_u  # linearisation triples
             + (num_sites if load_side else 0)  # load rows
             + 2 * num_psi  # psi bounds
-            + (num_symmetry if symmetry_breaking else 0)
+            + (
+                num_symmetry
+                if symmetry_breaking and sites_interchangeable(coefficients)
+                else 0
+            )
         )
         return {
             "variables": num_variables,

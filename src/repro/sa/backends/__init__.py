@@ -10,13 +10,13 @@ under a name selectable via ``SaOptions(backend=...)``:
   the portfolio has one worker slot); the reference semantics
   everything else is pinned to;
 * ``"process"`` — the default for more than one slot (an unset ``jobs``
-  means the usable cores): forked worker processes that inherit the
-  plan and anneal the caller's coefficients, each driven over its own
-  socket pair with length-prefixed frames, heartbeat liveness
-  monitoring, bounded deterministic retries and graceful degradation to
-  in-driver execution through JSON task envelopes
-  (:mod:`repro.sa.backends.envelope`, :mod:`repro.sa.transport`); where
-  the platform cannot fork, it runs in-driver with a ``RuntimeWarning``.
+  means the usable cores): ``jobs`` forked worker processes that
+  inherit the plan and anneal the caller's coefficients, each driven
+  over its own socket pair with length-prefixed frames, heartbeat
+  liveness monitoring and bounded deterministic retries
+  (:mod:`repro.sa.transport`).  When the pool drains, or the platform
+  cannot fork (with a ``RuntimeWarning``), the restarts still owed run
+  in the driver through the serial backend's own loop.
 
 Whatever the backend or jobs count, the returned best is bitwise
 identical per master seed — backends may only *skip* work (restarts the
@@ -41,19 +41,12 @@ from repro.sa.backends.base import (
     restart_options,
     run_restart,
 )
-from repro.sa.backends.envelope import (
-    QueueWorker,
-    decode_restart_result,
-    decode_restart_task,
-    encode_restart_result,
-    encode_restart_task,
-)
 from repro.sa.backends.serial import SerialBackend
 
 
 def _process_backend_factory():
-    # Imported lazily: the transport package imports this module (for
-    # the envelope codec), so a top-level import would be circular.
+    # Imported lazily: the transport imports the serial backend from
+    # this package, so a top-level import would be circular.
     from repro.sa.transport.socket_backend import SocketTransportBackend
 
     return SocketTransportBackend()
@@ -66,15 +59,10 @@ __all__ = [
     "BackendRun",
     "ExecutionBackend",
     "PortfolioPlan",
-    "QueueWorker",
     "RestartOutcome",
     "RestartTask",
     "SerialBackend",
     "backend_names",
-    "decode_restart_result",
-    "decode_restart_task",
-    "encode_restart_result",
-    "encode_restart_task",
     "get_backend",
     "register_backend",
     "restart_options",

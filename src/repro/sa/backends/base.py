@@ -4,9 +4,9 @@ A portfolio run is a list of :class:`RestartTask`\\ s — pure
 ``(index, seed)`` functions of the shipped coefficients — plus the
 shared budget bundled into a :class:`PortfolioPlan`.
 An :class:`ExecutionBackend` consumes the plan and returns a
-:class:`BackendRun`; *how* the restarts execute (in-process, or shipped
-as serialised task envelopes to worker processes) is the backend's
-business, but every backend must preserve the portfolio contract:
+:class:`BackendRun`; *how* the restarts execute (in-process, or on
+forked worker processes) is the backend's business, but every backend
+must preserve the portfolio contract:
 
 * restarts it runs are executed with exactly the single-run options
   produced by :func:`restart_options` — so any two backends produce
@@ -135,10 +135,10 @@ class ExecutionBackend(Protocol):
 
 
 #: Knobs that configure the *portfolio* or its transport, not a single
-#: anneal — reset to their defaults by :func:`restart_options` so a task
-#: envelope is a pure function of the anneal-relevant options (two
-#: portfolios that differ only in retry/heartbeat tuning dispatch
-#: byte-identical task envelopes).
+#: anneal — reset to their defaults by :func:`restart_options` so a
+#: restart's options depend on the anneal-relevant ones alone (two
+#: portfolios that differ only in retry/heartbeat tuning run identical
+#: single anneals).
 _PORTFOLIO_LEVEL_FIELDS = (
     "restarts",
     "jobs",
@@ -171,8 +171,8 @@ def restart_options(
     tuning — ``max_retries``, heartbeat/backoff settings)
     so the task is a plain single anneal, and folds the remaining
     portfolio budget into the per-run ``time_limit``.  ``jobs`` is
-    pinned to 1, the one slot a single anneal uses, so task envelopes
-    do not depend on the ``jobs`` default.
+    pinned to 1, the one slot a single anneal uses, so a restart does
+    not depend on the ``jobs`` default.
     """
     time_limit = options.time_limit
     if remaining is not None:

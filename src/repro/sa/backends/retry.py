@@ -1,13 +1,12 @@
 """The retry/requeue core of the fault-tolerant process backend.
 
 :class:`~repro.sa.transport.socket_backend.SocketTransportBackend`
-obeys this contract when a worker fails mid-restart, on a forked worker
-and in its in-driver loop alike: the restart is requeued and retried —
-safely, because a task envelope is a pure function of ``(restart, seed,
-single-run options)`` so the retry reproduces exactly the outcome the
-failed attempt would have returned — until the per-restart attempt
-budget (``max_retries`` failed attempts) is spent, at which point the
-portfolio fails with
+obeys this contract when a worker fails mid-restart: the restart is
+requeued and retried — safely, because a restart's outcome is a pure
+function of ``(restart, seed, single-run options)``, so the retry
+reproduces exactly the outcome the failed attempt would have returned —
+until the per-restart attempt budget (``max_retries`` failed attempts)
+is spent, at which point the portfolio fails with
 :class:`~repro.exceptions.SolverError`.  A silently lost restart would
 change the best-of-N result, which the determinism contract forbids.
 
@@ -73,9 +72,8 @@ def backoff_delay(
 class RetryTracker:
     """Driver-side bookkeeping of failed restart attempts.
 
-    Attempt counts stay on the driver (never in the task envelope), so
-    a retried task re-encodes to the exact same bytes — transports can
-    use the envelope itself as a dedup/idempotency key.
+    Attempt counts stay on the driver; a TASK frame carries only the
+    attempt-stamped task id the liveness checks match frames by.
     """
 
     def __init__(

@@ -2,7 +2,38 @@
 
 from __future__ import annotations
 
-from repro.sa.backends.base import BackendRun, PortfolioPlan, run_restart
+from typing import Iterable
+
+from repro.sa.backends.base import (
+    BackendRun,
+    PortfolioPlan,
+    RestartTask,
+    run_restart,
+)
+
+
+def run_in_process(
+    plan: PortfolioPlan, tasks: Iterable[RestartTask], run: BackendRun
+) -> None:
+    """Run ``tasks`` one after another in this process, into ``run``.
+
+    Restarts the deadline has passed before they start are cancelled
+    (restart 0 never is); an exception from a restart propagates.
+    """
+    for task in tasks:
+        if task.restart > 0 and plan.expired():
+            run.cancelled += 1
+            continue
+        run.outcomes.append(
+            run_restart(
+                plan.coefficients,
+                plan.num_sites,
+                plan.options,
+                task.restart,
+                task.seed,
+                plan.deadline,
+            )
+        )
 
 
 class SerialBackend:
@@ -17,17 +48,5 @@ class SerialBackend:
 
     def run(self, plan: PortfolioPlan) -> BackendRun:
         run = BackendRun(outcomes=[], kind=self.name)
-        for task in plan.tasks():
-            if task.restart > 0 and plan.expired():
-                run.cancelled += 1
-                continue
-            outcome = run_restart(
-                plan.coefficients,
-                plan.num_sites,
-                plan.options,
-                task.restart,
-                task.seed,
-                plan.deadline,
-            )
-            run.outcomes.append(outcome)
+        run_in_process(plan, plan.tasks(), run)
         return run

@@ -85,8 +85,7 @@ class SaOptions:
     #: backend.
     backend: str | None = None
     #: Failed attempts allowed *per restart* on the fault-tolerant
-    #: "process" backend (its workers and its in-driver loop alike)
-    #: before the portfolio fails with
+    #: "process" backend's workers before the portfolio fails with
     #: :class:`~repro.exceptions.SolverError`; a lost restart would
     #: silently change the best-of-N result, which the determinism
     #: contract forbids.
@@ -100,12 +99,11 @@ class SaOptions:
     #: Base of the exponential retry backoff in seconds: attempt ``k``
     #: of a restart waits ``~ backoff_base * 2**(k-1)`` scaled by a
     #: deterministic jitter derived from the restart seed.  ``0``
-    #: disables backoff (the process backend's in-driver loop never
-    #: waits).
+    #: disables backoff.
     backoff_base: float = 0.05
     #: Incumbent layout to warm-start from, as the JSON dictionary form
     #: of :class:`~repro.partition.current_layout.CurrentLayout`
-    #: (``layout.to_dict()``) so it rides the task envelopes
+    #: (``layout.to_dict()``) so it rides a request's JSON
     #: unchanged.  ``None`` (the default) keeps the historical random
     #: initial solution.  The warm start replaces the *initial*
     #: solution of every restart with the repaired incumbent, so the

@@ -2,19 +2,17 @@
 
 Each worker is a fork of the driver, connected to it by a socket pair,
 and anneals the plan it inherited; the frames carry only which restart
-to run and the finished restart's result envelope
-(:mod:`repro.sa.backends.envelope`):
+to run and the finished restart's outcome:
 
 * :mod:`~repro.sa.transport.protocol` — length-prefixed JSON frames
-  over a stream socket, with protocol/envelope version negotiation at
-  connect;
+  over a stream socket;
 * :mod:`~repro.sa.transport.socket_backend` — the ``"process"``
-  execution backend: a driver that forks worker processes
+  execution backend: a driver that forks ``jobs`` worker processes
   (:mod:`repro.sa.worker`), monitors their liveness via heartbeats,
   requeues restarts lost to dead/stalled workers (bounded retries,
-  deterministic exponential backoff), and degrades to in-driver
-  execution when the worker pool drains or the platform cannot fork
-  (``workers=0`` asks for that in-driver loop from the start);
+  deterministic exponential backoff), and runs the restarts still owed
+  through the serial backend's loop when the worker pool drains or the
+  platform cannot fork;
 * :mod:`~repro.sa.transport.faults` — a deterministic, seedable
   :class:`FaultPlan` (drop / delay / duplicate / corrupt frames, kill a
   worker mid-restart, stall its heartbeat) injected at the protocol
@@ -30,13 +28,7 @@ Pinned by ``tests/test_transport.py``.
 """
 
 from repro.sa.transport.faults import Fault, FaultPlan, FaultyEndpoint
-from repro.sa.transport.protocol import (
-    Endpoint,
-    PROTOCOL_VERSION,
-    SUPPORTED_PROTOCOL_VERSIONS,
-    negotiate_client,
-    negotiate_server,
-)
+from repro.sa.transport.protocol import Endpoint
 from repro.sa.transport.socket_backend import SocketTransportBackend
 
 __all__ = [
@@ -44,9 +36,5 @@ __all__ = [
     "Fault",
     "FaultPlan",
     "FaultyEndpoint",
-    "PROTOCOL_VERSION",
-    "SUPPORTED_PROTOCOL_VERSIONS",
     "SocketTransportBackend",
-    "negotiate_client",
-    "negotiate_server",
 ]

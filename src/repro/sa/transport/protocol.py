@@ -1,4 +1,4 @@
-"""Length-prefixed JSON frames, and the connect-time version handshake.
+"""Length-prefixed JSON frames between the driver and its workers.
 
 Wire layout (one *frame*)::
 
@@ -15,20 +15,11 @@ constants below) and is dumped with sorted keys so identical messages
 are identical bytes — which is what lets the fault harness target, say,
 "the third RESULT frame" deterministically.
 
-A TASK frame names only the restart: the worker is a fork of the driver
-and already holds the portfolio's plan.  The *result envelope* (the
-JSON document of :func:`~repro.sa.backends.envelope.encode_restart_result`)
-rides inside the RESULT frame as a string, not as an inlined object, so
-the bytes the driver decodes are exactly the bytes the worker encoded.
-
-Version negotiation happens once per connection, before anything else:
-the worker opens with a HELLO listing every protocol version it speaks
-plus the envelope format version it was built with; the driver picks
-the highest protocol version both sides share and echoes it in a
-HELLO-ACK (along with the portfolio's heartbeat interval), or answers
-with an ERROR frame and drops the connection when there is no overlap.
-Envelope versions must match exactly — a worker that would re-encode
-options differently cannot be trusted with bitwise determinism.
+A worker is a fork of the driver: both ends run the same code, so
+there is nothing to negotiate.  A TASK frame names only the restart,
+because the worker already holds the portfolio's plan; a RESULT frame
+carries the finished restart's outcome fields, with the placements as
+0/1 lists.
 """
 
 from __future__ import annotations
@@ -42,12 +33,6 @@ from typing import Any
 
 from repro.exceptions import ConnectionClosedError, TransportError
 
-#: Protocol version this build speaks (and the list it will negotiate
-#: from).  Bump when the frame layout or the frame-kind vocabulary
-#: changes incompatibly.
-PROTOCOL_VERSION = 1
-SUPPORTED_PROTOCOL_VERSIONS = (1,)
-
 #: Refuse frames larger than this (a corrupt length prefix otherwise
 #: asks us to allocate gigabytes).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -55,13 +40,11 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 _LENGTH = struct.Struct("!I")
 
 # -- frame kinds -------------------------------------------------------
-KIND_HELLO = "hello"            # worker -> driver: version offer
-KIND_HELLO_ACK = "hello-ack"    # driver -> worker: chosen version + config
 KIND_TASK = "task"              # driver -> worker: one restart to run
 KIND_ACK = "ack"                # worker -> driver: task frame received
-KIND_RESULT = "result"          # worker -> driver: one result envelope
+KIND_RESULT = "result"          # worker -> driver: one restart outcome
 KIND_HEARTBEAT = "heartbeat"    # worker -> driver: liveness + current task
-KIND_ERROR = "error"            # either way: structured failure report
+KIND_ERROR = "error"            # worker -> driver: the restart raised
 KIND_SHUTDOWN = "shutdown"      # driver -> worker: drain and exit
 
 
@@ -179,15 +162,24 @@ class Endpoint:
 
     def receive_available(self) -> list[dict[str, Any]]:
         """Drain every frame that can be had without blocking (the
-        driver calls this when ``selectors`` reports the socket ready)."""
+        driver calls this when ``selectors`` reports the socket ready).
+
+        Frames that arrived before the peer closed are returned first;
+        the next call raises the close.
+        """
         frames: list[dict[str, Any]] = []
         while True:
             frame = self._pop_frame()
             if frame is not None:
                 frames.append(frame)
                 continue
-            if not self._read_more(0.0):
-                return frames
+            try:
+                if not self._read_more(0.0):
+                    return frames
+            except ConnectionClosedError:
+                if frames:
+                    return frames
+                raise
 
     def fileno(self) -> int:
         return self.sock.fileno()
@@ -200,88 +192,3 @@ class Endpoint:
             except OSError:
                 pass
 
-
-# ----------------------------------------------------------------------
-# Version negotiation
-# ----------------------------------------------------------------------
-def negotiate_client(
-    endpoint: Endpoint,
-    envelope_version: int,
-    timeout: float = 30.0,
-) -> dict[str, Any]:
-    """Worker-side handshake: offer versions, await the driver's pick.
-
-    Returns the HELLO-ACK payload (carrying ``protocol_version`` and
-    ``heartbeat_interval``).  Raises TransportError if the driver rejects
-    us or the handshake times out.
-    """
-    endpoint.send(
-        KIND_HELLO,
-        protocol_versions=list(SUPPORTED_PROTOCOL_VERSIONS),
-        envelope_version=envelope_version,
-    )
-    ack = endpoint.recv(timeout=timeout)
-    if ack is None:
-        raise TransportError(f"handshake timed out after {timeout}s")
-    if ack["kind"] == KIND_ERROR:
-        raise TransportError(
-            f"driver rejected the connection: {ack.get('message')}"
-        )
-    if ack["kind"] != KIND_HELLO_ACK:
-        raise TransportError(
-            f"expected a {KIND_HELLO_ACK!r} frame, got {ack['kind']!r}"
-        )
-    chosen = ack.get("protocol_version")
-    if chosen not in SUPPORTED_PROTOCOL_VERSIONS:
-        raise TransportError(
-            f"driver chose protocol version {chosen!r}, but this worker "
-            f"speaks {sorted(SUPPORTED_PROTOCOL_VERSIONS)}"
-        )
-    return ack
-
-
-def negotiate_server(
-    endpoint: Endpoint,
-    envelope_version: int,
-    timeout: float = 30.0,
-    **ack_fields: Any,
-) -> int:
-    """Driver-side handshake: read the worker's HELLO, pick a version.
-
-    Picks the highest protocol version both sides share and answers
-    with a HELLO-ACK carrying the chosen version plus ``ack_fields``
-    (the heartbeat interval).  On a version
-    mismatch the worker gets a structured ERROR frame *before* the
-    TransportError is raised driver-side, so a newer/older worker fails
-    with a message instead of a dead socket.
-    """
-    hello = endpoint.recv(timeout=timeout)
-    if hello is None:
-        raise TransportError(f"handshake timed out after {timeout}s")
-    if hello["kind"] != KIND_HELLO:
-        raise TransportError(
-            f"expected a {KIND_HELLO!r} frame, got {hello['kind']!r}"
-        )
-    offered = hello.get("protocol_versions")
-    if not isinstance(offered, list):
-        raise TransportError("HELLO frame lacks a protocol_versions list")
-    shared = sorted(set(offered) & set(SUPPORTED_PROTOCOL_VERSIONS))
-    if not shared:
-        message = (
-            f"no shared protocol version: worker offers {sorted(offered)}, "
-            f"driver speaks {sorted(SUPPORTED_PROTOCOL_VERSIONS)}"
-        )
-        endpoint.send(KIND_ERROR, message=message)
-        raise TransportError(message)
-    worker_envelope = hello.get("envelope_version")
-    if worker_envelope != envelope_version:
-        message = (
-            f"envelope format version mismatch: worker writes version "
-            f"{worker_envelope!r}, driver reads version {envelope_version} "
-            f"(bitwise determinism needs an exact match)"
-        )
-        endpoint.send(KIND_ERROR, message=message)
-        raise TransportError(message)
-    chosen = shared[-1]
-    endpoint.send(KIND_HELLO_ACK, protocol_version=chosen, **ack_fields)
-    return chosen

@@ -1,14 +1,14 @@
 """The ``"process"`` execution backend: restarts on forked local workers.
 
-The driver forks ``workers`` worker processes, each connected to it by
-its own ``socket.socketpair()`` made before the fork, so no other
-process can reach either end.  A worker
-(:func:`repro.sa.worker.run_worker`) inherits the portfolio's plan and
-anneals the caller's own coefficients, exactly as the serial backend
-does: a TASK frame names only the restart, and the RESULT frame carries
-the finished restart's result envelope back.  The driver schedules the
-portfolio's restarts over the connections with an at-least-once
-discipline:
+The driver forks ``jobs`` worker processes, each connected to it by its
+own ``socket.socketpair()`` made before the fork, so no other process
+can reach either end.  A worker (:func:`repro.sa.worker.run_worker`)
+inherits the portfolio's plan and anneals the caller's own
+coefficients, exactly as the serial backend does: a TASK frame names
+only the restart, and the RESULT frame carries the finished restart's
+outcome back.  The driver registers each connection as soon as it forks
+the worker, and schedules the portfolio's restarts over the connections
+with an at-least-once discipline:
 
 * every dispatched TASK frame must be ACKed; a task that is neither
   acknowledged nor resolved within the heartbeat timeout is presumed
@@ -21,7 +21,8 @@ discipline:
 * a connection that closes (the worker died) or stays silent past
   ``heartbeat_timeout`` is written off: it is closed, its in-flight
   restart requeued, and a replacement worker forked (bounded by a spawn
-  budget so a crash loop terminates);
+  budget so a crash loop terminates).  A restart the lost worker never
+  acknowledged goes back at no cost to its retry budget: it never ran;
 * requeues are bounded per restart by ``max_retries`` and spread out by
   a deterministic exponential backoff
   (:func:`repro.sa.backends.retry.backoff_delay`); an exhausted budget
@@ -29,18 +30,16 @@ discipline:
   naming the restart — a silently lost restart would change the
   best-of-N result, which the determinism contract forbids;
 * when the pool drains to zero with no spawn budget left, the driver
-  degrades gracefully: the remaining restarts run in-driver through the
-  task envelopes (a :class:`~repro.sa.backends.envelope.QueueWorker`
-  loop), so the result is still bitwise identical — only slower.  Where
-  the platform cannot fork, the whole portfolio runs that way, with a
-  ``RuntimeWarning``.  Task envelopes carry ``(instance, parameters)``
-  and rebuild the coefficients, so the in-driver loop refuses
-  non-canonical coefficients up front.
+  degrades gracefully: the restarts still owed run in the driver
+  through the serial backend's own loop
+  (:func:`repro.sa.backends.serial.run_in_process`), so the result is
+  still bitwise identical — only slower.  Where the platform cannot
+  fork, the whole portfolio runs that way, with a ``RuntimeWarning``.
 
 Duplicate deliveries (retries racing late results, duplicated frames)
 are harmless by construction: a restart's outcome is a pure function of
 its index and the plan, and the driver keeps the *first* result per
-restart index — any second copy is byte-identical anyway.
+restart index — any second copy is identical anyway.
 
 Determinism: for a fixed master seed the returned best is bitwise
 identical to :class:`~repro.sa.backends.serial.SerialBackend` whatever
@@ -61,6 +60,8 @@ import time
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.exceptions import (
     ConnectionClosedError,
     OptionsError,
@@ -72,14 +73,8 @@ from repro.sa.backends.base import (
     RestartOutcome,
     RestartTask,
 )
-from repro.sa.backends.envelope import (
-    ENVELOPE_FORMAT_VERSION,
-    QueueWorker,
-    _check_wire_safe,
-    decode_restart_result,
-    encode_restart_task,
-)
 from repro.sa.backends.retry import RetryTracker
+from repro.sa.backends.serial import run_in_process
 from repro.sa.transport.faults import FaultPlan, FaultyEndpoint
 from repro.sa.transport.protocol import (
     KIND_ACK,
@@ -89,7 +84,6 @@ from repro.sa.transport.protocol import (
     KIND_SHUTDOWN,
     KIND_TASK,
     Endpoint,
-    negotiate_server,
 )
 
 
@@ -116,21 +110,18 @@ class _Connection:
 class SocketTransportBackend:
     """Drive the portfolio over socket pairs to forked worker processes.
 
-    ``workers`` is the number of workers (``None`` means the
-    portfolio's ``jobs`` slots; ``0`` runs everything in-driver — the
-    degraded mode, available explicitly).  ``spawn`` selects how
-    workers come up: ``"fork"`` forks this process, ``"thread"`` runs
-    the same worker loop in daemon threads (fast, for tests — the
-    protocol path is identical).  ``fault_plan`` replays a deterministic
-    :class:`~repro.sa.transport.faults.FaultPlan` against the
-    connections (chaos tests only).
+    The portfolio's ``jobs`` slots set the number of workers.  ``spawn``
+    selects how workers come up: ``"fork"`` forks this process,
+    ``"thread"`` runs the same worker loop in daemon threads (fast, for
+    tests — the protocol path is identical).  ``fault_plan`` replays a
+    deterministic :class:`~repro.sa.transport.faults.FaultPlan` against
+    the connections (chaos tests only).
     """
 
     name = "process"
 
     def __init__(
         self,
-        workers: int | None = None,
         fault_plan: FaultPlan | None = None,
         spawn: str = "fork",
     ):
@@ -138,35 +129,31 @@ class SocketTransportBackend:
             raise OptionsError(
                 f"spawn must be 'fork' or 'thread', got {spawn!r}"
             )
-        if workers is not None and workers < 0:
-            raise OptionsError(f"workers must be >= 0, got {workers}")
-        self.workers = workers
         self.fault_plan = fault_plan or FaultPlan()
         self.spawn = spawn
 
     def run(self, plan: PortfolioPlan) -> BackendRun:
-        workers = plan.jobs if self.workers is None else self.workers
-        if workers > 0 and self.spawn == "fork" and not hasattr(os, "fork"):
+        if self.spawn == "fork" and not hasattr(os, "fork"):
             warnings.warn(
                 "SA portfolio running in-driver: this platform cannot "
                 "fork worker processes",
                 RuntimeWarning,
                 stacklevel=3,
             )
-            workers = 0
-        return _Driver(plan, self, min(workers, len(plan.seeds))).run()
+            run = BackendRun(outcomes=[], kind=self.name)
+            run_in_process(plan, plan.tasks(), run)
+            return run
+        return _Driver(plan, self).run()
 
 
 class _Driver:
     """One portfolio execution: scheduler, liveness monitor, fallback."""
 
-    def __init__(
-        self, plan: PortfolioPlan, config: SocketTransportBackend, workers: int
-    ):
+    def __init__(self, plan: PortfolioPlan, config: SocketTransportBackend):
         self.plan = plan
         self.options = plan.options
         self.config = config
-        self.workers = workers
+        self.workers = plan.jobs
         self.tracker = RetryTracker(
             self.options.max_retries,
             backoff_base=self.options.backoff_base,
@@ -184,23 +171,19 @@ class _Driver:
         self.selector: selectors.BaseSelector | None = None
         # The spawn budget bounds crash/respawn loops; a spawn's ordinal
         # is its index in spawn order.
-        self.spawn_budget = max(1, workers) * (self.options.max_retries + 2)
+        self.spawn_budget = self.workers * (self.options.max_retries + 2)
         self.spawn_count = 0
 
     # ------------------------------------------------------------------
     # Top level
     # ------------------------------------------------------------------
     def run(self) -> BackendRun:
-        if self.workers <= 0:
-            # Explicit degraded mode: no pool, everything in-driver.
-            self._drain_in_driver()
-            return self._finish()
         self.selector = selectors.DefaultSelector()
         try:
             self._ensure_workers()
             while len(self.done) < self.total:
-                # Dispatch first: the workers connect during spawning,
-                # and an idle one must not wait out a select timeout.
+                # Dispatch first, so an idle worker never waits out a
+                # select timeout.
                 self._dispatch()
                 self._pump()
                 self._sweep_liveness()
@@ -257,8 +240,7 @@ class _Driver:
             self._handle_worker_error(connection, frame)
         elif kind == KIND_HEARTBEAT:
             self._reconcile_heartbeat(connection, frame)
-        # Unknown kinds are ignored: forward compatibility beats
-        # strictness once the versioned handshake has passed.
+        # Unknown kinds are ignored.
 
     def _clear_inflight(self, connection: _Connection, frame: dict) -> None:
         inflight = connection.inflight
@@ -279,18 +261,16 @@ class _Driver:
         if not (0 <= restart < self.total) or restart in self.done:
             return  # stray or duplicate delivery — first result wins
         try:
-            outcome = decode_restart_result(frame["envelope"], wall_time=wall_time)
-        except Exception as error:  # undecodable: treat as a failed run
+            outcome = _outcome_from_frame(frame, wall_time)
+        except (KeyError, TypeError, ValueError) as error:
+            # A frame that is not an outcome counts as a failed run.
             self.record.worker_failures += 1
             self._requeue(
                 RestartTask(restart=restart, seed=self.plan.seeds[restart]),
-                f"undecodable result envelope ({type(error).__name__}: {error})",
+                f"malformed result frame ({type(error).__name__}: {error})",
             )
             return
-        self._record_outcome(outcome)
-
-    def _record_outcome(self, outcome: RestartOutcome) -> None:
-        self.done.add(outcome.restart)
+        self.done.add(restart)
         self.record.outcomes.append(outcome)
 
     def _handle_worker_error(self, connection: _Connection, frame: dict) -> None:
@@ -423,40 +403,34 @@ class _Driver:
         connection.endpoint.close()
         inflight = connection.inflight
         connection.inflight = None
-        if inflight is not None and inflight.task.restart not in self.done:
+        if inflight is None or inflight.task.restart in self.done:
+            return
+        if inflight.acked:
             self._requeue(inflight.task, reason)
+        else:
+            # The worker never acknowledged the task, so the restart
+            # never ran there: put it back without spending its budget.
+            self.pending.append([inflight.task, 0.0])
 
     def _ensure_workers(self) -> None:
-        # Fork every missing worker before the first handshake, so their
-        # start-ups overlap.  A failed handshake is replaced on the next
-        # liveness sweep.
-        spawned: dict[int, socket.socket] = {}
         while (
-            len(self.connections) + len(spawned) < self.workers
+            len(self.connections) < self.workers
             and self.spawn_count < self.spawn_budget
         ):
             ordinal = self.spawn_count
             self.spawn_count += 1
             try:
-                spawned[ordinal] = self._spawn_one(
-                    ordinal, list(spawned.values())
-                )
+                sock = self._spawn_one(ordinal)
             except OSError:  # fork refused (process limit, memory)
                 self.record.worker_failures += 1
-        for ordinal, sock in spawned.items():
+                continue
             self._connect(ordinal, sock)
 
     def _drained(self) -> bool:
         return not self.connections and self.spawn_count >= self.spawn_budget
 
-    def _spawn_one(
-        self, ordinal: int, unconnected: list[socket.socket]
-    ) -> socket.socket:
-        """Start worker ``ordinal``; returns the driver's end of its pair.
-
-        ``unconnected`` holds the driver ends of the workers spawned just
-        before it and not yet connected; a forked child closes them too.
-        """
+    def _spawn_one(self, ordinal: int) -> socket.socket:
+        """Start worker ``ordinal``; returns the driver's end of its pair."""
         driver_sock, worker_sock = socket.socketpair()
         worker_faults = self.config.fault_plan.worker_faults(ordinal)
         if self.config.spawn == "thread":
@@ -485,8 +459,7 @@ class _Driver:
         # parent's cleanup (atexit hooks, buffered output, finalizers).
         code = 1
         try:
-            for sock in (driver_sock, *unconnected):
-                sock.close()
+            driver_sock.close()
             self._close_driver_sockets()
             _fresh_cached_property_locks()
             _single_thread_blas()
@@ -496,10 +469,10 @@ class _Driver:
             os._exit(code)
 
     def _connect(self, ordinal: int, sock: socket.socket) -> None:
-        """Handshake with a freshly spawned worker and start serving it.
+        """Start serving a freshly spawned worker's connection.
 
-        A worker that does not say HELLO within ``heartbeat_timeout`` is
-        written off like any other silent one.
+        A worker that never speaks is written off by the liveness sweep
+        once ``heartbeat_timeout`` passes.
         """
         faults = self.config.fault_plan.endpoint_faults(ordinal)
         endpoint: Endpoint = (
@@ -507,17 +480,6 @@ class _Driver:
             if faults
             else Endpoint(sock)
         )
-        try:
-            negotiate_server(
-                endpoint,
-                ENVELOPE_FORMAT_VERSION,
-                timeout=self.options.heartbeat_timeout,
-                heartbeat_interval=self.options.heartbeat_interval,
-            )
-        except (TransportError, ConnectionClosedError):
-            endpoint.close()
-            self.record.worker_failures += 1
-            return
         connection = _Connection(
             endpoint=endpoint,
             fd=endpoint.fileno(),
@@ -554,45 +516,16 @@ class _Driver:
     # Degraded mode
     # ------------------------------------------------------------------
     def _drain_in_driver(self) -> None:
-        """Run everything still owed through an in-driver
-        :class:`QueueWorker` loop (all of it when ``workers=0``).
-
-        The task envelopes rebuild the coefficients canonically, so the
-        outcomes — and hence the portfolio best — stay bitwise
-        identical to the workers' and the serial backend's; coefficients
-        they cannot carry are refused before the first task.  A worker
-        that raises is requeued at the back with no backoff; retry
-        bookkeeping keeps running so a poisoned restart still fails
-        loudly instead of looping.
-        """
-        _check_wire_safe(self.plan.coefficients)
-        worker = QueueWorker()
-        self.pending = [[task, 0.0] for task, _ in self.pending]
-        while len(self.done) < self.total:
-            task = self._next_task(time.monotonic())
-            if task is None:
-                break  # everything left was cancelled
-            envelope = encode_restart_task(
-                self.plan.coefficients,
-                self.plan.num_sites,
-                self.options,
-                task,
-                remaining=self.plan.remaining(),
-            )
-            started = time.perf_counter()
-            try:
-                result = worker.run(envelope)
-            except Exception as error:
-                self.record.worker_failures += 1
-                self._requeue(task, f"{type(error).__name__}: {error}")
-                self.pending[-1][1] = 0.0  # no backoff in-driver
-                continue
-            outcome = decode_restart_result(
-                result, wall_time=time.perf_counter() - started
-            )
-            if outcome.restart in self.done:
-                continue
-            self._record_outcome(outcome)
+        """Run every restart still owed in the driver, in index order,
+        through the serial backend's loop."""
+        owed = {
+            task.restart: task
+            for task, _ in self.pending
+            if task.restart not in self.done
+        }
+        run_in_process(
+            self.plan, [owed[restart] for restart in sorted(owed)], self.record
+        )
 
     # ------------------------------------------------------------------
     # Teardown
@@ -615,6 +548,22 @@ class _Driver:
                 _reap(pid, timeout=5)
         for thread in self.threads:
             thread.join(timeout=2)
+
+
+def _outcome_from_frame(frame: dict, wall_time: float) -> RestartOutcome:
+    """The :class:`RestartOutcome` a RESULT frame carries."""
+    return RestartOutcome(
+        restart=int(frame["restart"]),
+        seed=frame["seed"],
+        x=np.asarray(frame["x"], dtype=bool),
+        y=np.asarray(frame["y"], dtype=bool),
+        objective6=float(frame["objective6"]),
+        iterations=int(frame["iterations"]),
+        accepted=int(frame["accepted"]),
+        accepted_worse=int(frame["accepted_worse"]),
+        outer_loops=int(frame["outer_loops"]),
+        wall_time=wall_time,
+    )
 
 
 def _signal(pid: int, signum: int) -> None:

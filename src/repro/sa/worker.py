@@ -2,15 +2,14 @@
 
 A worker is one forked child of the portfolio driver
 (:mod:`repro.sa.transport.socket_backend`), connected to it by a socket
-pair made before the fork.  It inherits the portfolio's plan, answers
-the driver's version handshake, and then loops: receive a TASK frame
-naming a restart, acknowledge it, anneal that restart on the inherited
+pair made before the fork.  It inherits the portfolio's plan, and with
+it the heartbeat interval, and loops: receive a TASK frame naming a
+restart, acknowledge it, anneal that restart on the inherited
 coefficients with :func:`~repro.sa.backends.base.run_restart` — the
 serial backend's own call, so its outcome is bitwise the serial one —
-and send the RESULT frame back with the outcome as a result envelope.
-A daemon ticker thread heartbeats throughout (carrying the id of the
-task currently running, so the driver can tell "lost the result" from
-"still computing").
+and send the outcome back in a RESULT frame.  A daemon ticker thread
+heartbeats throughout (carrying the id of the task currently running,
+so the driver can tell "lost the result" from "still computing").
 
 Frame-ordering invariant the driver's liveness reconciliation relies
 on: the worker marks itself busy *before* sending the ACK and idle only
@@ -34,10 +33,6 @@ import threading
 
 from repro.exceptions import ConnectionClosedError, TransportError
 from repro.sa.backends.base import PortfolioPlan, run_restart
-from repro.sa.backends.envelope import (
-    ENVELOPE_FORMAT_VERSION,
-    encode_restart_result,
-)
 from repro.sa.transport.faults import Fault, FaultInjected, FaultyEndpoint
 from repro.sa.transport.protocol import (
     KIND_ACK,
@@ -47,16 +42,14 @@ from repro.sa.transport.protocol import (
     KIND_SHUTDOWN,
     KIND_TASK,
     Endpoint,
-    negotiate_client,
 )
 
 
 class WorkerSession:
     """One connected worker: heartbeat ticker plus the task loop."""
 
-    def __init__(self, endpoint: Endpoint, ack: dict, plan: PortfolioPlan):
+    def __init__(self, endpoint: Endpoint, plan: PortfolioPlan):
         self.endpoint = endpoint
-        self.heartbeat_interval = float(ack.get("heartbeat_interval", 0.5))
         self.plan = plan
         #: task_id currently being run (read by the ticker thread; a
         #: plain attribute is enough — torn reads are impossible for an
@@ -66,7 +59,7 @@ class WorkerSession:
 
     # -- heartbeat ticker (daemon thread) ------------------------------
     def _tick(self) -> None:
-        while not self._stop.wait(self.heartbeat_interval):
+        while not self._stop.wait(self.plan.options.heartbeat_interval):
             try:
                 self.endpoint.send(
                     KIND_HEARTBEAT,
@@ -92,8 +85,7 @@ class WorkerSession:
                     return
                 if kind == KIND_TASK:
                     self._handle_task(frame)
-                # Anything else (late ERROR, stray frames) is ignored —
-                # robustness beats strictness once the handshake is done.
+                # Anything else (stray frames) is ignored.
         except (ConnectionClosedError, TransportError):
             # Driver gone or stream corrupt: nothing to report to, and
             # the driver's liveness monitor handles our disappearance.
@@ -109,8 +101,16 @@ class WorkerSession:
         # see the module docstring for the reconciliation proof.
         self.current = task_id
         self.endpoint.send(KIND_ACK, task_id=task_id)
+        plan = self.plan
         try:
-            result = self._run_restart(restart)
+            outcome = run_restart(
+                plan.coefficients,
+                plan.num_sites,
+                plan.options,
+                restart,
+                plan.seeds[restart],
+                plan.deadline,
+            )
         except Exception as error:
             self.endpoint.send(
                 KIND_ERROR,
@@ -123,31 +123,19 @@ class WorkerSession:
         # A kill-worker fault fires here, in the send itself — dying
         # with the result computed but unsent, the worst-timed crash.
         self.endpoint.send(
-            KIND_RESULT, task_id=task_id, restart=restart, envelope=result
-        )
-        self.current = None
-
-    def _run_restart(self, restart: int) -> str:
-        plan = self.plan
-        outcome = run_restart(
-            plan.coefficients,
-            plan.num_sites,
-            plan.options,
-            restart,
-            plan.seeds[restart],
-            plan.deadline,
-        )
-        return encode_restart_result(
-            restart=outcome.restart,
+            KIND_RESULT,
+            task_id=task_id,
+            restart=restart,
             seed=outcome.seed,
-            x=outcome.x,
-            y=outcome.y,
-            objective6=outcome.objective6,
+            x=outcome.x.astype(int).tolist(),
+            y=outcome.y.astype(int).tolist(),
+            objective6=float(outcome.objective6),
             iterations=outcome.iterations,
             accepted=outcome.accepted,
             accepted_worse=outcome.accepted_worse,
             outer_loops=outcome.outer_loops,
         )
+        self.current = None
 
 
 def run_worker(
@@ -165,9 +153,4 @@ def run_worker(
         endpoint: Endpoint = FaultyEndpoint(sock, list(faults), side="worker")
     else:
         endpoint = Endpoint(sock)
-    try:
-        ack = negotiate_client(endpoint, ENVELOPE_FORMAT_VERSION)
-    except (TransportError, ConnectionClosedError):
-        endpoint.close()
-        raise
-    WorkerSession(endpoint, ack, plan).run()
+    WorkerSession(endpoint, plan).run()

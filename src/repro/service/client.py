@@ -17,10 +17,7 @@ from typing import Sequence
 from repro.api.report import SolveReport
 from repro.api.request import SolveRequest
 from repro.exceptions import RejectedError, TransportError
-from repro.sa.transport.protocol import (
-    SUPPORTED_PROTOCOL_VERSIONS,
-    Endpoint,
-)
+from repro.sa.transport.protocol import Endpoint
 from repro.service.wire import (
     KIND_ADVISE,
     KIND_ERROR,
@@ -32,6 +29,7 @@ from repro.service.wire import (
     KIND_STATS,
     KIND_STATS_REPORT,
     SERVICE_ENVELOPE,
+    SUPPORTED_PROTOCOL_VERSIONS,
     report_from_wire,
 )
 

@@ -31,7 +31,6 @@ from typing import Any
 from repro.api.advisor import Advisor
 from repro.api.request import SolveRequest
 from repro.exceptions import RejectedError, ReproError, TransportError
-from repro.sa.transport.protocol import SUPPORTED_PROTOCOL_VERSIONS
 from repro.service.config import ServiceConfig
 from repro.service.core import AsyncAdvisor
 from repro.service.wire import (
@@ -45,6 +44,7 @@ from repro.service.wire import (
     KIND_STATS,
     KIND_STATS_REPORT,
     SERVICE_ENVELOPE,
+    SUPPORTED_PROTOCOL_VERSIONS,
     read_frame,
     report_to_wire,
     write_frame,

@@ -2,16 +2,14 @@
 
 The service speaks the exact frame *format* of the portfolio transport
 (:mod:`repro.sa.transport.protocol`: 4-byte big-endian length prefix +
-sorted-key UTF-8 JSON with a ``"kind"`` discriminator, 64MB cap) but a
-different *envelope*: where the transport carries restart task/result
-envelopes, the service carries full :class:`~repro.api.SolveRequest`
-documents in ADVISE frames and serialised
-:class:`~repro.api.SolveReport` documents in REPORT frames.  The
-handshake therefore negotiates the envelope by *kind string*
-(:data:`SERVICE_ENVELOPE`) rather than by the transport's integer
-envelope version — a restart worker dialling a service port (or vice
-versa) fails the handshake with a structured ERROR frame instead of
-mis-decoding frames.
+sorted-key UTF-8 JSON with a ``"kind"`` discriminator, 64MB cap), but
+its peers are separate programs, so it has a handshake of its own: the
+client offers the protocol versions it speaks
+(:data:`SUPPORTED_PROTOCOL_VERSIONS`) and the envelope kind it expects
+(:data:`SERVICE_ENVELOPE`), and a mismatched peer gets a structured
+ERROR frame instead of mis-decoded frames.  ADVISE frames carry full
+:class:`~repro.api.SolveRequest` documents and REPORT frames serialised
+:class:`~repro.api.SolveReport` documents.
 
 Report codec
 ------------
@@ -22,9 +20,9 @@ exactly via shortest-repr), metadata with numpy scalars/arrays
 converted to their Python equivalents.  ``report_from_wire`` rebuilds a
 fully functional :class:`~repro.api.SolveReport` — coefficients are
 reconstructed canonically from the request's instance and parameters,
-exactly the way the process backend's workers do, and the feasibility
-check in :class:`~repro.partition.assignment.PartitioningResult` runs
-again on the client side.  Metadata values that were numpy arrays come
+and the feasibility check in
+:class:`~repro.partition.assignment.PartitioningResult` runs again on
+the client side.  Metadata values that were numpy arrays come
 back as lists (they have no declared dtype on the wire); everything the
 bitwise contract covers — placements, objective, strategy, seeds —
 round-trips exactly.
@@ -48,6 +46,11 @@ from repro.sa.transport.protocol import (
     decode_payload,
     encode_frame,
 )
+
+#: Protocol versions this service build speaks (the handshake picks the
+#: highest one both sides share).  Bump when the frame layout or the
+#: frame-kind vocabulary changes incompatibly.
+SUPPORTED_PROTOCOL_VERSIONS = (1,)
 
 #: The envelope kind this service build speaks; the handshake requires
 #: an exact match (a mismatched peer gets a structured ERROR frame).
@@ -167,8 +170,8 @@ def report_from_wire(payload: dict[str, Any]) -> SolveReport:
             f"reads version {REPORT_FORMAT_VERSION})"
         )
     request = SolveRequest.from_dict(payload["request"])
-    # Rebuilt canonically, like the process backend's workers: the wire
-    # carries (instance, parameters), never raw coefficient arrays.
+    # Rebuilt canonically: the wire carries (instance, parameters),
+    # never raw coefficient arrays.
     coefficients = build_coefficients(request.instance, request.parameters)
     return SolveReport(
         request=request,

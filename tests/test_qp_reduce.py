@@ -217,9 +217,7 @@ def _write_only_instance() -> ProblemInstance:
 def test_disjoint_components_keep_the_optimum(lam, sites):
     """A transaction that reads nothing is a singleton component; on
     tpcc one component spans every transaction.  A layout with every
-    attribute on the last site makes sites unequal, so symmetry breaking
-    must restrict each component exactly as the unreduced model
-    restricts its first transaction."""
+    attribute on the last site makes sites unequal."""
     lonely = build_coefficients(_write_only_instance(), CostParameters(
         load_balance_lambda=lam, latency_penalty=50.0,
     ))
@@ -238,6 +236,36 @@ def test_disjoint_components_keep_the_optimum(lam, sites):
                 coefficients, sites, replicated=False,
                 latency=coefficients is lonely, y0=y0,
             )
+
+
+@pytest.mark.parametrize("replicated", (True, False))
+def test_layout_turns_symmetry_breaking_off(replicated):
+    """A current layout prices each site differently, so pinning
+    transaction ``t`` to sites ``0..t`` would cut off the optimum: with
+    every tpcc attribute on site 2, the default solve must reach the
+    optimum of the model without symmetry rows."""
+    coefficients = build_coefficients(
+        tpcc_instance(), CostParameters(load_balance_lambda=1.0)
+    )
+    last = np.zeros((coefficients.num_attributes, 3), dtype=bool)
+    last[:, 2] = True
+    coefficients = attach_migration(
+        coefficients, CurrentLayout.from_matrix(coefficients.instance, last),
+        1.0, 3,
+    )
+    options = dict(allow_replication=replicated)
+    default = QpPartitioner(coefficients, 3, **options).solve(gap=1e-9)
+    unbroken = QpPartitioner(
+        coefficients, 3, symmetry_breaking=False, **options
+    ).solve(gap=1e-9)
+    assert default.proven_optimal and unbroken.proven_optimal
+    assert default.objective == pytest.approx(unbroken.objective, rel=1e-9)
+    assert default.objective == (37132.0 if replicated else 49703.0)
+    assert QpPartitioner.estimate_model_size(
+        coefficients, 3, **options
+    ) == QpPartitioner.estimate_model_size(
+        coefficients, 3, symmetry_breaking=False, **options
+    )
 
 
 def test_kept_warm_start_may_split_a_class():

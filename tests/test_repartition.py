@@ -8,8 +8,8 @@ The contracts pinned here:
   cluster grew (never when it shrank),
 * :class:`~repro.api.request.SolveRequest` validates the layout fields
   at construction and its serialised form is **byte-stable** for
-  layout-free requests — legacy payloads, canonical JSON, service
-  cache keys and queue envelopes are unchanged by this feature,
+  layout-free requests — legacy payloads, canonical JSON and service
+  cache keys are unchanged by this feature,
 * the migration term ``sum c5[a,s] y[a,s]`` enters objective (4), the
   breakdown, the lower bound and the incremental evaluator exactly
   (dense parity to 1e-9, bitwise rollback),
@@ -186,8 +186,8 @@ class TestRequestLayoutFields:
     def test_layout_free_payload_is_byte_stable(self):
         """A request without a layout serialises exactly as before the
         layout fields existed: no new keys, identical canonical JSON —
-        the service's coalescing keys and queue envelopes for legacy
-        requests are unchanged."""
+        the service's coalescing keys for legacy requests are
+        unchanged."""
         instance = small_random_instance(1)
         request = SolveRequest(instance, num_sites=2, strategy="greedy")
         payload = request.to_dict()
@@ -408,8 +408,8 @@ class TestSaWarmStart:
             assert best <= stay + 1e-9 * max(1.0, abs(stay))
 
     def test_queue_backend_matches_serial_with_layout(self):
-        """The task envelope carries the layout to workers: the process
-        backend's forked workers replay bit-identically to serial."""
+        """Forked workers inherit the layout's migration term: the
+        process backend replays bit-identically to serial."""
         instance = small_random_instance(3)
         layout = layout_for(instance, 2, seed=30)
         advisor = Advisor()

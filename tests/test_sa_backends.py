@@ -1,12 +1,12 @@
 """Pluggable portfolio execution backends.
 
-Pins the PR-5 acceptance contract: all backends return bitwise-identical
-best results per master seed, and task envelopes round-trip and replay
-byte-identically.
-Envelope-level worker faults are pinned in ``tests/test_transport.py``.
+Pins the acceptance contract: all backends return bitwise-identical
+best results per master seed, forked, thread-spawned or in the driver.
+Transport-level worker faults are pinned in ``tests/test_transport.py``.
 """
 
-import json
+import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -19,21 +19,16 @@ from repro.exceptions import OptionsError
 from repro.sa.backends import (
     BackendRun,
     PortfolioPlan,
-    QueueWorker,
     SerialBackend,
     backend_names,
-    decode_restart_result,
-    decode_restart_task,
-    encode_restart_task,
     get_backend,
     register_backend,
 )
-from repro.sa.backends.base import RestartTask, _BACKENDS
-from repro.sa.backends.envelope import ENVELOPE_FORMAT_VERSION
+from repro.sa.backends.base import _BACKENDS
 from repro.sa.options import SaOptions, usable_cores
 from repro.sa.portfolio import derive_restart_seeds, run_portfolio
 from repro.sa.solver import SaPartitioner
-from repro.sa.transport import SocketTransportBackend
+from repro.sa.transport import SocketTransportBackend, socket_backend
 from tests.conftest import small_random_instance
 
 FAST = dict(inner_loops=6, max_outer_loops=6)
@@ -112,29 +107,48 @@ class TestBackendRegistry:
 # ----------------------------------------------------------------------
 # Cross-backend determinism (the acceptance pin)
 # ----------------------------------------------------------------------
+def run_without_fork(coefficients, num_sites, options):
+    """The process backend on a platform without ``os.fork``: every
+    restart runs in the driver."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delattr(os, "fork")
+        with pytest.warns(RuntimeWarning, match="cannot fork"):
+            return run_portfolio(coefficients, num_sites, options)
+
+
+def run_on_drained_pool(coefficients, num_sites, options):
+    """The process backend whose every thread-spawned worker hangs up at
+    once: the pool drains and the driver runs the restarts itself."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            socket_backend._Driver,
+            "_thread_worker",
+            staticmethod(lambda sock, plan, faults: sock.close()),
+        )
+        with pytest.warns(RuntimeWarning, match="drained"):
+            return run_portfolio(
+                coefficients, num_sites, options,
+                backend=SocketTransportBackend(spawn="thread"),
+            )
+
+
 class TestBackendParity:
     @pytest.fixture(scope="class")
     def per_backend(self, coefficients):
-        """Serial, two forked workers, and the process backend's
-        in-driver envelope loop (``workers=0``)."""
-        options = SaOptions(seed=11, restarts=4, **FAST)
+        """Serial, two forked workers, and the process backend where
+        the platform cannot fork."""
+        options = SaOptions(seed=11, restarts=4, **PROCESS, **FAST)
         return {
             "serial": run_portfolio(
                 coefficients, 3, options, backend="serial"
             ),
-            "process": run_portfolio(
-                coefficients, 3,
-                SaOptions(seed=11, restarts=4, **PROCESS, **FAST),
-            ),
-            "in-driver": run_portfolio(
-                coefficients, 3, options,
-                backend=SocketTransportBackend(workers=0),
-            ),
+            "process": run_portfolio(coefficients, 3, options),
+            "no-fork": run_without_fork(coefficients, 3, options),
         }
 
     def test_bitwise_identical_best(self, per_backend):
         serial = per_backend["serial"]
-        for backend in ("process", "in-driver"):
+        for backend in ("process", "no-fork"):
             other = per_backend[backend]
             assert other.objective6 == serial.objective6
             assert other.best_restart == serial.best_restart
@@ -143,7 +157,7 @@ class TestBackendParity:
 
     def test_identical_per_restart_records(self, per_backend):
         serial = per_backend["serial"]
-        for backend in ("process", "in-driver"):
+        for backend in ("process", "no-fork"):
             other = per_backend[backend]
             assert other.restart_objectives == serial.restart_objectives
             assert other.restart_seeds == serial.restart_seeds
@@ -154,7 +168,7 @@ class TestBackendParity:
     def test_executor_label(self, per_backend):
         assert per_backend["serial"].executor == "serial"
         assert per_backend["process"].executor == "process"
-        assert per_backend["in-driver"].executor == "process"
+        assert per_backend["no-fork"].executor == "process"
 
     def test_backend_routes_through_sa_partitioner(self, coefficients):
         result = SaPartitioner(
@@ -259,107 +273,46 @@ class TestAutoBackendDisambiguation:
 
 
 # ----------------------------------------------------------------------
-# Task envelopes
+# The in-driver fallback
 # ----------------------------------------------------------------------
-class TestQueueEnvelopes:
-    def test_task_envelope_round_trips(self, coefficients):
-        options = SaOptions(seed=11, restarts=4, **FAST)
-        envelope = encode_restart_task(
-            coefficients, 3, options, RestartTask(restart=2, seed=77)
-        )
-        payload = decode_restart_task(envelope)
-        assert payload["restart"] == 2
-        assert payload["kind"] == "sa-restart"
-        request = SolveRequest.from_dict(payload["request"])
-        assert request.strategy == "sa"
-        assert request.seed == 77
-        assert request.options["restarts"] == 1  # single-run options
-        assert request.options["jobs"] == 1
-        # the request itself keeps its exact JSON round-trip
-        assert SolveRequest.from_json(request.to_json()).to_dict() == request.to_dict()
-
-    def test_task_envelope_bytes_stable(self, coefficients):
-        options = SaOptions(seed=11, restarts=4, **FAST)
-        first = encode_restart_task(coefficients, 3, options, RestartTask(1, 5))
-        second = encode_restart_task(coefficients, 3, options, RestartTask(1, 5))
-        assert first == second
-
-    def test_replay_is_byte_identical(self, coefficients):
-        options = SaOptions(seed=11, **FAST)
-        envelope = encode_restart_task(
-            coefficients, 3, options, RestartTask(restart=0, seed=11)
-        )
-        worker = QueueWorker()
-        first = worker.run(envelope)
-        second = worker.run(envelope)
-        assert first == second
-        payload = json.loads(first)
-        assert payload["kind"] == "sa-restart-result"
-        assert "wall_time" not in payload  # transport-dependent, not wire
-
-    def test_result_matches_direct_run(self, coefficients):
-        """Decoded envelope outcomes equal the in-process annealer's."""
-        options = SaOptions(seed=11, **FAST)
-        direct = SaPartitioner(coefficients, 3, options=options).solve()
-        envelope = encode_restart_task(
-            coefficients, 3, options, RestartTask(restart=0, seed=11)
-        )
-        outcome = decode_restart_result(QueueWorker().run(envelope))
-        assert outcome.objective6 == direct.metadata["objective6"]
-        np.testing.assert_array_equal(outcome.x, direct.x)
-        np.testing.assert_array_equal(outcome.y, direct.y)
-        assert outcome.iterations == direct.metadata["iterations"]
-
-    def test_queue_rejects_non_canonical_coefficients(self, coefficients):
-        """Task envelopes ship (instance, parameters) only; the in-driver
-        envelope loop must refuse edited coefficient arrays, not
-        silently re-derive them."""
-        import dataclasses
-
+class TestInDriverFallback:
+    @pytest.mark.parametrize(
+        "run", [run_without_fork, run_on_drained_pool],
+        ids=["no-fork", "drained-pool"],
+    )
+    def test_edited_coefficients_anneal_as_given(self, coefficients, run):
+        """The driver runs the restarts still owed on the caller's own
+        coefficients, as the serial backend does, so edited arrays give
+        the serial answer."""
         doctored = dataclasses.replace(coefficients, c1=coefficients.c1 * 2.0)
-        with pytest.raises(OptionsError, match="non-canonical"):
-            run_portfolio(
-                doctored, 3,
-                SaOptions(seed=1, restarts=2, **FAST),
-                backend=SocketTransportBackend(workers=0),
-            )
+        options = SaOptions(seed=1, restarts=3, max_retries=0, **PROCESS, **FAST)
+        serial = run_portfolio(doctored, 3, options, backend="serial")
+        result = run(doctored, 3, options)
+        assert result.objective6 == serial.objective6
+        assert result.restart_objectives == serial.restart_objectives
+        np.testing.assert_array_equal(result.x, serial.x)
+        np.testing.assert_array_equal(result.y, serial.y)
 
-    def test_task_version_and_kind_checked(self, coefficients):
-        options = SaOptions(seed=1, **FAST)
-        envelope = encode_restart_task(
-            coefficients, 2, options, RestartTask(0, 1)
-        )
-        payload = json.loads(envelope)
-        # Versions 4 and 5 are the last formats whose options still
-        # carry ``prune`` and ``workers``: they must be refused by their
-        # stamp, not reach the SaOptions constructor inside a worker.
-        for version, retired in (
-            (99, "workers"), (4, "prune"), (5, "workers")
-        ):
-            stale = json.loads(envelope)
-            stale["format_version"] = version
-            stale["request"]["options"][retired] = None
-            for decode in (decode_restart_task, QueueWorker().run):
-                with pytest.raises(OptionsError, match="format_version"):
-                    decode(json.dumps(stale))
-        payload["kind"] = "sa-restart-result"
-        with pytest.raises(OptionsError, match="kind"):
-            decode_restart_task(json.dumps(payload))
-        with pytest.raises(OptionsError, match="kind"):
-            decode_restart_result(envelope)
-        # the result leg enforces the version stamp too
-        result = QueueWorker().run(envelope)
-        tampered = json.loads(result)
-        tampered["format_version"] = 99
-        with pytest.raises(OptionsError, match="format_version"):
-            decode_restart_result(json.dumps(tampered))
+    def test_a_raising_restart_propagates(self, coefficients, monkeypatch):
+        """In the driver a restart's exception propagates, as it does
+        from the serial backend; nothing retries it."""
+        from repro.sa.backends import serial
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("restart exploded")
+
+        monkeypatch.setattr(serial, "run_restart", explode)
+        with pytest.raises(RuntimeError, match="restart exploded"):
+            run_without_fork(
+                coefficients, 3, SaOptions(seed=1, restarts=2, **PROCESS, **FAST)
+            )
 
 
 # ----------------------------------------------------------------------
 # Retry budget
 # ----------------------------------------------------------------------
 class TestQueueFaults:
-    """The retry budget of the envelope backends; the fault paths
+    """The retry budget of the process backend; the fault paths
     themselves are pinned in ``tests/test_transport.py``."""
 
     def test_negative_max_retries_rejected_at_construction(self):

@@ -1,9 +1,8 @@
 """Fault-tolerant socket transport: protocol, fault harness, chaos parity.
 
 Pins the transport's contract: length-prefixed frames round-trip and
-reject garbage, the connect-time version handshake fails loudly on
-mismatch, the deterministic fault harness replays its schedule exactly,
-and — the headline — the process backend returns a best that is
+reject garbage, the deterministic fault harness replays its schedule
+exactly, and — the headline — the process backend returns a best that is
 bitwise identical to :class:`~repro.sa.backends.serial.SerialBackend`
 under *every* fault schedule, on thread fakes and forked workers alike.
 """
@@ -11,7 +10,6 @@ under *every* fault schedule, on thread fakes and forked workers alike.
 import ctypes
 import dataclasses
 import functools
-import json
 import os
 import signal
 import socket as socket_module
@@ -30,8 +28,7 @@ from repro.exceptions import (
     SolverError,
     TransportError,
 )
-from repro.sa.backends import QueueWorker, backend_names, get_backend
-from repro.sa.backends.envelope import ENVELOPE_FORMAT_VERSION
+from repro.sa.backends import backend_names, get_backend
 from repro.sa.options import SaOptions
 from repro.sa.portfolio import run_portfolio
 from repro.sa.transport import (
@@ -40,16 +37,11 @@ from repro.sa.transport import (
     FaultPlan,
     FaultyEndpoint,
     SocketTransportBackend,
-    negotiate_client,
-    negotiate_server,
 )
 from repro.sa.transport import protocol, socket_backend
 from repro.sa.transport.faults import FaultInjected
 from repro.sa.transport.protocol import (
-    KIND_ERROR,
     KIND_HEARTBEAT,
-    KIND_HELLO,
-    KIND_HELLO_ACK,
     KIND_RESULT,
     KIND_TASK,
     decode_payload,
@@ -63,6 +55,7 @@ from tests.conftest import small_random_instance
 CHAOS_OPTIONS = dict(
     seed=42,
     restarts=4,
+    jobs=2,
     inner_loops=3,
     max_outer_loops=8,
     max_retries=3,
@@ -105,26 +98,26 @@ def endpoint_pair():
 # ----------------------------------------------------------------------
 class TestProtocol:
     def test_frame_round_trip(self):
-        frame = encode_frame(KIND_TASK, task_id="3:0", restart=3, envelope="{}")
+        frame = encode_frame(KIND_TASK, task_id="3:0", restart=3, x=[0, 1])
         payload = decode_payload(frame[4:])
         assert payload == {
             "kind": KIND_TASK,
             "task_id": "3:0",
             "restart": 3,
-            "envelope": "{}",
+            "x": [0, 1],
         }
 
     def test_identical_messages_are_identical_bytes(self):
         """Sorted-key dumps: the fault harness can target 'the third
         RESULT frame' only because equal payloads encode equally."""
-        a = encode_frame(KIND_RESULT, restart=1, envelope="e", task_id="1:0")
-        b = encode_frame(KIND_RESULT, task_id="1:0", envelope="e", restart=1)
+        a = encode_frame(KIND_RESULT, restart=1, seed=5, task_id="1:0")
+        b = encode_frame(KIND_RESULT, task_id="1:0", seed=5, restart=1)
         assert a == b
 
     def test_oversize_frame_refused_on_send(self, monkeypatch):
         monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 32)
         with pytest.raises(TransportError, match="exceeds MAX_FRAME_BYTES"):
-            encode_frame(KIND_TASK, envelope="x" * 64)
+            encode_frame(KIND_TASK, task_id="x" * 64)
 
     @pytest.mark.parametrize(
         "data",
@@ -152,7 +145,7 @@ class TestProtocol:
         complete — recv never returns a partial payload."""
         driver, worker = endpoint_pair()
         try:
-            frame = encode_frame(KIND_RESULT, restart=2, envelope="abc")
+            frame = encode_frame(KIND_RESULT, restart=2, seed=5)
             worker.sock.sendall(frame[:3])
             assert driver.recv(timeout=0.05) is None
             worker.sock.sendall(frame[3:])
@@ -179,6 +172,19 @@ class TestProtocol:
         finally:
             driver.close()
 
+    def test_frames_before_a_close_are_delivered_first(self):
+        """A frame and the close that follows it in one read still
+        reach the driver in order: the frame, then the close."""
+        driver, worker = endpoint_pair()
+        worker.send(KIND_RESULT, restart=0)
+        worker.close()
+        try:
+            assert [frame["restart"] for frame in driver.receive_available()] == [0]
+            with pytest.raises(ConnectionClosedError):
+                driver.receive_available()
+        finally:
+            driver.close()
+
     def test_corrupt_length_prefix_rejected(self):
         """A length prefix announcing gigabytes is refused instead of
         allocated."""
@@ -187,83 +193,6 @@ class TestProtocol:
             worker.sock.sendall(b"\xff\xff\xff\xff payload")
             with pytest.raises(TransportError, match="MAX_FRAME_BYTES"):
                 driver.recv(timeout=1.0)
-        finally:
-            driver.close()
-            worker.close()
-
-
-# ----------------------------------------------------------------------
-# Version negotiation
-# ----------------------------------------------------------------------
-class TestNegotiation:
-    def test_happy_path_picks_shared_version(self):
-        driver, worker = endpoint_pair()
-        outcome = {}
-
-        def client():
-            outcome["ack"] = negotiate_client(
-                worker, ENVELOPE_FORMAT_VERSION, timeout=5.0
-            )
-
-        thread = threading.Thread(target=client)
-        thread.start()
-        try:
-            chosen = negotiate_server(
-                driver,
-                ENVELOPE_FORMAT_VERSION,
-                timeout=5.0,
-                heartbeat_interval=0.25,
-            )
-            thread.join(timeout=5.0)
-            assert chosen == protocol.PROTOCOL_VERSION
-            ack = outcome["ack"]
-            assert ack["kind"] == KIND_HELLO_ACK
-            assert ack["protocol_version"] == chosen
-            assert ack["heartbeat_interval"] == 0.25
-        finally:
-            driver.close()
-            worker.close()
-
-    def test_no_shared_protocol_version_sends_error_frame(self):
-        driver, worker = endpoint_pair()
-        try:
-            worker.send(
-                KIND_HELLO,
-                protocol_versions=[999],
-                envelope_version=ENVELOPE_FORMAT_VERSION,
-            )
-            with pytest.raises(TransportError, match="no shared protocol"):
-                negotiate_server(driver, ENVELOPE_FORMAT_VERSION, timeout=5.0)
-            # The worker is told *why* before the socket dies.
-            error = worker.recv(timeout=1.0)
-            assert error["kind"] == KIND_ERROR
-            assert "no shared protocol" in error["message"]
-        finally:
-            driver.close()
-            worker.close()
-
-    def test_envelope_version_mismatch_sends_error_frame(self):
-        driver, worker = endpoint_pair()
-        try:
-            worker.send(
-                KIND_HELLO,
-                protocol_versions=list(protocol.SUPPORTED_PROTOCOL_VERSIONS),
-                envelope_version=ENVELOPE_FORMAT_VERSION + 1,
-            )
-            with pytest.raises(TransportError, match="envelope format version"):
-                negotiate_server(driver, ENVELOPE_FORMAT_VERSION, timeout=5.0)
-            error = worker.recv(timeout=1.0)
-            assert error["kind"] == KIND_ERROR
-        finally:
-            driver.close()
-            worker.close()
-
-    def test_client_raises_on_rejection(self):
-        driver, worker = endpoint_pair()
-        try:
-            driver.send(KIND_ERROR, message="not today")
-            with pytest.raises(TransportError, match="driver rejected"):
-                negotiate_client(worker, ENVELOPE_FORMAT_VERSION, timeout=5.0)
         finally:
             driver.close()
             worker.close()
@@ -347,7 +276,7 @@ class TestFaultyEndpoint:
         )
         receiver = Endpoint(left)
         try:
-            sender.send(KIND_TASK, task_id="0:0", restart=0, envelope="{}")
+            sender.send(KIND_TASK, task_id="0:0", restart=0)
             with pytest.raises(TransportError):
                 receiver.recv(timeout=1.0)
         finally:
@@ -364,7 +293,7 @@ class TestFaultyEndpoint:
         try:
             worker.send(KIND_HEARTBEAT, task_id=None)  # other kinds pass
             with pytest.raises(FaultInjected):
-                worker.send(KIND_RESULT, restart=0, envelope="{}")
+                worker.send(KIND_RESULT, restart=0)
         finally:
             worker.close()
             left.close()
@@ -401,8 +330,6 @@ class TestSocketBackendConfig:
     def test_invalid_construction(self):
         with pytest.raises(OptionsError, match="spawn"):
             SocketTransportBackend(spawn="carrier-pigeon")
-        with pytest.raises(OptionsError, match="workers"):
-            SocketTransportBackend(workers=-1)
 
 
 # ----------------------------------------------------------------------
@@ -414,7 +341,7 @@ class TestCleanParity:
             coefficients,
             NUM_SITES,
             SaOptions(**CHAOS_OPTIONS),
-            backend=SocketTransportBackend(workers=2, spawn="thread"),
+            backend=SocketTransportBackend(spawn="thread"),
         )
         assert_bitwise_identical(result, serial_baseline)
         assert result.executor == "process"
@@ -427,7 +354,7 @@ class TestCleanParity:
             coefficients,
             NUM_SITES,
             SaOptions(**CHAOS_OPTIONS),
-            backend=SocketTransportBackend(workers=2),
+            backend="process",
         )
         assert_bitwise_identical(result, serial_baseline)
         assert result.worker_failures == 0
@@ -458,21 +385,10 @@ class TestCleanParity:
             coefficients,
             NUM_SITES,
             SaOptions(**CHAOS_OPTIONS),
-            backend=SocketTransportBackend(workers=2, spawn="thread"),
+            backend=SocketTransportBackend(spawn="thread"),
         )
         assert_bitwise_identical(result, serial_baseline)
         assert stalls == []
-
-    def test_workers_zero_is_explicit_degraded_mode(
-        self, coefficients, serial_baseline
-    ):
-        result = run_portfolio(
-            coefficients,
-            NUM_SITES,
-            SaOptions(**CHAOS_OPTIONS),
-            backend=SocketTransportBackend(workers=0),
-        )
-        assert_bitwise_identical(result, serial_baseline)
 
     def test_workers_option_flows_from_sa_options(
         self, coefficients, serial_baseline, monkeypatch
@@ -492,7 +408,7 @@ class TestCleanParity:
         result = run_portfolio(
             coefficients,
             NUM_SITES,
-            SaOptions(jobs=2, backend="process", **CHAOS_OPTIONS),
+            SaOptions(backend="process", **CHAOS_OPTIONS),
         )
         assert_bitwise_identical(result, serial_baseline)
         assert len(forks) == 2
@@ -569,9 +485,7 @@ class TestChaosParity:
         self, coefficients, serial_baseline, name
     ):
         backend = SocketTransportBackend(
-            workers=2,
-            spawn="thread",
-            fault_plan=CHAOS_PLANS[name],
+            spawn="thread", fault_plan=CHAOS_PLANS[name]
         )
         result = run_portfolio(
             coefficients,
@@ -585,9 +499,7 @@ class TestChaosParity:
         """The storm must exercise the machinery it claims to: requeues
         granted, a worker failure observed, retried restarts counted."""
         backend = SocketTransportBackend(
-            workers=2,
-            spawn="thread",
-            fault_plan=CHAOS_PLANS["storm"],
+            spawn="thread", fault_plan=CHAOS_PLANS["storm"]
         )
         result = run_portfolio(
             coefficients, NUM_SITES, SaOptions(**CHAOS_OPTIONS), backend=backend
@@ -606,13 +518,11 @@ class TestFailurePaths:
     ):
         """A restart that keeps dying must fail the solve loudly — a
         silently lost restart would change the best-of-N result."""
-        options = dict(CHAOS_OPTIONS, max_retries=0, restarts=2)
+        options = dict(CHAOS_OPTIONS, max_retries=0, restarts=2, jobs=1)
         plan = FaultPlan(
             (Fault("kill-worker", kind="result", index=0, connection=0),)
         )
-        backend = SocketTransportBackend(
-            workers=1, spawn="thread", fault_plan=plan
-        )
+        backend = SocketTransportBackend(spawn="thread", fault_plan=plan)
         with pytest.raises(
             SolverError, match=r"process worker failed restart \d+"
         ):
@@ -623,16 +533,18 @@ class TestFailurePaths:
     def test_drained_pool_degrades_to_in_driver_execution(
         self, coefficients, serial_baseline, monkeypatch
     ):
-        """When every worker hangs up before its handshake and the spawn
-        budget is spent, the driver warns and finishes the portfolio
-        itself — bitwise identically."""
+        """When every worker hangs up at once and the spawn budget is
+        spent, the driver warns and finishes the portfolio itself —
+        bitwise identically.  The restarts the workers never
+        acknowledged cost no retries, so ``max_retries=0`` still
+        finishes."""
         monkeypatch.setattr(
             socket_backend._Driver,
             "_thread_worker",
             staticmethod(lambda sock, plan, faults: sock.close()),
         )
         options = dict(CHAOS_OPTIONS, max_retries=0, heartbeat_interval=0.05)
-        backend = SocketTransportBackend(workers=2, spawn="thread")
+        backend = SocketTransportBackend(spawn="thread")
         with pytest.warns(RuntimeWarning, match="drained"):
             result = run_portfolio(
                 coefficients, NUM_SITES, SaOptions(**options), backend=backend
@@ -669,7 +581,7 @@ class TestForkedWorkers:
         )
         result = run_portfolio(
             coefficients, NUM_SITES, SaOptions(**CHAOS_OPTIONS),
-            backend=SocketTransportBackend(workers=2, fault_plan=plan),
+            backend=SocketTransportBackend(fault_plan=plan),
         )
         assert_bitwise_identical(result, serial_baseline)
         assert result.restart_objectives == serial_baseline.restart_objectives
@@ -690,14 +602,14 @@ class TestForkedWorkers:
             )
         )
         options = dict(
-            CHAOS_OPTIONS, restarts=1, max_retries=1, backoff_base=0.0
+            CHAOS_OPTIONS, restarts=1, jobs=1, max_retries=1, backoff_base=0.0
         )
         with pytest.raises(
             SolverError, match="process worker failed restart 0 2 times"
         ):
             run_portfolio(
                 coefficients, NUM_SITES, SaOptions(**options),
-                backend=SocketTransportBackend(workers=1, fault_plan=plan),
+                backend=SocketTransportBackend(fault_plan=plan),
             )
 
     @pytest.mark.parametrize("spawn", ["fork", "thread"])
@@ -712,7 +624,7 @@ class TestForkedWorkers:
         )
         result = run_portfolio(
             doctored, NUM_SITES, SaOptions(**CHAOS_OPTIONS),
-            backend=SocketTransportBackend(workers=2, spawn=spawn),
+            backend=SocketTransportBackend(spawn=spawn),
         )
         assert_bitwise_identical(result, serial)
         assert result.restart_objectives == serial.restart_objectives
@@ -749,7 +661,7 @@ class TestForkedWorkers:
 
         def connect(driver, ordinal, sock):
             drivers.append(driver)
-            forked.set()  # every worker of this round is forked
+            forked.set()  # the first worker is forked
             return real_connect(driver, ordinal, sock)
 
         monkeypatch.setattr(socket_backend._Driver, "_connect", connect)
@@ -761,7 +673,7 @@ class TestForkedWorkers:
             target=lambda: results.append(
                 run_portfolio(
                     fresh, NUM_SITES, SaOptions(**CHAOS_OPTIONS),
-                    backend=SocketTransportBackend(workers=2),
+                    backend="process",
                 )
             ),
             daemon=True,
@@ -795,7 +707,7 @@ class TestForkedWorkers:
         monkeypatch.setattr(worker, "run_worker", recording)
         run_portfolio(
             coefficients, NUM_SITES, SaOptions(**CHAOS_OPTIONS),
-            backend=SocketTransportBackend(workers=2),
+            backend="process",
         )
         # A worker forked after the others finished the portfolio may be
         # stopped before it records; every worker that did saw one.
@@ -810,72 +722,11 @@ class TestForkedWorkers:
         with pytest.warns(RuntimeWarning, match="in-driver"):
             result = run_portfolio(
                 coefficients, NUM_SITES,
-                SaOptions(backend="process", jobs=2, **CHAOS_OPTIONS),
+                SaOptions(backend="process", **CHAOS_OPTIONS),
             )
         assert result.executor == "process"
         assert result.restart_objectives == serial_baseline.restart_objectives
         assert_bitwise_identical(result, serial_baseline)
-
-
-# ----------------------------------------------------------------------
-# Worker failures in the in-driver loop (workers=0)
-# ----------------------------------------------------------------------
-class FlakyWorker(QueueWorker):
-    """Raises the first ``failures_per_restart`` times a restart runs."""
-
-    def __init__(self, failures_per_restart: dict[int, int]):
-        self.failures_per_restart = dict(failures_per_restart)
-        self.seen: list[int] = []
-
-    def run(self, envelope: str) -> str:
-        restart = json.loads(envelope)["restart"]
-        self.seen.append(restart)
-        if self.failures_per_restart.get(restart, 0) > 0:
-            self.failures_per_restart[restart] -= 1
-            raise RuntimeError(f"injected fault on restart {restart}")
-        return super().run(envelope)
-
-
-@pytest.mark.chaos
-class TestInDriverFaults:
-    """A worker that raises mid-restart in the driver's own envelope
-    loop: the restart goes to the back of the queue, bounded by
-    ``max_retries``, and the result stays bitwise equal to serial."""
-
-    def test_failed_restart_is_requeued_and_deterministic(
-        self, coefficients, serial_baseline, monkeypatch
-    ):
-        worker = FlakyWorker({1: 1, 2: 2})
-        monkeypatch.setattr(socket_backend, "QueueWorker", lambda: worker)
-        portfolio = run_portfolio(
-            coefficients, NUM_SITES,
-            SaOptions(**dict(CHAOS_OPTIONS, max_retries=2)),
-            backend=SocketTransportBackend(workers=0),
-        )
-
-        # every restart completed despite the mid-restart faults ...
-        assert len(portfolio.outcomes) == 4
-        assert portfolio.retried_restarts == 2
-        assert portfolio.requeue_count == 3
-        assert portfolio.worker_failures == 3
-        # ... the failed tasks went to the back of the queue ...
-        assert worker.seen == [0, 1, 2, 3, 1, 2, 2]
-        # ... and the best is bitwise identical to the serial reference.
-        reference = serial_baseline
-        assert_bitwise_identical(portfolio, reference)
-        assert portfolio.restart_objectives == reference.restart_objectives
-
-    def test_exhausted_retries_raise(self, coefficients, monkeypatch):
-        worker = FlakyWorker({0: 99})
-        monkeypatch.setattr(socket_backend, "QueueWorker", lambda: worker)
-        with pytest.raises(
-            SolverError, match="process worker failed restart 0 2 times"
-        ):
-            run_portfolio(
-                coefficients, NUM_SITES,
-                SaOptions(**dict(CHAOS_OPTIONS, max_retries=1, restarts=2)),
-                backend=SocketTransportBackend(workers=0),
-            )
 
 
 # ----------------------------------------------------------------------
