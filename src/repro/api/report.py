@@ -122,9 +122,9 @@ class SolveReport:
 
         ``retried_restarts`` (distinct restarts that needed a retry),
         ``requeue_count`` (total failed/lost attempts re-dispatched) and
-        ``worker_failures`` (faulted runs, dead connections, stalled
-        heartbeats).  All zero for single-run strategies and for
-        backends without fault tolerance (serial/process).
+        ``worker_failures`` (restarts that raised, dead workers, workers
+        gone silent).  All zero for single-run strategies and for the
+        serial backend.
         """
         metadata = self.result.metadata
         return {

@@ -136,8 +136,9 @@ def sa_portfolio_strategy(
     ``restarts``/``jobs`` in the options, plus ``backend`` to pick an
     execution backend from :mod:`repro.sa.backends` — "serial" or
     "process" (forked workers over the fault-tolerant transport; tune
-    it with ``max_retries`` and the heartbeat/backoff options); results
-    are identical whatever the backend or fault history)."""
+    it with ``max_retries``, ``heartbeat_timeout`` and
+    ``backoff_base``); results are identical whatever the backend or
+    fault history)."""
     _check_options(request, _SA_OPTION_KEYS, "sa-portfolio")
     options = _sa_options_from(request, restarts_default=DEFAULT_PORTFOLIO_RESTARTS)
     return SaPartitioner(

@@ -2,9 +2,9 @@
 
 Answered as *ratios only* (absolute wall-clock is machine noise; the
 ratios are what the transport design controls): the wall-clock of a
-socket portfolio on two thread-spawned workers, clean and under a
-deterministic fault storm (dropped results, a killed worker, a stalled
-heartbeat), relative to each other and to the serial backend.  Every
+socket portfolio on two forked workers, clean and under a deterministic
+fault storm (a worker killed mid-restart, a worker whose main thread
+blocks), relative to each other and to the serial backend.  Every
 variant returns the bitwise-identical best (asserted), so the ratios
 isolate the cost of the transport and of fault *recovery*, not of
 different work.
@@ -36,15 +36,15 @@ ARTIFACT_NAME = "BENCH_transport.json"
 
 NUM_SITES = 3
 
-#: The deterministic fault storm of the throughput measurement: a lost
-#: result, a worker killed mid-restart, and a heartbeat stall — one of
-#: each failure family the liveness machinery handles.
+#: The deterministic fault storm of the throughput measurement: a
+#: worker killed as it sends its first result, and one whose main
+#: thread blocks at its third progress call — the two failures a
+#: forked worker can suffer besides a restart that raises.
 def _storm_plan() -> FaultPlan:
     return FaultPlan(
         (
-            Fault("drop", kind="result", direction="recv", index=0, connection=0),
-            Fault("kill-worker", kind="result", index=0, connection=1),
-            Fault("stall-heartbeat", kind="heartbeat", index=2, connection=0),
+            Fault("kill-worker", connection=1, index=0),
+            Fault("block", connection=0, index=2),
         )
     )
 
@@ -77,7 +77,6 @@ def _portfolio_options(seed: int) -> SaOptions:
         max_outer_loops=10,
         # Tight liveness tuning so the storm's recovery paths (not the
         # timeouts around them) dominate the measurement.
-        heartbeat_interval=0.05,
         heartbeat_timeout=0.8,
         backoff_base=0.01,
         max_retries=3,
@@ -102,13 +101,10 @@ def transport(profile: BenchProfile | None = None) -> BenchTable:
     serial_result, serial_wall = _timed_portfolio(
         coefficients, options, "serial"
     )
-    clean_backend = SocketTransportBackend(spawn="thread")
     clean_result, clean_wall = _timed_portfolio(
-        coefficients, options, clean_backend
+        coefficients, options, SocketTransportBackend()
     )
-    storm_backend = SocketTransportBackend(
-        spawn="thread", fault_plan=_storm_plan()
-    )
+    storm_backend = SocketTransportBackend(fault_plan=_storm_plan())
     storm_result, storm_wall = _timed_portfolio(
         coefficients, options, storm_backend
     )
@@ -122,13 +118,13 @@ def transport(profile: BenchProfile | None = None) -> BenchTable:
         {
             "metric": "socket (clean) vs serial",
             "ratio": round(clean_wall / serial_wall, 3) if serial_wall else 1.0,
-            "detail": "2 thread workers, 6 restarts",
+            "detail": "2 forked workers, 6 restarts",
         },
         {
             "metric": "socket (retry storm) vs socket (clean)",
             "ratio": round(storm_wall / clean_wall, 3) if clean_wall else 1.0,
             "detail": (
-                f"storm: drop+kill+stall; {storm_result.requeue_count} "
+                f"storm: kill+block; {storm_result.requeue_count} "
                 f"requeues, {storm_result.worker_failures} worker failures"
             ),
         },

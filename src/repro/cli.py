@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "process (default: serial for one --jobs slot, "
                             "process otherwise; results are identical "
                             "whatever the backend — process forks --jobs "
-                            "workers fed over loopback TCP with heartbeat "
+                            "workers joined by socket pairs, with heartbeat "
                             "liveness and bounded retries)")
         sub.add_argument("--compress", choices=("off", "lossless", "lossy"),
                             default="off",

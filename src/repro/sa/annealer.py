@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -58,6 +59,11 @@ class SimulatedAnnealer:
     path — freeze, patience, loop cap and wall-clock timeout — is
     guarded by the collapsed one-site layout, so the returned solution
     is never worse than the trivial ``|S| = 1`` placement.
+
+    ``progress``, when given, is called with the iteration count once
+    per inner iteration; it returns nothing and touches no annealer
+    state, so it cannot change the result (a forked portfolio worker
+    heartbeats from it).
     """
 
     def __init__(
@@ -65,10 +71,12 @@ class SimulatedAnnealer:
         coefficients: CostCoefficients,
         num_sites: int,
         options: SaOptions | None = None,
+        progress: Callable[[int], None] | None = None,
     ):
         self.coefficients = coefficients
         self.num_sites = num_sites
         self.options = options or SaOptions()
+        self.progress = progress
         self.evaluator = SolutionEvaluator(coefficients)
         self.subsolver = SubproblemSolver(coefficients, num_sites)
         self.trace = AnnealingTrace()
@@ -111,6 +119,8 @@ class SimulatedAnnealer:
             improved = False
             for _ in range(options.inner_loops):
                 self.trace.iterations += 1
+                if self.progress is not None:
+                    self.progress(self.trace.iterations)
                 if (
                     options.time_limit is not None
                     and time.perf_counter() - started > options.time_limit
@@ -194,6 +204,8 @@ class SimulatedAnnealer:
             improved = False
             for _ in range(options.inner_loops):
                 self.trace.iterations += 1
+                if self.progress is not None:
+                    self.progress(self.trace.iterations)
                 if (
                     options.time_limit is not None
                     and time.perf_counter() - started > options.time_limit

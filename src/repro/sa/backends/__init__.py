@@ -12,8 +12,8 @@ under a name selectable via ``SaOptions(backend=...)``:
 * ``"process"`` — the default for more than one slot (an unset ``jobs``
   means the usable cores): ``jobs`` forked worker processes that
   inherit the plan and anneal the caller's coefficients, each driven
-  over its own socket pair with length-prefixed frames, heartbeat
-  liveness monitoring and bounded deterministic retries
+  over its own socket pair with length-prefixed frames, heartbeats
+  from the anneal loop and bounded deterministic retries
   (:mod:`repro.sa.transport`).  When the pool drains, or the platform
   cannot fork (with a ``RuntimeWarning``), the restarts still owed run
   in the driver through the serial backend's own loop.

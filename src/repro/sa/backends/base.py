@@ -111,8 +111,8 @@ class BackendRun:
     #: Total restart requeues — failed or lost attempts that were
     #: re-dispatched (bounded per restart by ``max_retries``).
     requeue_count: int = 0
-    #: Worker failures observed: faulted task runs, dead connections,
-    #: stalled heartbeats.
+    #: Worker failures observed: restarts that raised, dead workers,
+    #: workers gone silent.
     worker_failures: int = 0
 
 
@@ -145,7 +145,6 @@ _PORTFOLIO_LEVEL_FIELDS = (
     "portfolio_time_limit",
     "backend",
     "max_retries",
-    "heartbeat_interval",
     "heartbeat_timeout",
     "backoff_base",
 )
@@ -193,14 +192,25 @@ def run_restart(
     restart: int,
     seed: int | None,
     deadline: float | None,
+    progress: Callable[[int], None] | None = None,
 ) -> RestartOutcome:
-    """Run one restart (worker side); honours the shared deadline."""
+    """Run one restart; honours the shared deadline.
+
+    ``progress``, when given, is called with 0 as the restart starts
+    and then by the annealer once per inner iteration (see
+    :class:`~repro.sa.annealer.SimulatedAnnealer`).
+    """
     from repro.sa.annealer import SimulatedAnnealer
 
+    if progress is not None:
+        progress(0)
     remaining = None if deadline is None else deadline - time.monotonic()
     started = time.perf_counter()
     annealer = SimulatedAnnealer(
-        coefficients, num_sites, restart_options(options, seed, remaining)
+        coefficients,
+        num_sites,
+        restart_options(options, seed, remaining),
+        progress=progress,
     )
     x, y, objective6 = annealer.run()
     return RestartOutcome(

@@ -73,7 +73,7 @@ class RetryTracker:
     """Driver-side bookkeeping of failed restart attempts.
 
     Attempt counts stay on the driver; a TASK frame carries only the
-    attempt-stamped task id the liveness checks match frames by.
+    restart.
     """
 
     def __init__(

@@ -90,11 +90,13 @@ class SaOptions:
     #: silently change the best-of-N result, which the determinism
     #: contract forbids.
     max_retries: int = 2
-    #: Seconds between worker heartbeats on the process backend.
-    heartbeat_interval: float = 0.5
-    #: Seconds of worker silence after which the transport's liveness
-    #: monitor declares the worker dead and requeues its in-flight
-    #: restart.  Must exceed ``heartbeat_interval``.
+    #: Seconds of silence after which the process backend writes off a
+    #: worker with a restart in flight (it blocked), kills it and
+    #: requeues the restart.  Workers heartbeat from the anneal loop,
+    #: at most once per ``heartbeat_timeout / 10`` seconds; under
+    #: ``subsolver="exact"`` the driver tolerates ``exact_time_limit``
+    #: more, the length of one sub-solve.  An idle worker is never
+    #: written off.
     heartbeat_timeout: float = 5.0
     #: Base of the exponential retry backoff in seconds: attempt ``k``
     #: of a restart waits ``~ backoff_base * 2**(k-1)`` scaled by a
@@ -163,16 +165,10 @@ class SaOptions:
         from repro.sa.backends.retry import validate_max_retries
 
         validate_max_retries(self.max_retries)
-        if self.heartbeat_interval <= 0:
+        if self.heartbeat_timeout <= 0:
             raise OptionsError(
-                f"heartbeat_interval must be positive seconds, got "
-                f"{self.heartbeat_interval}"
-            )
-        if self.heartbeat_timeout <= self.heartbeat_interval:
-            raise OptionsError(
-                f"heartbeat_timeout ({self.heartbeat_timeout}) must exceed "
-                f"heartbeat_interval ({self.heartbeat_interval}) or every "
-                f"worker looks stalled"
+                f"heartbeat_timeout must be positive seconds, got "
+                f"{self.heartbeat_timeout}"
             )
         if self.backoff_base < 0:
             raise OptionsError(

@@ -65,8 +65,8 @@ class PortfolioResult:
     #: Total restart requeues: failed or lost attempts re-dispatched,
     #: bounded per restart by ``max_retries``.
     requeue_count: int = 0
-    #: Worker failures observed: faulted task runs, dead connections,
-    #: stalled heartbeats.
+    #: Worker failures observed: restarts that raised, dead workers,
+    #: workers gone silent.
     worker_failures: int = 0
 
     @property

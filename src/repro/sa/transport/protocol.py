@@ -12,12 +12,13 @@ Wire layout (one *frame*)::
 Every message between the driver and a worker is one frame; the JSON
 payload always carries a ``"kind"`` discriminator (one of the ``KIND_*``
 constants below) and is dumped with sorted keys so identical messages
-are identical bytes — which is what lets the fault harness target, say,
-"the third RESULT frame" deterministically.
+are identical bytes.
 
 A worker is a fork of the driver: both ends run the same code, so
-there is nothing to negotiate.  A TASK frame names only the restart,
-because the worker already holds the portfolio's plan; a RESULT frame
+there is nothing to negotiate.  Frames name the restart they concern
+and nothing else identifies a task: a TASK frame names only the
+restart, because the worker already holds the portfolio's plan; a
+HEARTBEAT carries the restart and its iteration count; a RESULT frame
 carries the finished restart's outcome fields, with the placements as
 0/1 lists.
 """
@@ -28,7 +29,6 @@ import json
 import select
 import socket
 import struct
-import threading
 from typing import Any
 
 from repro.exceptions import ConnectionClosedError, TransportError
@@ -41,9 +41,8 @@ _LENGTH = struct.Struct("!I")
 
 # -- frame kinds -------------------------------------------------------
 KIND_TASK = "task"              # driver -> worker: one restart to run
-KIND_ACK = "ack"                # worker -> driver: task frame received
 KIND_RESULT = "result"          # worker -> driver: one restart outcome
-KIND_HEARTBEAT = "heartbeat"    # worker -> driver: liveness + current task
+KIND_HEARTBEAT = "heartbeat"    # worker -> driver: the anneal progresses
 KIND_ERROR = "error"            # worker -> driver: the restart raised
 KIND_SHUTDOWN = "shutdown"      # driver -> worker: drain and exit
 
@@ -79,31 +78,25 @@ def decode_payload(data: bytes) -> dict[str, Any]:
 class Endpoint:
     """One side of a framed connection over a connected socket.
 
-    Sending is thread-safe (the worker's heartbeat ticker shares the
-    socket with its task loop); receiving buffers partial frames so a
-    frame split across stream reads is reassembled transparently.
+    One thread uses an endpoint: a worker sends its heartbeats from the
+    anneal loop, between the frames of its task loop.  Receiving
+    buffers partial frames so a frame split across stream reads is
+    reassembled transparently.
     """
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self._send_lock = threading.Lock()
         self._buffer = bytearray()
         self._closed = False
 
     # -- sending -------------------------------------------------------
     def send(self, kind: str, **fields: Any) -> None:
-        self.send_raw(encode_frame(kind, **fields))
-
-    def send_raw(self, frame: bytes) -> None:
-        """Send pre-encoded frame bytes (the fault layer's corrupt hook
-        flips payload bytes here, after the length prefix is fixed)."""
-        with self._send_lock:
-            try:
-                self.sock.sendall(frame)
-            except OSError as error:
-                raise ConnectionClosedError(
-                    f"connection lost while sending ({error})"
-                ) from error
+        try:
+            self.sock.sendall(encode_frame(kind, **fields))
+        except OSError as error:
+            raise ConnectionClosedError(
+                f"connection lost while sending ({error})"
+            ) from error
 
     # -- receiving -----------------------------------------------------
     def _read_more(self, timeout: float | None) -> bool:
@@ -111,9 +104,8 @@ class Endpoint:
         raises ConnectionClosedError on EOF or a reset connection.
 
         Readiness comes from ``select`` rather than ``settimeout`` so
-        the socket stays in blocking mode — a worker's heartbeat ticker
-        sends on the same socket its task loop receives on, and a
-        per-socket timeout would race between the two threads.
+        the socket stays in blocking mode and a receive timeout never
+        cuts a later ``sendall`` short.
         """
         try:
             ready, _, _ = select.select([self.sock], [], [], timeout)

@@ -6,23 +6,28 @@ can reach either end.  A worker (:func:`repro.sa.worker.run_worker`)
 inherits the portfolio's plan and anneals the caller's own
 coefficients, exactly as the serial backend does: a TASK frame names
 only the restart, and the RESULT frame carries the finished restart's
-outcome back.  The driver registers each connection as soon as it forks
-the worker, and schedules the portfolio's restarts over the connections
-with an at-least-once discipline:
+outcome back.  A socket pair between a process and its fork cannot
+drop, duplicate, reorder or corrupt a frame, so a worker fails in only
+three ways — it dies, its restart raises, or its main thread blocks —
+and the driver schedules the portfolio's restarts over the connections
+with that in mind:
 
-* every dispatched TASK frame must be ACKed; a task that is neither
-  acknowledged nor resolved within the heartbeat timeout is presumed
-  lost and requeued;
-* workers heartbeat continuously, carrying the id of the task they are
-  running — so when a heartbeat says *idle* after the task was ACKed,
-  the terminal RESULT/ERROR frame is known lost (a stream socket
-  preserves order and the worker goes idle only after sending it)
-  and the restart is requeued without waiting for any timeout;
-* a connection that closes (the worker died) or stays silent past
-  ``heartbeat_timeout`` is written off: it is closed, its in-flight
-  restart requeued, and a replacement worker forked (bounded by a spawn
-  budget so a crash loop terminates).  A restart the lost worker never
-  acknowledged goes back at no cost to its retry budget: it never ran;
+* a worker beats from its anneal loop: a HEARTBEAT as each restart
+  starts and then at most one per beat interval while it runs
+  (:mod:`repro.sa.worker`).  The first heartbeat of a task marks it
+  started;
+* a connection that closes (the worker died), and one with a task in
+  flight that stays silent past ``heartbeat_timeout`` since the
+  dispatch or its last frame (the worker blocked), is written off: the
+  worker is killed, its connection closed, its restart requeued and a
+  replacement forked, bounded by a spawn budget so a crash loop
+  terminates.  An idle worker sends nothing and is never written off
+  for it.  Under ``subsolver="exact"`` one iteration runs one MIP of up
+  to ``exact_time_limit`` seconds with no progress call inside, so the
+  driver tolerates that much more silence;
+* a restart that raised (an ERROR frame) or whose worker failed after
+  it started is requeued against its retry budget; one whose worker
+  failed before it started goes back at no cost, since it never ran;
 * requeues are bounded per restart by ``max_retries`` and spread out by
   a deterministic exponential backoff
   (:func:`repro.sa.backends.retry.backoff_delay`); an exhausted budget
@@ -36,15 +41,12 @@ with an at-least-once discipline:
   still bitwise identical — only slower.  Where the platform cannot
   fork, the whole portfolio runs that way, with a ``RuntimeWarning``.
 
-Duplicate deliveries (retries racing late results, duplicated frames)
-are harmless by construction: a restart's outcome is a pure function of
-its index and the plan, and the driver keeps the *first* result per
-restart index — any second copy is identical anyway.
-
 Determinism: for a fixed master seed the returned best is bitwise
 identical to :class:`~repro.sa.backends.serial.SerialBackend` whatever
-the fault schedule, worker count, or retry history — pinned across the
-whole fault matrix by ``tests/test_transport.py``.
+the fault schedule, worker count, or retry history — a restart's
+outcome is a pure function of its index and the plan, and a retry runs
+only once the failed attempt's worker is gone, so each restart reports
+once.  Pinned across the fault matrix by ``tests/test_transport.py``.
 """
 
 from __future__ import annotations
@@ -62,11 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.exceptions import (
-    ConnectionClosedError,
-    OptionsError,
-    TransportError,
-)
+from repro.exceptions import TransportError
 from repro.sa.backends.base import (
     BackendRun,
     PortfolioPlan,
@@ -75,9 +73,8 @@ from repro.sa.backends.base import (
 )
 from repro.sa.backends.retry import RetryTracker
 from repro.sa.backends.serial import run_in_process
-from repro.sa.transport.faults import FaultPlan, FaultyEndpoint
+from repro.sa.transport.faults import FaultPlan
 from repro.sa.transport.protocol import (
-    KIND_ACK,
     KIND_ERROR,
     KIND_HEARTBEAT,
     KIND_RESULT,
@@ -86,15 +83,19 @@ from repro.sa.transport.protocol import (
     Endpoint,
 )
 
+#: Longest the driver waits for a frame before it re-checks backoffs
+#: and liveness.
+_POLL_SECONDS = 0.05
+
 
 @dataclass
 class _Inflight:
     """One dispatched task awaiting its terminal frame."""
 
     task: RestartTask
-    task_id: str
     dispatched: float
-    acked: bool = False
+    #: A heartbeat for this restart arrived: the restart ran.
+    started: bool = False
 
 
 @dataclass
@@ -103,6 +104,8 @@ class _Connection:
 
     endpoint: Endpoint
     fd: int
+    pid: int
+    #: The last frame, or the dispatch of the task in flight if later.
     last_seen: float
     inflight: _Inflight | None = None
 
@@ -110,30 +113,19 @@ class _Connection:
 class SocketTransportBackend:
     """Drive the portfolio over socket pairs to forked worker processes.
 
-    The portfolio's ``jobs`` slots set the number of workers.  ``spawn``
-    selects how workers come up: ``"fork"`` forks this process,
-    ``"thread"`` runs the same worker loop in daemon threads (fast, for
-    tests — the protocol path is identical).  ``fault_plan`` replays a
-    deterministic :class:`~repro.sa.transport.faults.FaultPlan` against
-    the connections (chaos tests only).
+    The portfolio's ``jobs`` slots set the number of workers.
+    ``fault_plan`` replays a deterministic
+    :class:`~repro.sa.transport.faults.FaultPlan` in the workers (chaos
+    tests only).
     """
 
     name = "process"
 
-    def __init__(
-        self,
-        fault_plan: FaultPlan | None = None,
-        spawn: str = "fork",
-    ):
-        if spawn not in ("fork", "thread"):
-            raise OptionsError(
-                f"spawn must be 'fork' or 'thread', got {spawn!r}"
-            )
+    def __init__(self, fault_plan: FaultPlan | None = None):
         self.fault_plan = fault_plan or FaultPlan()
-        self.spawn = spawn
 
     def run(self, plan: PortfolioPlan) -> BackendRun:
-        if self.spawn == "fork" and not hasattr(os, "fork"):
+        if not hasattr(os, "fork"):
             warnings.warn(
                 "SA portfolio running in-driver: this platform cannot "
                 "fork worker processes",
@@ -143,31 +135,35 @@ class SocketTransportBackend:
             run = BackendRun(outcomes=[], kind=self.name)
             run_in_process(plan, plan.tasks(), run)
             return run
-        return _Driver(plan, self).run()
+        return _Driver(plan, self.fault_plan).run()
 
 
 class _Driver:
     """One portfolio execution: scheduler, liveness monitor, fallback."""
 
-    def __init__(self, plan: PortfolioPlan, config: SocketTransportBackend):
+    def __init__(self, plan: PortfolioPlan, fault_plan: FaultPlan):
         self.plan = plan
         self.options = plan.options
-        self.config = config
+        self.fault_plan = fault_plan
         self.workers = plan.jobs
         self.tracker = RetryTracker(
             self.options.max_retries,
             backoff_base=self.options.backoff_base,
             label="process worker",
         )
+        #: Silence tolerated from a worker with a task in flight.
+        self.silence_limit = self.options.heartbeat_timeout
+        if self.options.subsolver == "exact":
+            self.silence_limit += self.options.exact_time_limit
         self.record = BackendRun(outcomes=[], kind=SocketTransportBackend.name)
         self.total = len(plan.seeds)
         #: [task, not-before] dispatch queue (monotonic not-before
-        #: implements the retry backoff).
+        #: implements the retry backoff).  A restart is in exactly one
+        #: place: pending, in flight on one connection, or done.
         self.pending: list[list] = [[task, 0.0] for task in plan.tasks()]
         self.done: set[int] = set()
         self.connections: dict[int, _Connection] = {}
         self.pids: list[int] = []
-        self.threads: list[threading.Thread] = []
         self.selector: selectors.BaseSelector | None = None
         # The spawn budget bounds crash/respawn loops; a spawn's ordinal
         # is its index in spawn order.
@@ -210,15 +206,14 @@ class _Driver:
     # I/O pump
     # ------------------------------------------------------------------
     def _pump(self) -> None:
-        timeout = max(0.01, min(self.options.heartbeat_interval, 0.25))
-        for key, _ in self.selector.select(timeout):
+        for key, _ in self.selector.select(_POLL_SECONDS):
             if key.data.fd in self.connections:
                 self._service(key.data)
 
     def _service(self, connection: _Connection) -> None:
         try:
             frames = connection.endpoint.receive_available()
-        except (ConnectionClosedError, TransportError) as error:
+        except TransportError as error:
             self._fail_connection(connection, str(error))
             return
         for frame in frames:
@@ -228,78 +223,24 @@ class _Driver:
     # Frame handling
     # ------------------------------------------------------------------
     def _handle_frame(self, connection: _Connection, frame: dict) -> None:
-        connection.last_seen = time.monotonic()
-        kind = frame.get("kind")
-        if kind == KIND_ACK:
-            inflight = connection.inflight
-            if inflight and frame.get("task_id") == inflight.task_id:
-                inflight.acked = True
-        elif kind == KIND_RESULT:
-            self._handle_result(connection, frame)
-        elif kind == KIND_ERROR:
-            self._handle_worker_error(connection, frame)
-        elif kind == KIND_HEARTBEAT:
-            self._reconcile_heartbeat(connection, frame)
-        # Unknown kinds are ignored.
-
-    def _clear_inflight(self, connection: _Connection, frame: dict) -> None:
+        # A worker sends frames only about the restart in flight on its
+        # connection, and none after that restart's RESULT or ERROR.
+        now = time.monotonic()
+        connection.last_seen = now
+        kind = frame["kind"]
         inflight = connection.inflight
-        if inflight is None:
+        if kind == KIND_HEARTBEAT:
+            inflight.started = True
             return
-        if frame.get("task_id") == inflight.task_id or int(
-            frame.get("restart", -1)
-        ) == inflight.task.restart:
-            connection.inflight = None
-
-    def _handle_result(self, connection: _Connection, frame: dict) -> None:
-        restart = int(frame.get("restart", -1))
-        wall_time = 0.0
-        inflight = connection.inflight
-        if inflight and frame.get("task_id") == inflight.task_id:
-            wall_time = time.monotonic() - inflight.dispatched
-        self._clear_inflight(connection, frame)
-        if not (0 <= restart < self.total) or restart in self.done:
-            return  # stray or duplicate delivery — first result wins
-        try:
-            outcome = _outcome_from_frame(frame, wall_time)
-        except (KeyError, TypeError, ValueError) as error:
-            # A frame that is not an outcome counts as a failed run.
-            self.record.worker_failures += 1
-            self._requeue(
-                RestartTask(restart=restart, seed=self.plan.seeds[restart]),
-                f"malformed result frame ({type(error).__name__}: {error})",
-            )
-            return
-        self.done.add(restart)
-        self.record.outcomes.append(outcome)
-
-    def _handle_worker_error(self, connection: _Connection, frame: dict) -> None:
-        restart = frame.get("restart")
-        self._clear_inflight(connection, frame)
-        self.record.worker_failures += 1
-        if restart is None:
-            return
-        restart = int(restart)
-        if 0 <= restart < self.total and restart not in self.done:
-            self._requeue(
-                RestartTask(restart=restart, seed=self.plan.seeds[restart]),
-                str(frame.get("message", "worker error")),
-            )
-
-    def _reconcile_heartbeat(self, connection: _Connection, frame: dict) -> None:
-        inflight = connection.inflight
-        if inflight is None or not inflight.acked:
-            return
-        if frame.get("task_id") == inflight.task_id:
-            return  # still computing our task
-        # The ACK proved the task arrived; the worker goes idle only
-        # after sending the terminal frame, and the stream preserves order —
-        # so an idle beat after the ACK means that frame was lost.
         connection.inflight = None
-        if inflight.task.restart not in self.done:
-            self._requeue(
-                inflight.task, "result frame lost (worker idle after ack)"
+        if kind == KIND_RESULT:
+            self.done.add(inflight.task.restart)
+            self.record.outcomes.append(
+                _outcome_from_frame(frame, now - inflight.dispatched)
             )
+        elif kind == KIND_ERROR:
+            self.record.worker_failures += 1
+            self._requeue(inflight.task, str(frame["message"]))
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -314,8 +255,6 @@ class _Driver:
             if chosen is not None:
                 keep.append(entry)
                 continue
-            if task.restart in self.done:
-                continue  # superseded by a completed duplicate
             if task.restart > 0 and self.plan.expired():
                 self.done.add(task.restart)
                 self.record.cancelled += 1
@@ -335,21 +274,16 @@ class _Driver:
             task = self._next_task(now)
             if task is None:
                 return
-            attempt = self.tracker.failures.get(task.restart, 0)
-            task_id = f"{task.restart}:{attempt}"
             try:
-                connection.endpoint.send(
-                    KIND_TASK, task_id=task_id, restart=task.restart
-                )
-            except (ConnectionClosedError, TransportError) as error:
+                connection.endpoint.send(KIND_TASK, restart=task.restart)
+            except TransportError as error:
                 # The task never left: put it straight back (no retry
                 # budget spent) and write the connection off.
                 self.pending.append([task, now])
                 self._fail_connection(connection, str(error))
                 continue
-            connection.inflight = _Inflight(
-                task=task, task_id=task_id, dispatched=now
-            )
+            connection.inflight = _Inflight(task=task, dispatched=now)
+            connection.last_seen = now
 
     def _requeue(self, task: RestartTask, reason: str) -> None:
         """Count a failed attempt and reschedule after its backoff.
@@ -365,30 +299,15 @@ class _Driver:
     # ------------------------------------------------------------------
     def _sweep_liveness(self) -> None:
         now = time.monotonic()
-        timeout = self.options.heartbeat_timeout
         for connection in list(self.connections.values()):
             silence = now - connection.last_seen
-            if silence > timeout:
+            if connection.inflight is not None and silence > self.silence_limit:
                 self._fail_connection(
                     connection,
-                    f"no frames for {silence:.2f}s "
-                    f"(heartbeat_timeout={timeout}s) — dead or stalled",
+                    f"no frames for {silence:.2f}s with restart "
+                    f"{connection.inflight.task.restart} in flight "
+                    f"(limit {self.silence_limit}s) — blocked",
                 )
-                continue
-            inflight = connection.inflight
-            if (
-                inflight is not None
-                and not inflight.acked
-                and now - inflight.dispatched > timeout
-            ):
-                # The TASK frame (or its ACK) was lost in transit; the
-                # connection still heartbeats, so keep it and requeue.
-                connection.inflight = None
-                if inflight.task.restart not in self.done:
-                    self._requeue(
-                        inflight.task,
-                        "task not acknowledged before heartbeat_timeout",
-                    )
         self._ensure_workers()
 
     def _fail_connection(self, connection: _Connection, reason: str) -> None:
@@ -396,20 +315,18 @@ class _Driver:
             return  # already written off
         del self.connections[connection.fd]
         self.record.worker_failures += 1
-        try:
-            self.selector.unregister(connection.endpoint.sock)
-        except (KeyError, ValueError, OSError):
-            pass
+        self.selector.unregister(connection.endpoint.sock)
         connection.endpoint.close()
+        _signal(connection.pid, signal.SIGKILL)
         inflight = connection.inflight
         connection.inflight = None
-        if inflight is None or inflight.task.restart in self.done:
+        if inflight is None:
             return
-        if inflight.acked:
+        if inflight.started:
             self._requeue(inflight.task, reason)
         else:
-            # The worker never acknowledged the task, so the restart
-            # never ran there: put it back without spending its budget.
+            # The restart never started there: put it back without
+            # spending its budget.
             self.pending.append([inflight.task, 0.0])
 
     def _ensure_workers(self) -> None:
@@ -420,31 +337,21 @@ class _Driver:
             ordinal = self.spawn_count
             self.spawn_count += 1
             try:
-                sock = self._spawn_one(ordinal)
+                sock, pid = self._spawn_one(ordinal)
             except OSError:  # fork refused (process limit, memory)
                 self.record.worker_failures += 1
                 continue
-            self._connect(ordinal, sock)
+            self._connect(sock, pid)
 
     def _drained(self) -> bool:
         return not self.connections and self.spawn_count >= self.spawn_budget
 
-    def _spawn_one(self, ordinal: int) -> socket.socket:
-        """Start worker ``ordinal``; returns the driver's end of its pair."""
-        driver_sock, worker_sock = socket.socketpair()
-        worker_faults = self.config.fault_plan.worker_faults(ordinal)
-        if self.config.spawn == "thread":
-            thread = threading.Thread(
-                target=self._thread_worker,
-                args=(worker_sock, self.plan, worker_faults),
-                name=f"sa-process-worker-{ordinal}",
-                daemon=True,
-            )
-            thread.start()
-            self.threads.append(thread)
-            return driver_sock
+    def _spawn_one(self, ordinal: int) -> tuple[socket.socket, int]:
+        """Fork worker ``ordinal``; returns the driver's end of its pair
+        and the worker's pid."""
         from repro.sa.worker import run_worker
 
+        driver_sock, worker_sock = socket.socketpair()
         try:
             pid = os.fork()
         except OSError:
@@ -454,7 +361,7 @@ class _Driver:
         if pid:
             self.pids.append(pid)
             worker_sock.close()
-            return driver_sock
+            return driver_sock, pid
         # The child: serve tasks, then leave without running any of the
         # parent's cleanup (atexit hooks, buffered output, finalizers).
         code = 1
@@ -463,26 +370,22 @@ class _Driver:
             self._close_driver_sockets()
             _fresh_cached_property_locks()
             _single_thread_blas()
-            run_worker(worker_sock, self.plan, faults=worker_faults)
+            run_worker(
+                worker_sock,
+                self.plan,
+                faults=self.fault_plan.worker_faults(ordinal),
+            )
             code = 0
         finally:
             os._exit(code)
 
-    def _connect(self, ordinal: int, sock: socket.socket) -> None:
-        """Start serving a freshly spawned worker's connection.
-
-        A worker that never speaks is written off by the liveness sweep
-        once ``heartbeat_timeout`` passes.
-        """
-        faults = self.config.fault_plan.endpoint_faults(ordinal)
-        endpoint: Endpoint = (
-            FaultyEndpoint(sock, faults, side="driver")
-            if faults
-            else Endpoint(sock)
-        )
+    def _connect(self, sock: socket.socket, pid: int) -> None:
+        """Start serving a freshly forked worker's connection."""
+        endpoint = Endpoint(sock)
         connection = _Connection(
             endpoint=endpoint,
             fd=endpoint.fileno(),
+            pid=pid,
             last_seen=time.monotonic(),
         )
         self.connections[connection.fd] = connection
@@ -500,32 +403,14 @@ class _Driver:
         for connection in self.connections.values():
             connection.endpoint.close()
 
-    @staticmethod
-    def _thread_worker(
-        sock: socket.socket, plan: PortfolioPlan, faults: list
-    ) -> None:
-        from repro.sa.transport.faults import FaultInjected
-        from repro.sa.worker import run_worker
-
-        try:
-            run_worker(sock, plan, faults=faults)
-        except (FaultInjected, TransportError, ConnectionClosedError, OSError):
-            pass  # scheduled deaths and driver teardown are expected
-
     # ------------------------------------------------------------------
     # Degraded mode
     # ------------------------------------------------------------------
     def _drain_in_driver(self) -> None:
         """Run every restart still owed in the driver, in index order,
         through the serial backend's loop."""
-        owed = {
-            task.restart: task
-            for task, _ in self.pending
-            if task.restart not in self.done
-        }
-        run_in_process(
-            self.plan, [owed[restart] for restart in sorted(owed)], self.record
-        )
+        owed = sorted((task for task, _ in self.pending), key=lambda t: t.restart)
+        run_in_process(self.plan, owed, self.record)
 
     # ------------------------------------------------------------------
     # Teardown
@@ -534,7 +419,7 @@ class _Driver:
         for connection in list(self.connections.values()):
             try:
                 connection.endpoint.send(KIND_SHUTDOWN)
-            except Exception:
+            except TransportError:
                 pass
             connection.endpoint.close()
         self.connections.clear()
@@ -546,8 +431,6 @@ class _Driver:
             if not _reap(pid, timeout=5):
                 _signal(pid, signal.SIGKILL)
                 _reap(pid, timeout=5)
-        for thread in self.threads:
-            thread.join(timeout=2)
 
 
 def _outcome_from_frame(frame: dict, wall_time: float) -> RestartOutcome:
@@ -594,8 +477,10 @@ def _fresh_cached_property_locks() -> None:
     copies that lock held when another driver thread (a service solving
     requests in threads) is computing such a property at that moment,
     and the worker's first read of a property its plan has not cached
-    yet would then wait forever while its heartbeats still say busy.
-    Python 3.12 dropped the lock; there is nothing to replace.
+    yet would then wait forever.  The silent worker would be written
+    off and its restart retried, but a retry's fork could copy the lock
+    held again, until the restart's retries are spent and the solve
+    fails.  Python 3.12 dropped the lock; there is nothing to replace.
     """
     from repro.costmodel.coefficients import CostCoefficients
     from repro.model.compressed import LiftingMap

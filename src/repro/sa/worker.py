@@ -2,40 +2,40 @@
 
 A worker is one forked child of the portfolio driver
 (:mod:`repro.sa.transport.socket_backend`), connected to it by a socket
-pair made before the fork.  It inherits the portfolio's plan, and with
-it the heartbeat interval, and loops: receive a TASK frame naming a
-restart, acknowledge it, anneal that restart on the inherited
-coefficients with :func:`~repro.sa.backends.base.run_restart` — the
-serial backend's own call, so its outcome is bitwise the serial one —
-and send the outcome back in a RESULT frame.  A daemon ticker thread
-heartbeats throughout (carrying the id of the task currently running,
-so the driver can tell "lost the result" from "still computing").
+pair made before the fork.  It inherits the portfolio's plan and loops
+on one thread: receive a TASK frame naming a restart, anneal that
+restart on the inherited coefficients with
+:func:`~repro.sa.backends.base.run_restart` — the serial backend's own
+call, so its outcome is bitwise the serial one — and send the outcome
+back in a RESULT frame.
 
-Frame-ordering invariant the driver's liveness reconciliation relies
-on: the worker marks itself busy *before* sending the ACK and idle only
-*after* sending the RESULT/ERROR frame, and all sends share one
-lock — so on the (ordered) stream, any heartbeat claiming idleness
-after an ACK proves the task's terminal frame was already sent.  If the
-driver saw the ACK but no terminal frame, that frame was lost, and the
-restart is safe to requeue.
+Liveness comes from the anneal itself.  ``run_restart`` calls the
+session's progress hook as the restart starts and once per inner
+iteration; the hook sends a HEARTBEAT naming the restart and its
+iteration count, at most one per ``heartbeat_timeout /
+BEATS_PER_TIMEOUT`` seconds (the call that starts a restart always
+sends, so the driver learns the task began).  A worker whose main
+thread blocks therefore goes silent, and the driver's liveness sweep
+writes it off.
 
-Only the worker-side actions of a
-:class:`~repro.sa.transport.faults.FaultPlan` apply here
-(``kill-worker`` dies abruptly mid-restart, ``stall-heartbeat`` goes
-silent while still computing) — the chaos suite uses them to rehearse
-worker crashes deterministically.
+The worker session also fires the worker's part of a
+:class:`~repro.sa.transport.faults.FaultPlan`: ``kill-worker`` raises
+:class:`~repro.sa.transport.faults.FaultInjected` instead of sending a
+RESULT, and ``block`` blocks the main thread forever at a progress
+call — the chaos suite uses them to rehearse both failures
+deterministically.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
+import time
 
-from repro.exceptions import ConnectionClosedError, TransportError
+from repro.exceptions import TransportError
 from repro.sa.backends.base import PortfolioPlan, run_restart
-from repro.sa.transport.faults import Fault, FaultInjected, FaultyEndpoint
+from repro.sa.transport.faults import Fault, FaultInjected
 from repro.sa.transport.protocol import (
-    KIND_ACK,
     KIND_ERROR,
     KIND_HEARTBEAT,
     KIND_RESULT,
@@ -44,63 +44,60 @@ from repro.sa.transport.protocol import (
     Endpoint,
 )
 
+#: A worker sends at most one heartbeat per ``heartbeat_timeout /
+#: BEATS_PER_TIMEOUT`` seconds.
+BEATS_PER_TIMEOUT = 10
+
 
 class WorkerSession:
-    """One connected worker: heartbeat ticker plus the task loop."""
+    """One connected worker: the task loop and the anneal's progress hook."""
 
-    def __init__(self, endpoint: Endpoint, plan: PortfolioPlan):
+    def __init__(
+        self,
+        endpoint: Endpoint,
+        plan: PortfolioPlan,
+        faults: list[Fault] | tuple[Fault, ...] = (),
+    ):
         self.endpoint = endpoint
         self.plan = plan
-        #: task_id currently being run (read by the ticker thread; a
-        #: plain attribute is enough — torn reads are impossible for an
-        #: object reference and the protocol tolerates a stale beat).
-        self.current: str | None = None
-        self._stop = threading.Event()
+        self.beat_interval = plan.options.heartbeat_timeout / BEATS_PER_TIMEOUT
+        self.kill_at = {f.index for f in faults if f.action == "kill-worker"}
+        self.block_at = {f.index for f in faults if f.action == "block"}
+        self.results_sent = 0
+        self.progress_calls = 0
+        self.restart = -1
+        self.next_beat = 0.0
 
-    # -- heartbeat ticker (daemon thread) ------------------------------
-    def _tick(self) -> None:
-        while not self._stop.wait(self.plan.options.heartbeat_interval):
-            try:
-                self.endpoint.send(
-                    KIND_HEARTBEAT,
-                    task_id=self.current,
-                    busy=self.current is not None,
-                )
-            except (ConnectionClosedError, OSError):
-                return
-            except FaultInjected:
-                return  # scheduled death of the ticker = silent worker
-
-    # -- task loop -----------------------------------------------------
     def run(self) -> None:
-        ticker = threading.Thread(
-            target=self._tick, name="sa-worker-heartbeat", daemon=True
-        )
-        ticker.start()
         try:
             while True:
                 frame = self.endpoint.recv(timeout=None)
-                kind = frame["kind"]
-                if kind == KIND_SHUTDOWN:
+                if frame["kind"] == KIND_SHUTDOWN:
                     return
-                if kind == KIND_TASK:
-                    self._handle_task(frame)
-                # Anything else (stray frames) is ignored.
-        except (ConnectionClosedError, TransportError):
-            # Driver gone or stream corrupt: nothing to report to, and
-            # the driver's liveness monitor handles our disappearance.
+                if frame["kind"] == KIND_TASK:
+                    self._run_task(int(frame["restart"]))
+        except TransportError:
+            # The driver hung up (it finished or wrote this worker off):
+            # there is nobody left to report to.
             return
         finally:
-            self._stop.set()
             self.endpoint.close()
 
-    def _handle_task(self, frame: dict) -> None:
-        task_id = frame.get("task_id")
-        restart = int(frame.get("restart", -1))
-        # Busy *before* the ACK, idle only *after* the terminal frame —
-        # see the module docstring for the reconciliation proof.
-        self.current = task_id
-        self.endpoint.send(KIND_ACK, task_id=task_id)
+    def progress(self, iterations: int) -> None:
+        """The anneal's progress hook: beat at most once per interval."""
+        if self.progress_calls in self.block_at:
+            threading.Event().wait()  # the block fault: silent for good
+        self.progress_calls += 1
+        now = time.monotonic()
+        if now >= self.next_beat:
+            self.next_beat = now + self.beat_interval
+            self.endpoint.send(
+                KIND_HEARTBEAT, restart=self.restart, iterations=iterations
+            )
+
+    def _run_task(self, restart: int) -> None:
+        self.restart = restart
+        self.next_beat = 0.0  # the restart's first progress call beats
         plan = self.plan
         try:
             outcome = run_restart(
@@ -110,21 +107,22 @@ class WorkerSession:
                 restart,
                 plan.seeds[restart],
                 plan.deadline,
+                progress=self.progress,
             )
         except Exception as error:
             self.endpoint.send(
                 KIND_ERROR,
-                task_id=task_id,
                 restart=restart,
                 message=f"{type(error).__name__}: {error}",
             )
-            self.current = None
             return
-        # A kill-worker fault fires here, in the send itself — dying
-        # with the result computed but unsent, the worst-timed crash.
+        if self.results_sent in self.kill_at:
+            raise FaultInjected(
+                f"fault plan kills this worker at result #{self.results_sent}"
+            )
+        self.results_sent += 1
         self.endpoint.send(
             KIND_RESULT,
-            task_id=task_id,
             restart=restart,
             seed=outcome.seed,
             x=outcome.x.astype(int).tolist(),
@@ -135,7 +133,6 @@ class WorkerSession:
             accepted_worse=outcome.accepted_worse,
             outer_loops=outcome.outer_loops,
         )
-        self.current = None
 
 
 def run_worker(
@@ -146,11 +143,6 @@ def run_worker(
     """Serve ``plan``'s restarts over ``sock`` until shutdown/disconnect.
 
     Raises :class:`~repro.sa.transport.faults.FaultInjected` when a
-    scheduled kill fires (a forked worker then exits; a thread worker
-    ends).
+    scheduled kill fires; the forked worker then exits.
     """
-    if faults:
-        endpoint: Endpoint = FaultyEndpoint(sock, list(faults), side="worker")
-    else:
-        endpoint = Endpoint(sock)
-    WorkerSession(endpoint, plan).run()
+    WorkerSession(Endpoint(sock), plan, faults).run()

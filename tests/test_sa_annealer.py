@@ -153,6 +153,25 @@ class TestAnnealer:
         assert annealer.trace.outer_loops >= 1
         assert len(annealer.trace.best_history) == annealer.trace.outer_loops
 
+    @pytest.mark.parametrize("disjoint", [False, True])
+    def test_progress_hook_sees_every_iteration_and_changes_nothing(
+        self, disjoint
+    ):
+        instance = small_random_instance(1)
+        coefficients = build_coefficients(instance, CostParameters())
+        options = SaOptions(
+            inner_loops=4, max_outer_loops=3, seed=1, disjoint=disjoint
+        )
+        calls = []
+        hooked = SimulatedAnnealer(coefficients, 2, options, progress=calls.append)
+        plain = SimulatedAnnealer(coefficients, 2, options)
+        x, y, best = hooked.run()
+        plain_x, plain_y, plain_best = plain.run()
+        assert best == plain_best
+        np.testing.assert_array_equal(x, plain_x)
+        np.testing.assert_array_equal(y, plain_y)
+        assert calls == list(range(1, plain.trace.iterations + 1))
+
     def test_time_limit_respected(self):
         instance = small_random_instance(2, num_transactions=8, num_tables=6)
         coefficients = build_coefficients(instance, CostParameters())

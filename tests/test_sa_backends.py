@@ -1,7 +1,7 @@
 """Pluggable portfolio execution backends.
 
 Pins the acceptance contract: all backends return bitwise-identical
-best results per master seed, forked, thread-spawned or in the driver.
+best results per master seed, forked or in the driver.
 Transport-level worker faults are pinned in ``tests/test_transport.py``.
 """
 
@@ -28,7 +28,7 @@ from repro.sa.backends.base import _BACKENDS
 from repro.sa.options import SaOptions, usable_cores
 from repro.sa.portfolio import derive_restart_seeds, run_portfolio
 from repro.sa.solver import SaPartitioner
-from repro.sa.transport import SocketTransportBackend, socket_backend
+from repro.sa import worker
 from tests.conftest import small_random_instance
 
 FAST = dict(inner_loops=6, max_outer_loops=6)
@@ -66,9 +66,11 @@ class TestBackendRegistry:
         for options in (
             {"backend": "queue"}, {"incremental": False}, {"prune": True},
             {"backend": "socket"}, {"workers": 0},
+            {"heartbeat_interval": 0.5},
         ):
             with pytest.raises(
-                OptionsError, match="queue|incremental|prune|socket|workers"
+                OptionsError,
+                match="queue|incremental|prune|socket|workers|heartbeat_interval",
             ):
                 advise(
                     SolveRequest(
@@ -117,18 +119,15 @@ def run_without_fork(coefficients, num_sites, options):
 
 
 def run_on_drained_pool(coefficients, num_sites, options):
-    """The process backend whose every thread-spawned worker hangs up at
-    once: the pool drains and the driver runs the restarts itself."""
+    """The process backend whose every forked worker hangs up at once:
+    the pool drains and the driver runs the restarts itself."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
-            socket_backend._Driver,
-            "_thread_worker",
-            staticmethod(lambda sock, plan, faults: sock.close()),
+            worker, "run_worker", lambda sock, plan, faults: sock.close()
         )
         with pytest.warns(RuntimeWarning, match="drained"):
             return run_portfolio(
-                coefficients, num_sites, options,
-                backend=SocketTransportBackend(spawn="thread"),
+                coefficients, num_sites, options, backend="process"
             )
 
 

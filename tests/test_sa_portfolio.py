@@ -233,6 +233,8 @@ class TestOptionsValidation:
             (dict(exact_time_limit=0.0), "exact_time_limit"),
             (dict(patience=0), "patience"),
             (dict(inner_loops=0), "inner_loops"),
+            (dict(heartbeat_timeout=0.0), "heartbeat_timeout"),
+            (dict(heartbeat_timeout=-1.0), "heartbeat_timeout"),
         ],
     )
     def test_bad_options_raise_eagerly(self, kwargs, match):

@@ -1,19 +1,25 @@
 """Fault-tolerant socket transport: protocol, fault harness, chaos parity.
 
 Pins the transport's contract: length-prefixed frames round-trip and
-reject garbage, the deterministic fault harness replays its schedule
-exactly, and — the headline — the process backend returns a best that is
-bitwise identical to :class:`~repro.sa.backends.serial.SerialBackend`
-under *every* fault schedule, on thread fakes and forked workers alike.
+reject garbage, a worker heartbeats from its anneal loop and fires its
+scheduled faults exactly, and — the headline — the process backend
+returns a best that is bitwise identical to
+:class:`~repro.sa.backends.serial.SerialBackend` under *every* fault
+schedule, with no healthy worker written off.
 """
 
 import ctypes
 import dataclasses
 import functools
+import json
 import os
 import signal
 import socket as socket_module
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,14 +34,15 @@ from repro.exceptions import (
     SolverError,
     TransportError,
 )
-from repro.sa.backends import backend_names, get_backend
+from repro.sa.annealer import SimulatedAnnealer
+from repro.sa.backends import PortfolioPlan, backend_names, get_backend
 from repro.sa.options import SaOptions
-from repro.sa.portfolio import run_portfolio
+from repro.sa.portfolio import derive_restart_seeds, run_portfolio
+from repro.sa.subsolve import SubproblemSolver
 from repro.sa.transport import (
     Endpoint,
     Fault,
     FaultPlan,
-    FaultyEndpoint,
     SocketTransportBackend,
 )
 from repro.sa.transport import protocol, socket_backend
@@ -43,10 +50,12 @@ from repro.sa.transport.faults import FaultInjected
 from repro.sa.transport.protocol import (
     KIND_HEARTBEAT,
     KIND_RESULT,
+    KIND_SHUTDOWN,
     KIND_TASK,
     decode_payload,
     encode_frame,
 )
+from repro.sa.worker import WorkerSession
 from tests.conftest import small_random_instance
 
 #: One portfolio configuration shared by every parity test: small
@@ -59,7 +68,6 @@ CHAOS_OPTIONS = dict(
     inner_loops=3,
     max_outer_loops=8,
     max_retries=3,
-    heartbeat_interval=0.1,
     heartbeat_timeout=1.0,
     backoff_base=0.01,
 )
@@ -98,26 +106,20 @@ def endpoint_pair():
 # ----------------------------------------------------------------------
 class TestProtocol:
     def test_frame_round_trip(self):
-        frame = encode_frame(KIND_TASK, task_id="3:0", restart=3, x=[0, 1])
+        frame = encode_frame(KIND_RESULT, restart=3, x=[0, 1])
         payload = decode_payload(frame[4:])
-        assert payload == {
-            "kind": KIND_TASK,
-            "task_id": "3:0",
-            "restart": 3,
-            "x": [0, 1],
-        }
+        assert payload == {"kind": KIND_RESULT, "restart": 3, "x": [0, 1]}
 
     def test_identical_messages_are_identical_bytes(self):
-        """Sorted-key dumps: the fault harness can target 'the third
-        RESULT frame' only because equal payloads encode equally."""
-        a = encode_frame(KIND_RESULT, restart=1, seed=5, task_id="1:0")
-        b = encode_frame(KIND_RESULT, task_id="1:0", seed=5, restart=1)
+        """Sorted-key dumps: equal payloads encode to equal bytes."""
+        a = encode_frame(KIND_RESULT, restart=1, seed=5, iterations=9)
+        b = encode_frame(KIND_RESULT, iterations=9, seed=5, restart=1)
         assert a == b
 
     def test_oversize_frame_refused_on_send(self, monkeypatch):
         monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 32)
         with pytest.raises(TransportError, match="exceeds MAX_FRAME_BYTES"):
-            encode_frame(KIND_TASK, task_id="x" * 64)
+            encode_frame(KIND_RESULT, message="x" * 64)
 
     @pytest.mark.parametrize(
         "data",
@@ -131,11 +133,11 @@ class TestProtocol:
         driver, worker = endpoint_pair()
         try:
             for index in range(3):
-                worker.send(KIND_HEARTBEAT, task_id=None, beat=index)
+                worker.send(KIND_HEARTBEAT, restart=0, iterations=index)
             for index in range(3):
                 frame = driver.recv(timeout=1.0)
                 assert frame["kind"] == KIND_HEARTBEAT
-                assert frame["beat"] == index
+                assert frame["iterations"] == index
         finally:
             driver.close()
             worker.close()
@@ -199,7 +201,7 @@ class TestProtocol:
 
 
 # ----------------------------------------------------------------------
-# Fault plans and the faulty endpoint
+# Fault plans and the worker session
 # ----------------------------------------------------------------------
 class TestFaultPlan:
     def test_random_is_deterministic_per_seed(self):
@@ -208,114 +210,74 @@ class TestFaultPlan:
         plan = FaultPlan.random(7, faults=5, connections=3)
         assert len(plan.faults) == 5
         assert all(fault.connection < 3 for fault in plan.faults)
+        assert {fault.action for fault in plan.faults} <= {"block", "kill-worker"}
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(action="sabotage"),
-            dict(action="drop", direction="sideways"),
-            dict(action="drop", index=-1),
-            dict(action="drop", connection=-2),
-            dict(action="delay", delay=-0.5),
+            dict(action="drop"),
+            dict(action="stall-heartbeat"),
+            dict(action="kill-worker", index=-1),
+            dict(action="block", connection=-2),
         ],
     )
     def test_fault_validation(self, kwargs):
         with pytest.raises(OptionsError):
             Fault(**kwargs)
 
-    def test_endpoint_split_by_action_class(self):
-        plan = FaultPlan(
-            (
-                Fault("drop", connection=0),
-                Fault("kill-worker", connection=0),
-                Fault("corrupt", connection=1),
-            )
-        )
-        assert [f.action for f in plan.endpoint_faults(0)] == ["drop"]
-        assert [f.action for f in plan.worker_faults(0)] == ["kill-worker"]
-        assert [f.action for f in plan.endpoint_faults(1)] == ["corrupt"]
 
-
-class TestFaultyEndpoint:
-    def test_drop_on_recv_loses_exactly_the_indexed_frame(self):
-        left, right = socket_module.socketpair()
-        sender = Endpoint(right)
-        receiver = FaultyEndpoint(
-            left, [Fault("drop", kind="result", direction="recv", index=0)]
-        )
+def run_session(coefficients, tasks, faults=(), **options):
+    """Serve ``tasks`` (restart indices) in this process through a
+    :class:`WorkerSession`, then return every frame it sent."""
+    options = SaOptions(**dict(CHAOS_OPTIONS, **options))
+    plan = PortfolioPlan(
+        coefficients,
+        NUM_SITES,
+        options,
+        derive_restart_seeds(options.seed, options.restarts),
+    )
+    driver, worker = endpoint_pair()
+    try:
+        for restart in tasks:
+            driver.send(KIND_TASK, restart=restart)
+        driver.send(KIND_SHUTDOWN)
+        session = WorkerSession(worker, plan, faults)
         try:
-            sender.send(KIND_RESULT, restart=0)
-            sender.send(KIND_RESULT, restart=1)
-            frame = receiver.recv(timeout=1.0)
-            assert frame["restart"] == 1  # frame #0 silently vanished
-        finally:
-            sender.close()
-            receiver.close()
-
-    def test_duplicate_on_recv_replays_the_frame(self):
-        left, right = socket_module.socketpair()
-        sender = Endpoint(right)
-        receiver = FaultyEndpoint(
-            left, [Fault("duplicate", kind="result", direction="recv", index=0)]
-        )
-        try:
-            sender.send(KIND_RESULT, restart=0)
-            first = receiver.recv(timeout=1.0)
-            second = receiver.recv(timeout=1.0)
-            assert first == second
-        finally:
-            sender.close()
-            receiver.close()
-
-    def test_corrupt_on_send_breaks_decoding_not_framing(self):
-        """Corruption flips payload bytes but never the length prefix:
-        the receiver reads a complete frame and fails to *decode* it."""
-        left, right = socket_module.socketpair()
-        sender = FaultyEndpoint(
-            right, [Fault("corrupt", kind="task", direction="send", index=0)]
-        )
-        receiver = Endpoint(left)
-        try:
-            sender.send(KIND_TASK, task_id="0:0", restart=0)
-            with pytest.raises(TransportError):
-                receiver.recv(timeout=1.0)
-        finally:
-            sender.close()
-            receiver.close()
-
-    def test_worker_kill_raises_on_matched_send(self):
-        left, right = socket_module.socketpair()
-        worker = FaultyEndpoint(
-            right,
-            [Fault("kill-worker", kind="result", direction="recv", index=0)],
-            side="worker",
-        )
-        try:
-            worker.send(KIND_HEARTBEAT, task_id=None)  # other kinds pass
-            with pytest.raises(FaultInjected):
-                worker.send(KIND_RESULT, restart=0)
-        finally:
+            session.run()
+        except FaultInjected:
             worker.close()
-            left.close()
+        return driver.receive_available()
+    finally:
+        driver.close()
 
-    def test_worker_stall_swallows_heartbeats_stickily(self):
-        left, right = socket_module.socketpair()
-        worker = FaultyEndpoint(
-            right,
-            [Fault("stall-heartbeat", kind="heartbeat", direction="recv", index=1)],
-            side="worker",
+
+class TestWorkerSession:
+    def test_each_restart_beats_as_it_starts(self, coefficients):
+        """The call that starts a restart always beats, naming the
+        restart; within one beat interval no further call does."""
+        frames = run_session(coefficients, [0, 1], heartbeat_timeout=100.0)
+        assert [(f["kind"], f["restart"]) for f in frames] == [
+            (KIND_HEARTBEAT, 0),
+            (KIND_RESULT, 0),
+            (KIND_HEARTBEAT, 1),
+            (KIND_RESULT, 1),
+        ]
+        assert [f["iterations"] for f in frames[::2]] == [0, 0]
+
+    def test_kill_fires_at_the_indexed_result(self, coefficients):
+        """``kill-worker`` at index 1: the first result goes out, the
+        second is computed but never sent."""
+        frames = run_session(
+            coefficients,
+            [0, 1],
+            faults=[Fault("kill-worker", index=1)],
+            heartbeat_timeout=100.0,
         )
-        driver = Endpoint(left)
-        try:
-            worker.send(KIND_HEARTBEAT, beat=0)  # before the stall: delivered
-            worker.send(KIND_HEARTBEAT, beat=1)  # stalled...
-            worker.send(KIND_HEARTBEAT, beat=2)  # ...stickily
-            worker.send(KIND_RESULT, restart=0)  # other kinds still flow
-            assert driver.recv(timeout=1.0)["beat"] == 0
-            assert driver.recv(timeout=1.0)["kind"] == KIND_RESULT
-        finally:
-            worker.close()
-            driver.close()
+        assert [f["restart"] for f in frames if f["kind"] == KIND_RESULT] == [0]
+        assert frames[-1] == {
+            "kind": KIND_HEARTBEAT, "restart": 1, "iterations": 0,
+        }
 
 
 # ----------------------------------------------------------------------
@@ -325,29 +287,12 @@ class TestSocketBackendConfig:
     def test_registered(self):
         assert "socket" not in backend_names()
         assert isinstance(get_backend("process"), SocketTransportBackend)
-        assert SocketTransportBackend().spawn == "fork"
-
-    def test_invalid_construction(self):
-        with pytest.raises(OptionsError, match="spawn"):
-            SocketTransportBackend(spawn="carrier-pigeon")
 
 
 # ----------------------------------------------------------------------
-# Clean-weather parity (every spawn mode, no faults)
+# Clean-weather parity (no faults)
 # ----------------------------------------------------------------------
 class TestCleanParity:
-    def test_thread_spawn_matches_serial(self, coefficients, serial_baseline):
-        result = run_portfolio(
-            coefficients,
-            NUM_SITES,
-            SaOptions(**CHAOS_OPTIONS),
-            backend=SocketTransportBackend(spawn="thread"),
-        )
-        assert_bitwise_identical(result, serial_baseline)
-        assert result.executor == "process"
-        assert result.requeue_count == 0
-        assert result.worker_failures == 0
-
     def test_process_spawn_matches_serial(self, coefficients, serial_baseline):
         """Two forked worker processes, round trip and clean exit."""
         result = run_portfolio(
@@ -357,6 +302,8 @@ class TestCleanParity:
             backend="process",
         )
         assert_bitwise_identical(result, serial_baseline)
+        assert result.executor == "process"
+        assert result.requeue_count == 0
         assert result.worker_failures == 0
 
     def test_idle_workers_get_a_task_before_the_driver_waits(
@@ -373,9 +320,7 @@ class TestCleanParity:
                 connection.inflight is None
                 for connection in driver.connections.values()
             )
-            ready = any(
-                task.restart not in driver.done for task, _ in driver.pending
-            )
+            ready = bool(driver.pending)
             if idle and ready:
                 stalls.append(len(driver.done))
             return real_pump(driver)
@@ -385,7 +330,7 @@ class TestCleanParity:
             coefficients,
             NUM_SITES,
             SaOptions(**CHAOS_OPTIONS),
-            backend=SocketTransportBackend(spawn="thread"),
+            backend="process",
         )
         assert_bitwise_identical(result, serial_baseline)
         assert stalls == []
@@ -418,49 +363,14 @@ class TestCleanParity:
 # The chaos matrix: every fault schedule
 # ----------------------------------------------------------------------
 CHAOS_PLANS = {
-    # One fault per failure family the recovery machinery handles ...
-    "drop-result": FaultPlan(
-        (Fault("drop", kind="result", direction="recv", index=0, connection=0),)
-    ),
-    "drop-task": FaultPlan(
-        (Fault("drop", kind="task", direction="send", index=0, connection=0),)
-    ),
-    "delay-result": FaultPlan(
-        (
-            Fault(
-                "delay",
-                kind="result",
-                direction="recv",
-                index=0,
-                connection=0,
-                delay=0.2,
-            ),
-        )
-    ),
-    "duplicate-result": FaultPlan(
-        (Fault("duplicate", kind="result", direction="recv", index=0, connection=0),)
-    ),
-    "duplicate-task": FaultPlan(
-        (Fault("duplicate", kind="task", direction="send", index=0, connection=0),)
-    ),
-    "corrupt-result": FaultPlan(
-        (Fault("corrupt", kind="result", direction="recv", index=0, connection=0),)
-    ),
-    "corrupt-task": FaultPlan(
-        (Fault("corrupt", kind="task", direction="send", index=0, connection=0),)
-    ),
-    "kill-worker": FaultPlan(
-        (Fault("kill-worker", kind="result", index=0, connection=1),)
-    ),
-    "stall-heartbeat": FaultPlan(
-        (Fault("stall-heartbeat", kind="heartbeat", index=1, connection=0),)
-    ),
-    # ... a compound storm hitting three families at once ...
+    # One fault per failure a forked worker can suffer ...
+    "kill-worker": FaultPlan((Fault("kill-worker", connection=1, index=0),)),
+    "block": FaultPlan((Fault("block", connection=0, index=1),)),
+    # ... both at once ...
     "storm": FaultPlan(
         (
-            Fault("drop", kind="result", direction="recv", index=0, connection=0),
-            Fault("kill-worker", kind="result", index=0, connection=1),
-            Fault("stall-heartbeat", kind="heartbeat", index=2, connection=0),
+            Fault("kill-worker", connection=1, index=0),
+            Fault("block", connection=0, index=2),
         )
     ),
     # ... and seeded random schedules, reproducible from the seed alone.
@@ -484,9 +394,7 @@ class TestChaosParity:
     def test_fault_schedule_preserves_bitwise_result(
         self, coefficients, serial_baseline, name
     ):
-        backend = SocketTransportBackend(
-            spawn="thread", fault_plan=CHAOS_PLANS[name]
-        )
+        backend = SocketTransportBackend(fault_plan=CHAOS_PLANS[name])
         result = run_portfolio(
             coefficients,
             NUM_SITES,
@@ -498,9 +406,7 @@ class TestChaosParity:
     def test_storm_telemetry_counts_recoveries(self, coefficients):
         """The storm must exercise the machinery it claims to: requeues
         granted, a worker failure observed, retried restarts counted."""
-        backend = SocketTransportBackend(
-            spawn="thread", fault_plan=CHAOS_PLANS["storm"]
-        )
+        backend = SocketTransportBackend(fault_plan=CHAOS_PLANS["storm"])
         result = run_portfolio(
             coefficients, NUM_SITES, SaOptions(**CHAOS_OPTIONS), backend=backend
         )
@@ -519,10 +425,8 @@ class TestFailurePaths:
         """A restart that keeps dying must fail the solve loudly — a
         silently lost restart would change the best-of-N result."""
         options = dict(CHAOS_OPTIONS, max_retries=0, restarts=2, jobs=1)
-        plan = FaultPlan(
-            (Fault("kill-worker", kind="result", index=0, connection=0),)
-        )
-        backend = SocketTransportBackend(spawn="thread", fault_plan=plan)
+        plan = FaultPlan((Fault("kill-worker", connection=0, index=0),))
+        backend = SocketTransportBackend(fault_plan=plan)
         with pytest.raises(
             SolverError, match=r"process worker failed restart \d+"
         ):
@@ -535,19 +439,17 @@ class TestFailurePaths:
     ):
         """When every worker hangs up at once and the spawn budget is
         spent, the driver warns and finishes the portfolio itself —
-        bitwise identically.  The restarts the workers never
-        acknowledged cost no retries, so ``max_retries=0`` still
-        finishes."""
+        bitwise identically.  The restarts the workers never started
+        cost no retries, so ``max_retries=0`` still finishes."""
+        from repro.sa import worker
+
         monkeypatch.setattr(
-            socket_backend._Driver,
-            "_thread_worker",
-            staticmethod(lambda sock, plan, faults: sock.close()),
+            worker, "run_worker", lambda sock, plan, faults: sock.close()
         )
-        options = dict(CHAOS_OPTIONS, max_retries=0, heartbeat_interval=0.05)
-        backend = SocketTransportBackend(spawn="thread")
+        options = dict(CHAOS_OPTIONS, max_retries=0)
         with pytest.warns(RuntimeWarning, match="drained"):
             result = run_portfolio(
-                coefficients, NUM_SITES, SaOptions(**options), backend=backend
+                coefficients, NUM_SITES, SaOptions(**options), backend="process"
             )
         assert_bitwise_identical(result, serial_baseline)
 
@@ -565,6 +467,52 @@ def _blas_threads() -> int:
     return getter()
 
 
+#: Runs CHAOS_OPTIONS (argv[2]) on forked workers after patching the
+#: annealer so that the first forked worker to create the marker file
+#: argv[1] blocks forever in its first x sub-solve, then prints the
+#: result as JSON.  The fork inherits the patch.
+_BLOCKED_WORKER_SCRIPT = """
+import json, os, sys, time
+from repro.costmodel.coefficients import build_coefficients
+from repro.costmodel.config import CostParameters
+from repro.sa.annealer import SimulatedAnnealer
+from repro.sa.options import SaOptions
+from repro.sa.portfolio import run_portfolio
+from tests.conftest import small_random_instance
+
+marker, options = sys.argv[1], json.loads(sys.argv[2])
+driver = os.getpid()
+real_optimize_x = SimulatedAnnealer._optimize_x
+
+
+def optimize_x(self, *args, **kwargs):
+    if os.getpid() != driver:
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            pass
+        else:
+            while True:
+                time.sleep(1)
+    return real_optimize_x(self, *args, **kwargs)
+
+
+SimulatedAnnealer._optimize_x = optimize_x
+instance = small_random_instance(5, num_tables=4, max_attributes_per_table=8)
+coefficients = build_coefficients(instance, CostParameters())
+result = run_portfolio(
+    coefficients, 3, SaOptions(**options), backend="process"
+)
+print(json.dumps(dict(
+    objective6=result.objective6,
+    best_restart=result.best_restart,
+    x=result.x.astype(int).tolist(),
+    y=result.y.astype(int).tolist(),
+    requeue_count=result.requeue_count,
+)))
+"""
+
+
 class TestForkedWorkers:
     @pytest.mark.chaos
     def test_killed_worker_is_requeued_bitwise_equal_to_serial(
@@ -574,10 +522,7 @@ class TestForkedWorkers:
         driver sees the connection close, requeues the restart on a
         fresh fork and still answers as serial does."""
         plan = FaultPlan(
-            tuple(
-                Fault("kill-worker", kind="result", connection=ordinal)
-                for ordinal in (0, 1)
-            )
+            tuple(Fault("kill-worker", connection=ordinal) for ordinal in (0, 1))
         )
         result = run_portfolio(
             coefficients, NUM_SITES, SaOptions(**CHAOS_OPTIONS),
@@ -596,10 +541,7 @@ class TestForkedWorkers:
         its retry budget and the solve fails naming it — never a
         silently incomplete best-of-N."""
         plan = FaultPlan(
-            tuple(
-                Fault("kill-worker", kind="result", connection=ordinal)
-                for ordinal in range(3)
-            )
+            tuple(Fault("kill-worker", connection=ordinal) for ordinal in range(3))
         )
         options = dict(
             CHAOS_OPTIONS, restarts=1, jobs=1, max_retries=1, backoff_base=0.0
@@ -612,10 +554,7 @@ class TestForkedWorkers:
                 backend=SocketTransportBackend(fault_plan=plan),
             )
 
-    @pytest.mark.parametrize("spawn", ["fork", "thread"])
-    def test_workers_anneal_the_callers_coefficients(
-        self, coefficients, spawn
-    ):
+    def test_workers_anneal_the_callers_coefficients(self, coefficients):
         """Workers inherit the plan, so coefficients that differ from a
         canonical rebuild are annealed as given, exactly as serially."""
         doctored = dataclasses.replace(coefficients, c1=coefficients.c1 * 2.0)
@@ -623,8 +562,7 @@ class TestForkedWorkers:
             doctored, NUM_SITES, SaOptions(**CHAOS_OPTIONS), backend="serial"
         )
         result = run_portfolio(
-            doctored, NUM_SITES, SaOptions(**CHAOS_OPTIONS),
-            backend=SocketTransportBackend(spawn=spawn),
+            doctored, NUM_SITES, SaOptions(**CHAOS_OPTIONS), backend="process"
         )
         assert_bitwise_identical(result, serial)
         assert result.restart_objectives == serial.restart_objectives
@@ -659,10 +597,10 @@ class TestForkedWorkers:
         real_connect = socket_backend._Driver._connect
         drivers = []
 
-        def connect(driver, ordinal, sock):
+        def connect(driver, sock, pid):
             drivers.append(driver)
             forked.set()  # the first worker is forked
-            return real_connect(driver, ordinal, sock)
+            return real_connect(driver, sock, pid)
 
         monkeypatch.setattr(socket_backend._Driver, "_connect", connect)
         holder = threading.Thread(target=hold_locks_until_forked, daemon=True)
@@ -686,6 +624,135 @@ class TestForkedWorkers:
                 os.kill(pid, signal.SIGKILL)
             pytest.fail("a forked worker waited on a lock held at fork")
         assert_bitwise_identical(results[0], serial_baseline)
+
+    @pytest.mark.chaos
+    def test_blocked_worker_is_written_off_and_its_restart_requeued(
+        self, serial_baseline, tmp_path
+    ):
+        """A forked worker whose main thread blocks forever mid-restart
+        goes silent; the driver writes it off after ``heartbeat_timeout``
+        and requeues the restart, so the portfolio still answers as
+        serial does.  The solve runs in its own session, killed as a
+        whole if it hangs."""
+        root = Path(__file__).resolve().parent.parent
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+        )
+        process = subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                _BLOCKED_WORKER_SCRIPT,
+                str(tmp_path / "blocked"),
+                json.dumps(CHAOS_OPTIONS),
+            ],
+            cwd=root,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = process.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            pytest.fail("a worker whose main thread blocked hung the portfolio")
+        assert process.returncode == 0, err
+        with pytest.raises(ProcessLookupError):  # every worker was reaped
+            os.killpg(process.pid, 0)
+        result = json.loads(out)
+        assert result["objective6"] == serial_baseline.objective6
+        assert result["best_restart"] == serial_baseline.best_restart
+        np.testing.assert_array_equal(result["x"], serial_baseline.x)
+        np.testing.assert_array_equal(result["y"], serial_baseline.y)
+        assert result["requeue_count"] >= 1
+
+    @pytest.mark.chaos
+    def test_no_healthy_worker_is_written_off(
+        self, coefficients, serial_baseline, monkeypatch
+    ):
+        """With ``heartbeat_timeout=0.3``, restart 0 is slowed to about a
+        second by short sleeps between progress calls, and the sibling
+        that ran the other restarts idles meanwhile: the beating worker
+        and the idle one both outlive the timeout, and neither is
+        written off."""
+        timeout = 0.3
+        real_run = SimulatedAnnealer.run
+
+        def slowed(step):
+            def slow_step(*args, **kwargs):
+                time.sleep(0.04)
+                return step(*args, **kwargs)
+
+            return slow_step
+
+        def run(annealer):
+            if annealer.options.seed == CHAOS_OPTIONS["seed"]:  # restart 0
+                annealer._optimize_x = slowed(annealer._optimize_x)
+                annealer._optimize_y = slowed(annealer._optimize_y)
+            return real_run(annealer)
+
+        idle = []
+        real_sweep = socket_backend._Driver._sweep_liveness
+
+        def sweep(driver):
+            now = time.monotonic()
+            idle.extend(
+                now - connection.last_seen
+                for connection in driver.connections.values()
+                if connection.inflight is None
+            )
+            return real_sweep(driver)
+
+        monkeypatch.setattr(SimulatedAnnealer, "run", run)
+        monkeypatch.setattr(socket_backend._Driver, "_sweep_liveness", sweep)
+        result = run_portfolio(
+            coefficients,
+            NUM_SITES,
+            SaOptions(**dict(CHAOS_OPTIONS, heartbeat_timeout=timeout)),
+            backend="process",
+        )
+        assert_bitwise_identical(result, serial_baseline)
+        assert result.restart_objectives == serial_baseline.restart_objectives
+        assert result.worker_failures == 0
+        assert result.outcomes[0].wall_time > 2 * timeout
+        assert max(idle) > timeout
+
+    def test_exact_sub_solve_is_not_mistaken_for_a_block(
+        self, coefficients, monkeypatch
+    ):
+        """One exact sub-solve runs with no progress call inside, so a
+        slow one may outlast ``heartbeat_timeout``: the driver allows
+        ``exact_time_limit`` more silence under ``subsolver="exact"``."""
+        timeout = 0.3
+        options = SaOptions(
+            **dict(
+                CHAOS_OPTIONS,
+                subsolver="exact",
+                restarts=2,
+                inner_loops=2,
+                max_outer_loops=2,
+                heartbeat_timeout=timeout,
+            )
+        )
+        serial = run_portfolio(coefficients, NUM_SITES, options, backend="serial")
+        slept = set()
+        real_optimize_x_exact = SubproblemSolver.optimize_x_exact
+
+        def optimize_x_exact(solver, *args, **kwargs):
+            if os.getpid() not in slept:  # once per worker
+                slept.add(os.getpid())
+                time.sleep(2 * timeout)
+            return real_optimize_x_exact(solver, *args, **kwargs)
+
+        monkeypatch.setattr(SubproblemSolver, "optimize_x_exact", optimize_x_exact)
+        result = run_portfolio(coefficients, NUM_SITES, options, backend="process")
+        assert_bitwise_identical(result, serial)
+        assert result.restart_objectives == serial.restart_objectives
+        assert result.worker_failures == 0
 
     def test_forked_workers_run_blas_on_one_thread(
         self, coefficients, monkeypatch, tmp_path
